@@ -3,17 +3,16 @@ from moment sequences."""
 
 from .errors import (DegenerateTauError, MomentParseError, ResourceBoundError,
                      SupportError, TauqError, UsageError)
-from .factorization import (DiagonalTwist, ShiftEndomorphism, apply_shift,
-                            bordered_tau_poly, connection_matrices_gl2,
+from .factorization import (DiagonalTwist, connection_matrices_gl2,
                             evaluate_shifted, g_minus_gl2, g_minus_gl3,
                             induction_replay, scalar_compatibility,
                             tail_series, verify_zero_curvature,
                             window_matrix_gl2, window_matrix_gl3,
                             zero_curvature_check)
-from .moments import MomentSequence, SeriesView, build_moments, serialize, shifted
-from .orthopoly import (HankelForm, MonicPolynomial, form_eval,
-                        gram_schmidt_monic, monic_op, mop_bordered_poly,
-                        mop_type2,
+from .moments import MomentSequence, build_moments, serialize
+from .orthopoly import (HankelForm, MonicPolynomial, bordered_tau_poly,
+                        form_eval, gram_schmidt_monic, monic_op,
+                        mop_bordered_poly, mop_type2,
                         recurrence_coeffs, recurrence_reconstruct,
                         verify_mop, verify_orthogonality)
 from .report import Check, Skip, VerificationReport
@@ -30,14 +29,14 @@ __all__ = [
     "Check", "DegenerateTauError", "DiagonalTwist", "HankelForm",
     "KernelSpec", "LaurentMatrix", "LaurentPoly", "MomentParseError",
     "MomentPoly", "MomentSequence", "MomentSymbol", "MonicPolynomial",
-    "ResourceBoundError", "RingFraction", "SeriesView", "ShiftEndomorphism",
-    "Skip", "SupportError", "TauGridGL2", "TauGridGL3", "TauqError",
-    "UsageError", "VerificationReport", "apply_shift", "bordered_tau_poly",
+    "ResourceBoundError", "RingFraction", "Skip", "SupportError",
+    "TauGridGL2", "TauGridGL3", "TauqError", "UsageError",
+    "VerificationReport", "bordered_tau_poly",
     "build_moments", "connection_matrices_gl2", "det", "det_bareiss",
     "evaluate_shifted", "fill_grid_recurrence", "form_eval", "g_minus_gl2",
     "g_minus_gl3", "gram_schmidt_monic", "induction_replay", "kernel_specs",
     "monic_op", "mop_bordered_poly", "mop_type2", "qsystem_residual", "recurrence_coeffs",
-    "recurrence_reconstruct", "scalar_compatibility", "serialize", "shifted",
+    "recurrence_reconstruct", "scalar_compatibility", "serialize",
     "tail_series", "tau3_e0_det", "tau3_residue", "tau3_value", "tau_det",
     "tau_residue", "verify_gl3_relations", "verify_mop",
     "verify_orthogonality", "verify_qsystem", "verify_zero_curvature",

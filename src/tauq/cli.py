@@ -52,6 +52,15 @@ def parse_range(text: str, name: str) -> tuple[int, int]:
     return (lo, hi)
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type for counts and bounds; a negative value is a usage
+    error, not an empty (vacuously passing) run."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def single_value(text: str, name: str) -> int:
     lo, hi = parse_range(text, name)
     if lo != hi:
@@ -354,7 +363,7 @@ def build_parser() -> _Parser:
     t3 = tau_sub.add_parser("gl3", help="two-index tau table")
     _add_gl3_moments(t3)
     _add_ranges(t3, "k", "l", "alpha", "beta", k="0..3", l="0..2")
-    t3.add_argument("--max-work", type=int, default=None, metavar="N",
+    t3.add_argument("--max-work", type=nonnegative_int, default=None, metavar="N",
                     help="per-summand residue work bound (default 5)")
     _add_format(t3)
     _add_mode(t3)
@@ -373,7 +382,7 @@ def build_parser() -> _Parser:
     vg = v_sub.add_parser("gl3", help="the four two-index difference relations")
     _add_gl3_moments(vg)
     _add_ranges(vg, "k", "l", "alpha", "beta", k="0..2", l="0..2")
-    vg.add_argument("--max-work", type=int, default=None, metavar="N",
+    vg.add_argument("--max-work", type=nonnegative_int, default=None, metavar="N",
                     help="per-summand residue work bound "
                          "(default: derived from the ranges)")
     _add_format(vg)
@@ -392,7 +401,7 @@ def build_parser() -> _Parser:
                           help="monic polynomial orthogonality and norms")
     _add_gl2_moments(vo, required=True)
     _add_ranges(vo, "alpha", alpha="0")
-    vo.add_argument("--count", type=int, default=6, metavar="K",
+    vo.add_argument("--count", type=nonnegative_int, default=6, metavar="K",
                     help="verify polynomials up to degree K (default 6)")
     _add_format(vo)
     vo.set_defaults(func=cmd_verify_orthogonality)
@@ -405,7 +414,7 @@ def build_parser() -> _Parser:
 
     og = sub.add_parser("opgen", help="generate monic orthogonal polynomials")
     _add_gl2_moments(og, required=True)
-    og.add_argument("--count", type=int, default=6, metavar="N",
+    og.add_argument("--count", type=nonnegative_int, default=6, metavar="N",
                     help="generate p_1 .. p_N (default 6)")
     _add_ranges(og, "alpha")
     _add_format(og)
@@ -420,7 +429,7 @@ def build_parser() -> _Parser:
 
     rc = sub.add_parser("recurrence", help="three-term recurrence coefficients")
     _add_gl2_moments(rc, required=True)
-    rc.add_argument("--count", type=int, default=6, metavar="K",
+    rc.add_argument("--count", type=nonnegative_int, default=6, metavar="K",
                     help="coefficients a_k, b_k for k < K (default 6)")
     _add_ranges(rc, "alpha")
     _add_format(rc)

@@ -1,17 +1,30 @@
-"""Shift fields, lower-triangular wave factors, connection matrices.
+"""Shifted tau-functions, lower-triangular wave factors, connection matrices.
 
-S is the substitution endomorphism sending every generator of one moment
-family to its successor (c_k to c_{k+1}), acting multiplicatively and
-fixing other families. The induced fields S+ = 1 - S/z and its formal
-inverse S- = sum_i S^i z^{-i} applied to Hankel tau polynomials give the
-explicit g_minus factors; diagonal twists and the unipotent series factor
-reassemble them into window matrices that are polynomial in z, and the
-z-linear connection matrices V, W, U relate neighbouring (k, alpha).
+The shift fields act on one moment family: S+ sends m_n to m_n - m_{n+1}/z,
+S- sends m_n to sigma_n = sum_{i>=0} m_{n+i} z^{-i} (cut off at the top of
+the finite support; a second-kind function of the moment sequence). Applied
+to Hankel tau-functions they give the explicit g_minus factors; diagonal
+twists and the unipotent series factor reassemble them into window matrices
+that are polynomial in z, and the z-linear connection matrices V, W, U
+relate neighbouring (k, alpha).
 
-Numeric evaluation maps each shifted generator to its Laurent series
-first and multiplies those series, so coefficients collapse per z-power;
-expanding symbolically first grows multiplicatively in the matrix size
-and is avoided everywhere a moment sequence is available.
+Every shifted tau comes from one bordered determinant. Write
+B_{k,l} = z^k Sc+ Sd+ tau_{k,l} (``mop_bordered_poly``; GL2 is l = 0 with
+C = D = m) and, for B = sum_r b_r z^r, Q[B; F, n] = sum_r b_r sigma^F_{n+r}.
+Since sigma_n - sigma_{n+1}/z = F_n, the column operations
+col_j - col_{j+1}/z over one family's columns of the shifted matrix leave
+plain moment columns and one sigma column; expanding along that column
+gives the bordered minors back:
+
+    S+ tau_k        = z^{-k} B_{k,0}
+    S- tau_k        = Q[B_{k-1,0}; m, alpha+k-1]            (k >= 1; 1 at k = 0)
+    Sc- tau_{k,l}   = Q[B_{k-1,l}; C, alpha-beta+k-l-1]     (k > l; tau_{k,k} at k = l)
+    Sd- tau_{k,l}   = (-1)^k Q[B_{k-1,l-1}; D, alpha+l-1]   (l >= 1; tau_{k,0} at l = 0)
+
+So a factor costs a few bordered determinants and series contractions.
+``evaluate_shifted`` pushes a formal tau polynomial through the fields
+monomial by monomial (k! terms); it is the independent reference route the
+tests compare against.
 """
 from __future__ import annotations
 
@@ -20,51 +33,38 @@ from fractions import Fraction
 
 from .errors import DegenerateTauError, SupportError
 from .moments import MomentSequence
+from .orthopoly import bordered_tau_poly, mop_bordered_poly
 from .report import VerificationReport
-from .rings import (LaurentMatrix, LaurentPoly, MomentPoly, MomentSymbol,
-                    RingFraction, det)
-from .tau_gl2 import tau_det
+from .rings import LaurentMatrix, LaurentPoly, MomentPoly, RingFraction
+from .tau_gl2 import qsystem_residual, tau_det
 from .tau_gl3 import tau3_e0_det
 
-FORMAL_C = MomentSequence.formal("c")
-FORMAL_D = MomentSequence.formal("d")
+
+def _shifted_series(index: int, seq: MomentSequence, sign: int) -> LaurentPoly:
+    """Numeric Laurent series the generator m_index is sent to by S^sign
+    (sign 0 leaves it alone); sign -1 gives sigma_index."""
+    if sign == 0:
+        return LaurentPoly.const(seq.get(index))
+    if sign == 1:
+        return LaurentPoly({0: seq.get(index), -1: -seq.get(index + 1)})
+    sup = seq.support()
+    if sup is None:
+        return LaurentPoly.zero()
+    return LaurentPoly({-i: seq.get(index + i)
+                        for i in range(sup[1] - index + 1)})
 
 
-@dataclass(frozen=True)
-class ShiftEndomorphism:
-    """S_family^sign with sign +1 for 1 - S/z, -1 for its inverse."""
-
-    family: str
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    def symbol_image(self, index: int, hi: int | None = None) -> LaurentPoly:
-        """Laurent series (MomentPoly coefficients) the field sends one
-        generator to. The minus field needs a support top hi to truncate;
-        generators above hi map to 0 because every summand does."""
-        sym = lambda j: MomentPoly.symbol(self.family, j)
-        if self.sign == 1:
-            return LaurentPoly({0: sym(index), -1: -sym(index + 1)})
-        if hi is None:
-            raise SupportError("the inverse shift field needs a support bound")
-        return LaurentPoly({-i: sym(index + i) for i in range(hi - index + 1)})
-
-
-def apply_shift(shift: ShiftEndomorphism, p: MomentPoly,
-                hi: int | None = None) -> LaurentPoly:
-    """Homomorphic image of p under the shift field, z-dependence collected
-    as a Laurent polynomial with MomentPoly coefficients."""
+def evaluate_shifted(p: MomentPoly, seqs: dict[str, MomentSequence],
+                     signs: dict[str, int]) -> LaurentPoly:
+    """Evaluate p with family f's generators passed through S_f^signs[f]
+    (omitted families are unshifted), collapsing coefficients per z-power
+    as it goes."""
     total = LaurentPoly.zero()
     for mono, coef in p.terms.items():
-        acc = LaurentPoly.const(MomentPoly.const(coef))
+        acc = LaurentPoly.const(Fraction(coef))
         for s in mono:
-            if s.family == shift.family:
-                fac = shift.symbol_image(s.index, hi)
-            else:
-                fac = LaurentPoly.const(MomentPoly.symbol(s.family, s.index))
+            fac = _shifted_series(s.index, seqs[s.family],
+                                  signs.get(s.family, 0))
             acc = acc * fac
             if not acc:
                 break
@@ -72,34 +72,11 @@ def apply_shift(shift: ShiftEndomorphism, p: MomentPoly,
     return total
 
 
-def _shifted_series(sym: MomentSymbol, seq: MomentSequence,
-                    sign: int) -> LaurentPoly:
-    """Numeric Laurent series a shifted generator evaluates to."""
-    if sign == 0:
-        return LaurentPoly.const(seq.get(sym.index))
-    if sign == 1:
-        return LaurentPoly({0: seq.get(sym.index), -1: -seq.get(sym.index + 1)})
-    sup = seq.support()
-    if sup is None:
-        return LaurentPoly.zero()
-    return LaurentPoly({-i: seq.get(sym.index + i)
-                        for i in range(sup[1] - sym.index + 1)})
-
-
-def evaluate_shifted(p: MomentPoly, seqs: dict[str, MomentSequence],
-                     signs: dict[str, int]) -> LaurentPoly:
-    """Evaluate p with family f's generators passed through S_f^signs[f]
-    (omitted families are unshifted). Equals numeric evaluation of
-    apply_shift but collapses coefficients per z-power as it goes."""
+def _contract(b: LaurentPoly, seq: MomentSequence, n: int) -> LaurentPoly:
+    """Q[B; F, n] = sum_r b_r sigma^F_{n+r}."""
     total = LaurentPoly.zero()
-    for mono, coef in p.terms.items():
-        acc = LaurentPoly.const(Fraction(coef))
-        for s in mono:
-            fac = _shifted_series(s, seqs[s.family], signs.get(s.family, 0))
-            acc = acc * fac
-            if not acc:
-                break
-        total = total + acc
+    for r, coef in b.coeffs.items():
+        total = total + _shifted_series(n + r, seq, -1).scale(coef)
     return total
 
 
@@ -110,23 +87,6 @@ def tail_series(seq: MomentSequence, offset: int) -> LaurentPoly:
         return LaurentPoly.zero()
     return LaurentPoly({-i - 1: seq.get(offset + i)
                         for i in range(max(0, sup[1] - offset) + 1)})
-
-
-def bordered_tau_poly(k: int, alpha: int, m: MomentSequence) -> LaurentPoly:
-    """z^k S+ tau_k as the bordered determinant: the (k+1) x (k+1) Hankel
-    matrix [m_{alpha+i+j}] with last column replaced by (1, z, ..., z^k),
-    expanded along that column. Degree-k polynomial, leading coefficient
-    tau_k; dividing by tau_k gives the monic orthogonal polynomial."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    coeffs = {}
-    for r in range(k + 1):
-        rows = [[m.get(alpha + i + j) for j in range(k)]
-                for i in range(k + 1) if i != r]
-        val = det(rows) * ((-1) ** (r + k))
-        if val:
-            coeffs[r] = val
-    return LaurentPoly(coeffs)
 
 
 @dataclass(frozen=True)
@@ -160,17 +120,16 @@ def g_minus_gl2(k: int, alpha: int, m: MomentSequence) -> LaurentMatrix:
     tau_k = tau_det(k, alpha, m)
     if not tau_k:
         raise DegenerateTauError("tau is zero", k=k, alpha=alpha)
-
-    def ev(kk: int, sign: int) -> LaurentPoly:
-        formal = tau_det(kk, alpha, FORMAL_C)
-        if not formal:
-            return LaurentPoly.zero()
-        return evaluate_shifted(formal, {"c": m}, {"c": sign})
-
+    b_k = bordered_tau_poly(k, alpha, m)
+    if k:
+        b_prev = bordered_tau_poly(k - 1, alpha, m)
+        minus_k = _contract(b_prev, m, alpha + k - 1)
+    else:
+        b_prev, minus_k = LaurentPoly.zero(), LaurentPoly.const(tau_k)
     inv = Fraction(1) / tau_k
     return LaurentMatrix([
-        [ev(k, 1).scale(inv), ev(k - 1, 1).shift(-1).scale(inv)],
-        [ev(k + 1, -1).shift(-1).scale(inv), ev(k, -1).scale(inv)],
+        [b_k.shift(-k).scale(inv), b_prev.shift(-k).scale(inv)],
+        [_contract(b_k, m, alpha + k).shift(-1).scale(inv), minus_k.scale(inv)],
     ])
 
 
@@ -327,25 +286,20 @@ def induction_replay(m: MomentSequence, k_max: int,
     def t(kk: int, aa: int):
         return tau_det(kk, aa, m)
 
-    def residual(kk: int, aa: int):
-        return (t(kk, aa) * t(kk - 2, aa + 2)
-                - t(kk - 1, aa + 2) * t(kk - 1, aa)
-                + t(kk - 1, aa + 1) ** 2)
-
     for a in range(alpha_range[0], alpha_range[1] + 1):
         for k in (0, 1):
-            r = residual(k, a)
+            r = qsystem_residual(k, a, t)
             report.add_check({"k": k, "alpha": a, "step": "base"},
                              r == 0, r, 0)
         for k in range(2, k_max + 1):
             factor_new = t(k - 2, a + 1)
             factor_old = t(k - 1, a + 1)
-            lhs = factor_new ** 2 * residual(k, a)
-            rhs = factor_old ** 2 * residual(k - 1, a)
+            lhs = factor_new ** 2 * qsystem_residual(k, a, t)
+            rhs = factor_old ** 2 * qsystem_residual(k - 1, a, t)
             report.add_check({"k": k, "alpha": a, "step": "transport"},
                              lhs == rhs, lhs, rhs)
             if factor_new:
-                r = residual(k, a)
+                r = qsystem_residual(k, a, t)
                 report.add_check({"k": k, "alpha": a, "step": "conclude"},
                                  r == 0, r, 0)
             else:
@@ -362,7 +316,9 @@ def g_minus_gl3(k: int, l: int, alpha: int, beta: int,
     both families forward, middle row pulls c back, last row pulls d back,
     with sign twists (-1)^k / (-1)^{k+1} on the off-diagonal entries.
     Needs E identically zero (tau is then the block-Hankel determinant and
-    the e-family shift fields act trivially)."""
+    the e-family shift fields act trivially). All nine entries come from
+    B_{k,l}, B_{k-1,l} and B_{k-1,l-1}; in the last row the sign twists
+    cancel the (-1)^k that Sd- carries."""
     for seq in (C, D):
         if not seq.is_finite:
             raise SupportError("the inverse shift field needs finite support")
@@ -370,27 +326,23 @@ def g_minus_gl3(k: int, l: int, alpha: int, beta: int,
     if not tau:
         raise DegenerateTauError("tau is zero", k=k, l=l, alpha=alpha, beta=beta)
 
-    seqs = {"c": C, "d": D}
-
-    def ev(kk: int, ll: int, signs: dict[str, int]) -> LaurentPoly:
-        formal = tau3_e0_det(kk, ll, alpha, beta, FORMAL_C, FORMAL_D)
-        if not formal:
+    def bordered(kk: int, ll: int) -> LaurentPoly:
+        if ll < 0 or kk < ll:
             return LaurentPoly.zero()
-        return evaluate_shifted(formal, seqs, signs)
+        return mop_bordered_poly(kk, ll, alpha, beta, C, D)
 
-    plus_both = {"c": 1, "d": 1}
-    minus_c, minus_d = {"c": -1}, {"d": -1}
+    b, b_c, b_d = bordered(k, l), bordered(k - 1, l), bordered(k - 1, l - 1)
+    n_c = alpha - beta + k - l
     sk = Fraction((-1) ** k)
+    tau_poly = LaurentPoly.const(tau)
     rows = [
-        [ev(k, l, plus_both),
-         ev(k - 1, l, plus_both).shift(-1),
-         ev(k - 1, l - 1, plus_both).shift(-1).scale(sk)],
-        [ev(k + 1, l, minus_c).shift(-1),
-         ev(k, l, minus_c),
-         ev(k, l - 1, minus_c).shift(-1).scale(sk)],
-        [ev(k + 1, l + 1, minus_d).shift(-1).scale(-sk),
-         ev(k, l + 1, minus_d).shift(-1).scale(sk),
-         ev(k, l, minus_d)],
+        [b.shift(-k), b_c.shift(-k), b_d.shift(-k).scale(sk)],
+        [_contract(b, C, n_c).shift(-1),
+         _contract(b_c, C, n_c - 1) if k > l else tau_poly,
+         _contract(b_d, C, n_c).shift(-1).scale(sk)],
+        [_contract(b, D, alpha + l).shift(-1),
+         _contract(b_c, D, alpha + l).shift(-1),
+         _contract(b_d, D, alpha + l - 1).scale(sk) if l else tau_poly],
     ]
     inv = Fraction(1) / tau
     return LaurentMatrix([[e.scale(inv) for e in row] for row in rows])

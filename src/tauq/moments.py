@@ -1,4 +1,4 @@
-"""Moment sequences: construction, shifting, and serialization.
+"""Moment sequences: construction, evaluation, and serialization.
 
 A moment sequence is a total function i -> value on the integers. Three
 kinds exist:
@@ -14,7 +14,6 @@ into a window via a documented linear congruential generator.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MomentParseError, SupportError
@@ -157,24 +156,6 @@ def _hermite_moment(i: int) -> Fraction:
     for odd in range(1, 2 * m, 2):
         num *= odd
     return Fraction(num, 2 ** m)
-
-
-@dataclass(frozen=True)
-class SeriesView:
-    """Index-shifted view: view(i) = seq.get(i + shift)."""
-
-    seq: MomentSequence
-    shift: int
-
-    def view(self, i: int):
-        return self.seq.get(i + self.shift)
-
-
-def shifted(source, alpha: int) -> SeriesView:
-    """Shift a sequence (or compose with an existing view) by alpha."""
-    if isinstance(source, SeriesView):
-        return SeriesView(source.seq, source.shift + alpha)
-    return SeriesView(source, alpha)
 
 
 # -- external schema ------------------------------------------------------

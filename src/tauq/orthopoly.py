@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateTauError
-from .factorization import bordered_tau_poly
 from .moments import MomentSequence
 from .report import VerificationReport
 from .rings import LaurentPoly, det
 from .tau_gl2 import tau_det
-from .tau_gl3 import tau3_e0_det
+from .tau_gl3 import block_hankel_rows, tau3_e0_det
 
 
 @dataclass(frozen=True)
@@ -202,20 +201,24 @@ def mop_bordered_poly(k: int, l: int, alpha: int, beta: int,
                       C: MomentSequence, D: MomentSequence) -> LaurentPoly:
     """z^k Sc+ Sd+ tau_{k,l}: the (k+1) x (k+1) bordered block determinant
     (l d-columns, then k-l c-columns, last column 1, z, ..., z^k) with the
-    E=0 sign, expanded along the last column."""
+    E=0 sign, expanded along the last column. Degree-k polynomial with
+    leading coefficient tau_{k,l}."""
     if k < 0 or l < 0 or k < l:
         raise ValueError("need k >= l >= 0")
-    sign = (-1) ** (l * (l + 1) // 2)
+    rows = block_hankel_rows(k + 1, k, l, alpha, beta, C, D)
+    odd = (k + l * (l + 1) // 2) % 2
     coeffs = {}
     for r in range(k + 1):
-        rows = [[D.get(alpha + i + j) if j < l
-                 else C.get(alpha - beta + i + (j - l))
-                 for j in range(k)]
-                for i in range(k + 1) if i != r]
-        val = det(rows) * ((-1) ** (r + k) * sign)
+        val = det(rows[:r] + rows[r + 1:])
         if val:
-            coeffs[r] = val
+            coeffs[r] = -val if (r + odd) % 2 else val
     return LaurentPoly(coeffs)
+
+
+def bordered_tau_poly(k: int, alpha: int, m: MomentSequence) -> LaurentPoly:
+    """z^k S+ tau_k: the one-family bordered Hankel determinant (no
+    d-columns). Dividing by tau_k gives the monic orthogonal polynomial."""
+    return mop_bordered_poly(k, 0, alpha, 0, m, m)
 
 
 def mop_type2(k: int, l: int, alpha: int, beta: int,

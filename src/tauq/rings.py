@@ -459,9 +459,6 @@ class LaurentMatrix:
     def scale(self, c) -> "LaurentMatrix":
         return LaurentMatrix([[e.scale(c) for e in row] for row in self.entries])
 
-    def map_entries(self, fn) -> "LaurentMatrix":
-        return LaurentMatrix([[fn(e) for e in row] for row in self.entries])
-
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
@@ -490,18 +487,6 @@ def _sum_polys(polys) -> LaurentPoly:
     for p in polys:
         acc = acc + p
     return acc
-
-
-def laurent_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
-
-
-def residue(p: LaurentPoly):
-    return p.residue()
-
-
-def matrix_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
-    return a @ b
 
 
 def det_bareiss(rows: list[list[Fraction]]) -> Fraction:

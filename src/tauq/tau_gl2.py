@@ -14,19 +14,15 @@ from math import factorial
 from .errors import DegenerateTauError, ResourceBoundError
 from .moments import MomentSequence
 from .report import VerificationReport
-from .rings import det
+from .tau_gl3 import tau3_e0_det
 
 RESIDUE_K_BOUND = 5
 
 
 def tau_det(k: int, alpha: int, m: MomentSequence):
-    """tau_k^(alpha) as the k x k Hankel determinant det[c_{alpha+i+j}]."""
-    if k < 0:
-        return m.ring_zero()
-    if k == 0:
-        return m.ring_one()
-    rows = [[m.get(alpha + i + j) for j in range(k)] for i in range(k)]
-    return det(rows)
+    """tau_k^(alpha) as the k x k Hankel determinant det[c_{alpha+i+j}]:
+    the block-Hankel tau with no d-columns."""
+    return tau3_e0_det(k, 0, alpha, 0, m, m)
 
 
 def _vandermonde_sq(k: int) -> dict[tuple[int, ...], int]:

@@ -191,20 +191,27 @@ def tau3_residue(k: int, l: int, alpha: int, beta: int,
     return total
 
 
+def block_hankel_rows(n_rows: int, k: int, l: int, alpha: int, beta: int,
+                      C: MomentSequence, D: MomentSequence) -> list[list]:
+    """Rows 0 .. n_rows-1 of the k-column block-Hankel matrix: l d-columns
+    d_{alpha+i+j}, then k-l c-columns c_{alpha-beta+i+(j-l)}. n_rows = k
+    gives the tau matrix, n_rows = k+1 the body of the bordered one."""
+    return [[D.get(alpha + i + j) if j < l else C.get(alpha - beta + i + (j - l))
+             for j in range(k)] for i in range(n_rows)]
+
+
 def tau3_e0_det(k: int, l: int, alpha: int, beta: int,
                 C: MomentSequence, D: MomentSequence):
     """Closed form when E = 0: zero for k < l, else the signed k x k
-    block-Hankel determinant with entry(i,j) = d_{alpha+i+j} for j < l and
-    c_{alpha-beta+i+(j-l)} for l <= j < k, times (-1)^{l(l+1)/2}.
+    block-Hankel determinant (block_hankel_rows) times (-1)^{l(l+1)/2}.
+    With l = 0 and C = D it is the one-family Hankel tau.
     """
     if k < 0 or l < 0 or k < l:
         return C.ring_zero()
     if k == 0:
         return C.ring_one()
-    rows = [[D.get(alpha + i + j) if j < l else C.get(alpha - beta + i + (j - l))
-             for j in range(k)] for i in range(k)]
-    sign = (-1) ** (l * (l + 1) // 2)
-    return det(rows) * sign
+    val = det(block_hankel_rows(k, k, l, alpha, beta, C, D))
+    return -val if l * (l + 1) // 2 % 2 else val
 
 
 @dataclass

@@ -283,3 +283,20 @@ def test_infinite_support_is_exit_2(capsys):
                        "--k", "0..1", "--l", "0..1")
     assert code == 2
     assert json.loads(err)["error"] == "SupportError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("opgen", "--moments", CATALAN, "--count", "-2"),
+    ("recurrence", "--moments", CATALAN, "--count", "-1"),
+    ("verify", "orthogonality", "--moments", CATALAN, "--count", "-1"),
+    ("tau", "gl3", "--moments-c", RAND_C, "--moments-d", RAND_D,
+     "--moments-e", RAND_E, "--max-work", "-1"),
+    ("verify", "gl3", "--moments-c", RAND_C, "--moments-d", RAND_D,
+     "--moments-e", RAND_E, "--max-work", "-1"),
+    ("opgen", "--moments", CATALAN, "--count", "two"),
+])
+def test_negative_count_or_work_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "UsageError"

@@ -6,13 +6,12 @@ import pytest
 from tauq import (
     DegenerateTauError,
     DiagonalTwist,
+    LaurentMatrix,
     LaurentPoly,
     MomentPoly,
     MomentSequence,
     RingFraction,
-    ShiftEndomorphism,
     SupportError,
-    apply_shift,
     bordered_tau_poly,
     connection_matrices_gl2,
     evaluate_shifted,
@@ -22,12 +21,16 @@ from tauq import (
     monic_op,
     scalar_compatibility,
     tail_series,
+    tau3_e0_det,
     tau_det,
     verify_zero_curvature,
     window_matrix_gl2,
     window_matrix_gl3,
     zero_curvature_check,
 )
+
+from formal_shift import (ShiftEndomorphism, apply_shift, formal_g_minus_gl2,
+                          formal_g_minus_gl3)
 
 SP = ShiftEndomorphism("c", 1)
 SM = ShiftEndomorphism("c", -1)
@@ -138,10 +141,65 @@ def test_g_minus_gl2_errors(catalan):
 
 
 def test_window_gl2_equals_connection_product(catalan_window):
-    assert window_matrix_gl2(1, 0, catalan_window) == \
-        connection_matrices_gl2(0, 0, catalan_window)[2]
-    us = [connection_matrices_gl2(k, 0, catalan_window)[2] for k in range(3)]
-    assert window_matrix_gl2(3, 0, catalan_window) == reduce(lambda a, b: a @ b, us)
+    us = [connection_matrices_gl2(k, 0, catalan_window)[2] for k in range(8)]
+    for k in range(9):
+        assert window_matrix_gl2(k, 0, catalan_window) == \
+            reduce(lambda a, b: a @ b, us[:k], LaurentMatrix.identity(2))
+
+
+def _outcome(build, *args):
+    """A factor matrix, or the error it raised (type, message, indices)."""
+    try:
+        return build(*args)
+    except (DegenerateTauError, SupportError) as exc:
+        return type(exc), str(exc), getattr(exc, "indices", None)
+
+
+def test_g_minus_gl2_matches_formal_route(rand_window):
+    # one generic window, one with entries in {-1, 0, 1}: singular minors
+    # below a nonsingular tau_k, and singular tau_k themselves
+    evaluated = minor_zero = 0
+    for m in (rand_window(1, -3, 8), rand_window(4, -2, 9, 1, 1)):
+        for a in (-1, 1):
+            for k in range(6):
+                got = _outcome(g_minus_gl2, k, a, m)
+                assert got == _outcome(formal_g_minus_gl2, k, a, m), (m, k, a)
+                if not isinstance(got, tuple):
+                    evaluated += 1
+                    minor_zero += k > 0 and not tau_det(k - 1, a, m)
+    assert (evaluated, minor_zero) == (20, 3)
+
+
+def test_g_minus_gl3_matches_formal_route(rand_window):
+    evaluated = minor_zero = 0
+    for C, D in ((rand_window(11, -3, 6), rand_window(12, -2, 7)),
+                 (rand_window(13, -3, 6, 1, 1), rand_window(14, -2, 7, 1, 1))):
+        for b in (-1, 0, 1):
+            for k in range(5):
+                for l in range(k + 1):
+                    args = (k, l, 0, b, C, D)
+                    got = _outcome(g_minus_gl3, *args)
+                    assert got == _outcome(formal_g_minus_gl3, *args), args
+                    if not isinstance(got, tuple):
+                        evaluated += 1
+                        minor_zero += k > l and not tau3_e0_det(k - 1, l, 0, b, C, D)
+    assert (evaluated, minor_zero) == (79, 7)
+
+
+def test_g_minus_edge_indices(catalan_window, linear_window):
+    one = LaurentPoly.const(Fraction(1))
+    zero = LaurentPoly.zero()
+    cw, lw = catalan_window, linear_window
+    assert g_minus_gl2(0, 0, cw) == formal_g_minus_gl2(0, 0, cw)
+    for k, l in ((0, 0), (2, 0), (3, 0), (1, 1), (2, 2)):
+        g = g_minus_gl3(k, l, 0, 0, cw, lw)
+        assert g == formal_g_minus_gl3(k, l, 0, 0, cw, lw), (k, l)
+        if l == 0:  # no d-columns: Sd- leaves tau alone
+            assert (g.entries[2][2], g.entries[0][2], g.entries[1][2]) == \
+                (one, zero, zero)
+        if k == l:  # no c-columns: Sc- leaves tau alone
+            assert (g.entries[1][1], g.entries[0][1], g.entries[2][1]) == \
+                (one, zero, zero)
 
 
 def test_window_gl2_nonnegative(catalan_window):

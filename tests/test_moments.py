@@ -10,7 +10,6 @@ from tauq import (
     SupportError,
     build_moments,
     serialize,
-    shifted,
 )
 
 
@@ -68,13 +67,6 @@ def test_truncated(catalan):
 def test_truncate_formal_rejected(formal_c):
     with pytest.raises(SupportError):
         formal_c.truncated(0, 2)
-
-
-def test_shifted_view(catalan):
-    v = shifted(catalan, 2)
-    assert v.view(0) == catalan.get(2)
-    vv = shifted(v, -1)
-    assert vv.view(0) == catalan.get(1)
 
 
 def test_equality_trims_zero_padding():
