@@ -18,9 +18,9 @@ from .orthopoly import (HankelForm, MonicPolynomial, bordered_tau_poly,
 from .report import Check, Skip, VerificationReport
 from .rings import (LaurentMatrix, LaurentPoly, MomentPoly, MomentSymbol,
                     RingFraction, det, det_bareiss)
-from .tau_gl2 import (TauGridGL2, fill_grid_recurrence, qsystem_residual,
-                      tau_det, tau_residue, verify_qsystem)
-from .tau_gl3 import (KernelSpec, TauGridGL3, kernel_specs, tau3_e0_det,
+from .tau_gl2 import (fill_grid_recurrence, qsystem_residual, tau_det,
+                      tau_residue, verify_qsystem)
+from .tau_gl3 import (KernelSpec, TauTable, kernel_specs, tau3_e0_det,
                       tau3_residue, tau3_value, verify_gl3_relations)
 
 __version__ = "0.1.0"
@@ -30,7 +30,7 @@ __all__ = [
     "KernelSpec", "LaurentMatrix", "LaurentPoly", "MomentParseError",
     "MomentPoly", "MomentSequence", "MomentSymbol", "MonicPolynomial",
     "ResourceBoundError", "RingFraction", "Skip", "SupportError",
-    "TauGridGL2", "TauGridGL3", "TauqError", "UsageError",
+    "TauTable", "TauqError", "UsageError",
     "VerificationReport", "bordered_tau_poly",
     "build_moments", "connection_matrices_gl2", "det", "det_bareiss",
     "evaluate_shifted", "fill_grid_recurrence", "form_eval", "g_minus_gl2",

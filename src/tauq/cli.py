@@ -18,7 +18,7 @@ import json
 import sys
 
 from .errors import (DegenerateTauError, MomentParseError, ResourceBoundError,
-                     SupportError, TauqError, UsageError)
+                     SupportError, UsageError)
 from .factorization import verify_zero_curvature
 from .moments import MomentSequence, build_moments
 from .orthopoly import (monic_op, mop_type2, recurrence_coeffs,
@@ -76,11 +76,11 @@ def load_moments(text: str, flag: str) -> MomentSequence:
         try:
             with open(s, encoding="utf-8") as fh:
                 s = fh.read().strip()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise MomentParseError(flag, f"cannot read file {text!r}: {exc}") from None
     try:
         spec = json.loads(s)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or an over-long integer
         raise MomentParseError(flag, f"invalid JSON: {exc}") from None
     return build_moments(spec)
 

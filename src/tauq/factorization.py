@@ -36,8 +36,7 @@ from .moments import MomentSequence
 from .orthopoly import bordered_tau_poly, mop_bordered_poly
 from .report import VerificationReport
 from .rings import LaurentMatrix, LaurentPoly, MomentPoly, RingFraction
-from .tau_gl2 import qsystem_residual, tau_det
-from .tau_gl3 import tau3_e0_det
+from .tau_gl2 import TauTable, qsystem_residual, tau_table
 
 
 def _shifted_series(index: int, seq: MomentSequence, sign: int) -> LaurentPoly:
@@ -117,10 +116,10 @@ def g_minus_gl2(k: int, alpha: int, m: MomentSequence) -> LaurentMatrix:
     """
     if not m.is_finite:
         raise SupportError("the inverse shift field needs finite support")
-    tau_k = tau_det(k, alpha, m)
+    b_k = bordered_tau_poly(k, alpha, m)
+    tau_k = b_k.coeff(k)
     if not tau_k:
         raise DegenerateTauError("tau is zero", k=k, alpha=alpha)
-    b_k = bordered_tau_poly(k, alpha, m)
     if k:
         b_prev = bordered_tau_poly(k - 1, alpha, m)
         minus_k = _contract(b_prev, m, alpha + k - 1)
@@ -153,22 +152,23 @@ def _tau_ratio(num, den, formal: bool, what: str, **indices):
     return num / den
 
 
-def connection_matrices_gl2(k: int, alpha: int, m: MomentSequence):
+def connection_matrices_gl2(k: int, alpha: int, m: MomentSequence,
+                            tau: TauTable | None = None):
     """(V, W, U) at (k, alpha), exactly as displayed: z-linear, built from
-    tau ratios. Formal m gives symbolic entries as fractions of tau
-    polynomials (no cancellation); numeric m gives Fraction entries."""
+    tau ratios read from tau (a fresh table of m when omitted). Formal m
+    gives symbolic entries as fractions of tau polynomials (no
+    cancellation); numeric m gives Fraction entries."""
     formal = m.is_formal
     one = RingFraction(MomentPoly.one()) if formal else Fraction(1)
-
-    def t(kk: int, aa: int):
-        return tau_det(kk, aa, m)
+    if tau is None:
+        tau = tau_table(m)
 
     def ratio(n1, n2, d1, d2, what, **ix):
         return _tau_ratio(n1 * n2, d1 * d2, formal, what, **ix)
 
-    tk_a, tk_a1 = t(k, alpha), t(k, alpha + 1)
-    tk1_a, tk1_a1 = t(k + 1, alpha), t(k + 1, alpha + 1)
-    tkm_a1 = t(k - 1, alpha + 1)
+    tk_a, tk_a1 = tau(k, alpha), tau(k, alpha + 1)
+    tk1_a, tk1_a1 = tau(k + 1, alpha), tau(k + 1, alpha + 1)
+    tkm_a1 = tau(k - 1, alpha + 1)
 
     v = LaurentMatrix([
         [LaurentPoly({1: one,
@@ -209,48 +209,49 @@ def connection_matrices_gl2(k: int, alpha: int, m: MomentSequence):
     return v, w, u
 
 
-def scalar_compatibility(k: int, alpha: int, m: MomentSequence):
+def scalar_compatibility(k: int, alpha: int, m: MomentSequence,
+                         tau: TauTable | None = None):
     """Both sides of the scalar identity the overlapping connection
     products force: tau_k^2 (tau_{k+2}^(a-1) tau_k^(a+1)
     - tau_{k+1}^(a-1) tau_{k+1}^(a+1)) against tau_{k+1}^2
     (tau_{k+1}^(a-1) tau_{k-1}^(a+1) - tau_k^(a-1) tau_k^(a+1))."""
-
-    def t(kk: int, aa: int):
-        return tau_det(kk, aa, m)
-
-    lhs = t(k, alpha) ** 2 * (t(k + 2, alpha - 1) * t(k, alpha + 1)
-                              - t(k + 1, alpha - 1) * t(k + 1, alpha + 1))
-    rhs = t(k + 1, alpha) ** 2 * (t(k + 1, alpha - 1) * t(k - 1, alpha + 1)
-                                  - t(k, alpha - 1) * t(k, alpha + 1))
+    if tau is None:
+        tau = tau_table(m)
+    lhs = tau(k, alpha) ** 2 * (tau(k + 2, alpha - 1) * tau(k, alpha + 1)
+                                - tau(k + 1, alpha - 1) * tau(k + 1, alpha + 1))
+    rhs = tau(k + 1, alpha) ** 2 * (tau(k + 1, alpha - 1) * tau(k - 1, alpha + 1)
+                                    - tau(k, alpha - 1) * tau(k, alpha + 1))
     return lhs, rhs
 
 
-def zero_curvature_check(k: int, alpha: int, m: MomentSequence) -> VerificationReport:
+def zero_curvature_check(k: int, alpha: int, m: MomentSequence,
+                         tau: TauTable | None = None) -> VerificationReport:
     """One (k, alpha) instance: U_k W_k = V_k, the cross-multiplied
     overlap W_k^(a-1) V_k^(a) = V_{k+1}^(a-1) W_k^(a), and the scalar
     identity they force. Cross-multiplied forms stay polynomial, so no
     matrix is ever inverted. The scalar identity has no denominators and
     is always checked; a matrix identity whose tau denominators vanish is
-    recorded as skipped rather than failed."""
+    recorded as skipped rather than failed. Every tau is read from tau (a
+    fresh table of m when omitted)."""
+    if tau is None:
+        tau = tau_table(m)
     report = VerificationReport("zero-curvature")
-    lhs, rhs = scalar_compatibility(k, alpha, m)
+    lhs, rhs = scalar_compatibility(k, alpha, m, tau)
     report.add_check({"k": k, "alpha": alpha, "identity": "scalar"},
                      lhs == rhs, lhs, rhs)
 
     try:
-        v_k, w_k, u_k = connection_matrices_gl2(k, alpha, m)
-        prod_l, prod_r = u_k @ w_k, v_k
-        report.add_check({"k": k, "alpha": alpha, "identity": "UW=V"},
-                         prod_l == prod_r, prod_l, prod_r)
+        v_k, w_k, u_k = connection_matrices_gl2(k, alpha, m, tau)
     except DegenerateTauError as exc:
-        report.add_skip({"k": k, "alpha": alpha, "identity": "UW=V"}, str(exc))
-        v_k = w_k = None
-
+        for identity in ("UW=V", "WV=VW"):
+            report.add_skip({"k": k, "alpha": alpha, "identity": identity}, str(exc))
+        return report
+    prod_l, prod_r = u_k @ w_k, v_k
+    report.add_check({"k": k, "alpha": alpha, "identity": "UW=V"},
+                     prod_l == prod_r, prod_l, prod_r)
     try:
-        if v_k is None or w_k is None:
-            v_k, w_k, _ = connection_matrices_gl2(k, alpha, m)
-        w_prev = connection_matrices_gl2(k, alpha - 1, m)[1]
-        v_next = connection_matrices_gl2(k + 1, alpha - 1, m)[0]
+        w_prev = connection_matrices_gl2(k, alpha - 1, m, tau)[1]
+        v_next = connection_matrices_gl2(k + 1, alpha - 1, m, tau)[0]
         lhs_m, rhs_m = w_prev @ v_k, v_next @ w_k
         report.add_check({"k": k, "alpha": alpha, "identity": "WV=VW"},
                          lhs_m == rhs_m, lhs_m, rhs_m)
@@ -262,11 +263,13 @@ def zero_curvature_check(k: int, alpha: int, m: MomentSequence) -> VerificationR
 def verify_zero_curvature(m: MomentSequence, k_range: tuple[int, int],
                           alpha_range: tuple[int, int]) -> VerificationReport:
     """All instances in range; identities whose connection matrices have a
-    zero tau denominator are recorded as skipped, not failed."""
+    zero tau denominator are recorded as skipped, not failed. All
+    instances share one tau table."""
     report = VerificationReport("zero-curvature")
+    tau = tau_table(m)
     for k in range(k_range[0], k_range[1] + 1):
         for a in range(alpha_range[0], alpha_range[1] + 1):
-            report.extend(zero_curvature_check(k, a, m))
+            report.extend(zero_curvature_check(k, a, m, tau))
     return report
 
 
@@ -282,24 +285,21 @@ def induction_replay(m: MomentSequence, k_max: int,
     the step is recorded as skipped (the identity cannot propagate there).
     """
     report = VerificationReport("induction-replay")
-
-    def t(kk: int, aa: int):
-        return tau_det(kk, aa, m)
-
+    tau = tau_table(m)
     for a in range(alpha_range[0], alpha_range[1] + 1):
         for k in (0, 1):
-            r = qsystem_residual(k, a, t)
+            r = qsystem_residual(k, a, tau)
             report.add_check({"k": k, "alpha": a, "step": "base"},
                              r == 0, r, 0)
         for k in range(2, k_max + 1):
-            factor_new = t(k - 2, a + 1)
-            factor_old = t(k - 1, a + 1)
-            lhs = factor_new ** 2 * qsystem_residual(k, a, t)
-            rhs = factor_old ** 2 * qsystem_residual(k - 1, a, t)
+            factor_new = tau(k - 2, a + 1)
+            factor_old = tau(k - 1, a + 1)
+            r = qsystem_residual(k, a, tau)
+            lhs = factor_new ** 2 * r
+            rhs = factor_old ** 2 * qsystem_residual(k - 1, a, tau)
             report.add_check({"k": k, "alpha": a, "step": "transport"},
                              lhs == rhs, lhs, rhs)
             if factor_new:
-                r = qsystem_residual(k, a, t)
                 report.add_check({"k": k, "alpha": a, "step": "conclude"},
                                  r == 0, r, 0)
             else:
@@ -322,16 +322,17 @@ def g_minus_gl3(k: int, l: int, alpha: int, beta: int,
     for seq in (C, D):
         if not seq.is_finite:
             raise SupportError("the inverse shift field needs finite support")
-    tau = tau3_e0_det(k, l, alpha, beta, C, D)
-    if not tau:
-        raise DegenerateTauError("tau is zero", k=k, l=l, alpha=alpha, beta=beta)
 
     def bordered(kk: int, ll: int) -> LaurentPoly:
         if ll < 0 or kk < ll:
             return LaurentPoly.zero()
         return mop_bordered_poly(kk, ll, alpha, beta, C, D)
 
-    b, b_c, b_d = bordered(k, l), bordered(k - 1, l), bordered(k - 1, l - 1)
+    b = bordered(k, l)
+    tau = b.coeff(k)
+    if not tau:
+        raise DegenerateTauError("tau is zero", k=k, l=l, alpha=alpha, beta=beta)
+    b_c, b_d = bordered(k - 1, l), bordered(k - 1, l - 1)
     n_c = alpha - beta + k - l
     sk = Fraction((-1) ** k)
     tau_poly = LaurentPoly.const(tau)

@@ -14,12 +14,20 @@ into a window via a documented linear congruential generator.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import MomentParseError, SupportError
 from .rings import MomentPoly, as_rational
 
 NAMED_GENERATORS = ("catalan", "hermite")
+
+# Input bounds, checked before any work starts: the widest random window
+# (hi - lo + 1) and the largest |exponent| of a value string like "1e400".
+# Unbounded, a span of 10^8 runs for minutes and "1e10000000" parses for 12 s.
+MAX_RANDOM_SPAN = 10_000
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 # MMIX linear congruential constants (Knuth); state advances modulo 2^64
 # and each draw reads the top 31 bits.
@@ -165,7 +173,7 @@ def build_moments(spec) -> MomentSequence:
     if isinstance(spec, str):
         try:
             spec = json.loads(spec)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or an over-long integer
             raise MomentParseError("(document)", f"invalid JSON: {exc}") from exc
     if not isinstance(spec, dict):
         raise MomentParseError("(document)", "moment spec must be a JSON object")
@@ -200,11 +208,23 @@ def _build_window(spec: dict) -> MomentSequence:
     for idx, item in enumerate(raw):
         if not isinstance(item, (str, int)):
             raise MomentParseError(f"values[{idx}]", f"expected a rational string, got {item!r}")
+        if isinstance(item, str):
+            _check_exponent(item, f"values[{idx}]")
         try:
             vals.append(as_rational(item))
         except (ValueError, ZeroDivisionError) as exc:
             raise MomentParseError(f"values[{idx}]", f"not a rational: {item!r}") from exc
     return MomentSequence.window(lo, vals)
+
+
+def _check_exponent(text: str, field: str) -> None:
+    match = _EXPONENT.search(text)
+    if match:
+        digits = match.group(1).replace("_", "").lstrip("0")
+        if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                or int(digits or 0) > MAX_DECIMAL_EXPONENT):
+            raise MomentParseError(
+                field, f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}: {text!r}")
 
 
 def _build_random(spec: dict) -> MomentSequence:
@@ -213,6 +233,9 @@ def _build_random(spec: dict) -> MomentSequence:
     hi = _require_int(spec, "hi")
     if hi < lo:
         raise MomentParseError("hi", f"must be >= lo={lo}, got {hi}")
+    if hi - lo + 1 > MAX_RANDOM_SPAN:
+        raise MomentParseError(
+            "hi", f"window hi - lo + 1 = {hi - lo + 1} exceeds {MAX_RANDOM_SPAN}")
     max_abs_num = _require_int(spec, "max_abs_num", minimum=0)
     max_den = _require_int(spec, "max_den", minimum=1)
     state = seed % _LCG_MOD

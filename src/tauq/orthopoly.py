@@ -18,8 +18,8 @@ from .errors import DegenerateTauError
 from .moments import MomentSequence
 from .report import VerificationReport
 from .rings import LaurentPoly, det
-from .tau_gl2 import tau_det
-from .tau_gl3 import block_hankel_rows, tau3_e0_det
+from .tau_gl2 import tau_table
+from .tau_gl3 import block_hankel_rows
 
 
 @dataclass(frozen=True)
@@ -109,17 +109,22 @@ class MonicPolynomial:
         return f"MonicPolynomial({self.coeffs!r})"
 
 
+def _monic(bordered: LaurentPoly, degree: int, what: str, **indices):
+    """bordered / tau, where tau is its leading coefficient (at z^degree)."""
+    tau = bordered.coeff(degree)
+    if not tau:
+        raise DegenerateTauError(what, **indices)
+    return MonicPolynomial.from_laurent(bordered.scale(Fraction(1) / tau))
+
+
 def monic_op(k: int, alpha: int, m: MomentSequence) -> MonicPolynomial:
     """Monic degree-k orthogonal polynomial: bordered determinant / tau_k.
 
     Exists iff tau_k != 0 (the moment functional is quasi-definite at k).
     """
-    tau = tau_det(k, alpha, m)
-    if not tau:
-        raise DegenerateTauError("tau is zero; no monic orthogonal polynomial",
-                                 k=k, alpha=alpha)
-    poly = bordered_tau_poly(k, alpha, m).scale(Fraction(1) / tau)
-    return MonicPolynomial.from_laurent(poly)
+    b = bordered_tau_poly(k, alpha, m) if k >= 0 else LaurentPoly.zero()
+    return _monic(b, k, "tau is zero; no monic orthogonal polynomial",
+                  k=k, alpha=alpha)
 
 
 def gram_schmidt_monic(m: MomentSequence, alpha: int, K: int) -> list[MonicPolynomial]:
@@ -145,13 +150,14 @@ def verify_orthogonality(m: MomentSequence, alpha: int, K: int) -> VerificationR
     report = VerificationReport("orthogonality")
     form = HankelForm(m, alpha)
     polys = [monic_op(k, alpha, m) for k in range(K + 1)]
+    tau = tau_table(m)
     for k in range(K + 1):
         for j in range(k):
             v = form_eval(form, polys[j], polys[k])
             report.add_check({"j": j, "k": k, "alpha": alpha,
                               "identity": "orthogonal"}, v == 0, v, 0)
         norm = form_eval(form, polys[k], polys[k])
-        claim = tau_det(k + 1, alpha, m) / tau_det(k, alpha, m)
+        claim = tau(k + 1, alpha) / tau(k, alpha)
         report.add_check({"k": k, "alpha": alpha, "identity": "norm"},
                          norm == claim, norm, claim)
     return report
@@ -224,12 +230,10 @@ def bordered_tau_poly(k: int, alpha: int, m: MomentSequence) -> LaurentPoly:
 def mop_type2(k: int, l: int, alpha: int, beta: int,
               C: MomentSequence, D: MomentSequence) -> MonicPolynomial:
     """Monic type-II multiple orthogonal polynomial for the (C, D) pair."""
-    tau = tau3_e0_det(k, l, alpha, beta, C, D)
-    if not tau:
-        raise DegenerateTauError("tau is zero; no monic polynomial",
-                                 k=k, l=l, alpha=alpha, beta=beta)
-    poly = mop_bordered_poly(k, l, alpha, beta, C, D).scale(Fraction(1) / tau)
-    return MonicPolynomial.from_laurent(poly)
+    b = (mop_bordered_poly(k, l, alpha, beta, C, D) if 0 <= l <= k
+         else LaurentPoly.zero())  # tau_{k,l} = 0 for k < l
+    return _monic(b, k, "tau is zero; no monic polynomial",
+                  k=k, l=l, alpha=alpha, beta=beta)
 
 
 def verify_mop(k: int, l: int, alpha: int, beta: int,

@@ -2,7 +2,7 @@
 
 Three coefficient domains are used throughout:
 
-* ``Fraction`` (re-exported as ``Rational``) for numeric work;
+* ``Fraction`` for numeric work;
 * ``MomentPoly``, polynomials over the rationals in formal moment symbols
   c_i, d_i, e_i, for symbolic identity proofs;
 * ``RingFraction``, quotients of MomentPoly with equality by
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, NamedTuple
-
-Rational = Fraction
 
 
 def as_rational(x) -> Fraction:
@@ -289,7 +287,7 @@ class LaurentPoly:
     """Finite Laurent polynomial in z over an exact coefficient ring.
 
     coeffs maps integer exponents to nonzero coefficients; the zero
-    polynomial has an empty map. residue() is the coefficient at z^-1.
+    polynomial has an empty map.
     """
 
     __slots__ = ("coeffs",)
@@ -363,10 +361,6 @@ class LaurentPoly:
         """Multiply by z^n."""
         return LaurentPoly({e + n: c for e, c in self.coeffs.items()})
 
-    def residue(self):
-        """Coefficient of z^-1 (0 when absent)."""
-        return self.coeffs.get(-1, Fraction(0))
-
     @property
     def min_degree(self) -> int | None:
         return min(self.coeffs) if self.coeffs else None
@@ -377,9 +371,6 @@ class LaurentPoly:
 
     def coeff(self, e: int):
         return self.coeffs.get(e, Fraction(0))
-
-    def map_coeffs(self, fn) -> "LaurentPoly":
-        return LaurentPoly({e: fn(c) for e, c in self.coeffs.items()})
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -18,7 +18,7 @@ residue engine.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -214,21 +214,23 @@ def tau3_e0_det(k: int, l: int, alpha: int, beta: int,
     return -val if l * (l + 1) // 2 % 2 else val
 
 
-@dataclass
-class TauGridGL3:
-    """Table of two-index tau values keyed by (k, l, alpha, beta)."""
+class TauTable:
+    """Memo of tau values keyed by index tuple. Each entry is computed once,
+    as fn(*key, *args, **kwargs), and read back by get(*key) or by calling
+    the table, so a table goes wherever a tau callable is expected."""
 
-    C: MomentSequence
-    D: MomentSequence
-    E: MomentSequence
-    entries: dict[tuple[int, int, int, int], Fraction] = field(default_factory=dict)
+    __slots__ = ("fn", "args", "kwargs", "values")
 
-    def get(self, k: int, l: int, alpha: int, beta: int):
-        if k < 0 or l < 0:
-            return Fraction(0)
-        if k == 0 and l == 0:
-            return Fraction(1)
-        return self.entries[(k, l, alpha, beta)]
+    def __init__(self, fn, *args, **kwargs):
+        self.fn, self.args, self.kwargs = fn, args, kwargs
+        self.values: dict[tuple, object] = {}
+
+    def get(self, *key):
+        if key not in self.values:
+            self.values[key] = self.fn(*key, *self.args, **self.kwargs)
+        return self.values[key]
+
+    __call__ = get
 
 
 def _e_is_zero(E: MomentSequence | None) -> bool:
@@ -294,20 +296,13 @@ def verify_gl3_relations(C: MomentSequence, D: MomentSequence,
     if max_work is None:
         max_work = k_max + l_max + 2
     report = VerificationReport("gl3-relations")
-    cache: dict[tuple[int, int, int, int], Fraction] = {}
-
-    def t(kk: int, ll: int, aa: int, bb: int) -> Fraction:
-        key = (kk, ll, aa, bb)
-        if key not in cache:
-            cache[key] = tau3_value(kk, ll, aa, bb, C, D, E, max_work=max_work)
-        return cache[key]
-
+    tau = TauTable(tau3_value, C, D, E, max_work=max_work)
     for relation in (1, 2, 3, 4):
         for k in range(0, k_max + 1):
             for l in range(0, l_max + 1):
                 for a in range(alpha_range[0], alpha_range[1] + 1):
                     for b in range(beta_range[0], beta_range[1] + 1):
-                        lhs, rhs = relation_sides(relation, k, l, a, b, t)
+                        lhs, rhs = relation_sides(relation, k, l, a, b, tau)
                         report.add_check(
                             {"relation": relation, "k": k, "l": l,
                              "alpha": a, "beta": b},

@@ -248,6 +248,22 @@ def test_unreadable_moments_file(capsys):
     assert json.loads(err)["error"] == "MomentParseError"
 
 
+def test_non_utf8_moments_file(tmp_path, capsys):
+    f = tmp_path / "m.json"
+    f.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "opgen", "--moments", str(f))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "MomentParseError"
+
+
+def test_oversized_json_integer(capsys):
+    spec = '{"kind": "window", "lo": 0, "values": [%s]}' % ("1" * 5000)
+    code, _, err = run(capsys, "opgen", "--moments", spec)
+    assert code == 2
+    assert json.loads(err)["error"] == "MomentParseError"
+
+
 def test_moments_file_path(tmp_path, capsys):
     f = tmp_path / "m.json"
     f.write_text('{"kind": "named", "name": "catalan"}')

@@ -11,6 +11,7 @@ from tauq import (
     build_moments,
     serialize,
 )
+from tauq.moments import MAX_DECIMAL_EXPONENT, MAX_RANDOM_SPAN
 
 
 def test_catalan_values(catalan):
@@ -145,3 +146,28 @@ def test_serialize_round_trip(catalan):
 def test_serialize_formal_rejected(formal_c):
     with pytest.raises(SupportError):
         serialize(formal_c)
+
+
+def test_random_span_bound():
+    spec = {"kind": "random", "seed": 1, "lo": -1, "max_abs_num": 3, "max_den": 2}
+    assert len(build_moments({**spec, "hi": MAX_RANDOM_SPAN - 2}).values) == \
+        MAX_RANDOM_SPAN
+    for hi in (MAX_RANDOM_SPAN - 1, 10 ** 8):
+        with pytest.raises(MomentParseError) as exc:
+            build_moments({**spec, "hi": hi})
+        assert exc.value.field == "hi"
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "-2.5E-1001", "3e+00_1001",
+                                  "1e" + "9" * 5000])
+def test_decimal_exponent_bound(text):
+    with pytest.raises(MomentParseError) as exc:
+        build_moments({"kind": "window", "lo": 0, "values": ["1", text]})
+    assert exc.value.field == "values[1]"
+
+
+def test_decimal_exponent_within_bound():
+    m = build_moments({"kind": "window", "lo": 0,
+                       "values": ["1e1000", "-25E-1000", "7/2"]})
+    assert m.get(0) == 10 ** MAX_DECIMAL_EXPONENT
+    assert m.get(1) == Fraction(-25, 10 ** 1000)

@@ -7,6 +7,7 @@ from tauq import (
     HankelForm,
     LaurentPoly,
     MonicPolynomial,
+    bordered_tau_poly,
     form_eval,
     gram_schmidt_monic,
     monic_op,
@@ -14,6 +15,7 @@ from tauq import (
     mop_type2,
     recurrence_coeffs,
     recurrence_reconstruct,
+    tau3_e0_det,
     tau_det,
     verify_mop,
     verify_orthogonality,
@@ -78,6 +80,25 @@ def test_monic_op_degenerate(catalan):
     with pytest.raises(DegenerateTauError) as exc:
         monic_op(1, -1, catalan)
     assert exc.value.indices == {"k": 1, "alpha": -1}
+
+
+def test_bordered_leading_coefficient_is_tau(hermite, rand_window):
+    # monic_op and mop_type2 divide by this coefficient instead of a
+    # second determinant; degenerate minors included (odd hermite offsets)
+    C, D = rand_window(61, -2, 9, 3, 2), rand_window(62, -1, 9, 1, 1)
+    for k in range(6):
+        for a in (-1, 0, 1):
+            for m in (hermite, C):
+                assert bordered_tau_poly(k, a, m).coeff(k) == tau_det(k, a, m)
+            for l in range(k + 1):
+                assert mop_bordered_poly(k, l, a, 1, C, D).coeff(k) == \
+                    tau3_e0_det(k, l, a, 1, C, D)
+    with pytest.raises(DegenerateTauError) as exc:
+        monic_op(-1, 0, hermite)
+    assert exc.value.indices == {"k": -1, "alpha": 0}
+    with pytest.raises(DegenerateTauError) as exc:
+        mop_type2(1, 2, 0, 0, C, D)
+    assert exc.value.indices == {"k": 1, "l": 2, "alpha": 0, "beta": 0}
 
 
 def test_gram_schmidt_matches_determinant_route(catalan, hermite):

@@ -1,19 +1,24 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tauq.tau_gl2
 from tauq import (
     DegenerateTauError,
     MomentPoly,
     MomentSequence,
     ResourceBoundError,
-    TauGridGL2,
+    TauTable,
     fill_grid_recurrence,
+    induction_replay,
     qsystem_residual,
     tau_det,
     tau_residue,
+    verify_orthogonality,
     verify_qsystem,
+    verify_zero_curvature,
 )
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -67,11 +72,13 @@ def test_residue_bound(catalan):
 
 
 def test_grid_get_set(catalan):
-    grid = TauGridGL2(catalan)
+    grid = TauTable(tau_det, catalan)
     assert grid.get(-1, 0) == 0
-    assert grid.get(0, 7) == 1
-    grid.set(2, 1, Fraction(9))
+    assert grid(0, 7) == 1
+    assert grid.get(3, 2) == tau_det(3, 2, catalan)
+    grid.values[2, 1] = Fraction(9)
     assert grid.get(2, 1) == 9
+    assert set(grid.values) == {(-1, 0), (0, 7), (3, 2), (2, 1)}
 
 
 def test_fill_grid_matches_det(catalan):
@@ -128,3 +135,39 @@ def test_verify_qsystem_detects_violation():
     # through the residual to confirm the check is not vacuous.
     broken = lambda k, a: Fraction(k + a + 2)
     assert qsystem_residual(2, 0, broken) != 0
+
+
+@pytest.fixture
+def tau_det_calls(monkeypatch):
+    """Counts tau_det calls per (k, alpha) made through tau_gl2's binding,
+    which every tau table reads."""
+    calls = Counter()
+    real = tauq.tau_gl2.tau_det
+
+    def counting(k, alpha, m):
+        calls[k, alpha] += 1
+        return real(k, alpha, m)
+
+    monkeypatch.setattr(tauq.tau_gl2, "tau_det", counting)
+    return calls
+
+
+@pytest.mark.parametrize("verify", [
+    lambda m: verify_qsystem(m, 5, (-1, 2)),
+    lambda m: verify_zero_curvature(m, (0, 3), (-1, 1)),
+    lambda m: verify_orthogonality(m, 0, 5),
+    lambda m: induction_replay(m, 5, (-1, 2)),
+], ids=["qsystem", "zero-curvature", "orthogonality", "induction-replay"])
+@pytest.mark.parametrize("source", ["catalan", "hermite"])
+def test_verifier_computes_each_tau_once(tau_det_calls, request, source, verify):
+    report = verify(request.getfixturevalue(source))
+    assert report.total and tau_det_calls
+    assert max(tau_det_calls.values()) == 1
+
+
+def test_fill_grid_determinants_only_below_row_two(tau_det_calls, catalan):
+    grid = fill_grid_recurrence(catalan, 6, (-1, 2))
+    values = {(k, a): grid.get(k, a) for k in range(7) for a in range(-1, 3)}
+    assert tau_det_calls
+    assert max(k for k, _ in tau_det_calls) <= 1
+    assert values == {key: tau_det(*key, catalan) for key in values}

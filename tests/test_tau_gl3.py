@@ -7,7 +7,7 @@ from tauq import (
     MomentSequence,
     ResourceBoundError,
     SupportError,
-    TauGridGL3,
+    TauTable,
     kernel_specs,
     tau3_e0_det,
     tau3_residue,
@@ -110,10 +110,12 @@ def test_tau3_value_dispatch(rand_pair, rand_window):
 
 
 def test_grid_boundaries(catalan_window, linear_window):
-    grid = TauGridGL3(catalan_window, linear_window, ZERO)
+    grid = TauTable(tau3_value, catalan_window, linear_window, ZERO, max_work=2)
     assert grid.get(-1, 0, 0, 0) == 0
     assert grid.get(0, 0, 5, 5) == 1
-    grid.entries[(1, 0, 0, 0)] = Fraction(7)
+    assert grid.get(2, 1, 0, 0) == \
+        tau3_e0_det(2, 1, 0, 0, catalan_window, linear_window)
+    grid.values[1, 0, 0, 0] = Fraction(7)
     assert grid.get(1, 0, 0, 0) == 7
 
 
