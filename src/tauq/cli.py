@@ -468,6 +468,16 @@ def main(argv=None) -> int:
             ResourceBoundError) as exc:
         print(json.dumps(exc.record()), file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # str() of an int past the interpreter's digit limit. Every handler
+        # renders its values to text before it prints, so stdout is empty.
+        if "integer string conversion" not in str(exc):
+            raise
+        err = ResourceBoundError(
+            f"a result has more than {sys.get_int_max_str_digits()} decimal "
+            "digits, too many to print")
+        print(json.dumps(err.record()), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

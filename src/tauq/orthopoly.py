@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import DegenerateTauError
 from .moments import MomentSequence
 from .report import VerificationReport
-from .rings import LaurentPoly, det
+from .rings import LaurentPoly, bordered_cofactors
 from .tau_gl2 import tau_table
 from .tau_gl3 import block_hankel_rows
 
@@ -207,18 +207,16 @@ def mop_bordered_poly(k: int, l: int, alpha: int, beta: int,
                       C: MomentSequence, D: MomentSequence) -> LaurentPoly:
     """z^k Sc+ Sd+ tau_{k,l}: the (k+1) x (k+1) bordered block determinant
     (l d-columns, then k-l c-columns, last column 1, z, ..., z^k) with the
-    E=0 sign, expanded along the last column. Degree-k polynomial with
-    leading coefficient tau_{k,l}."""
+    E=0 sign. Its coefficients are the last-column cofactors of the
+    (k+1) x k block body, all from one elimination. Degree-k polynomial
+    with leading coefficient tau_{k,l}."""
     if k < 0 or l < 0 or k < l:
         raise ValueError("need k >= l >= 0")
     rows = block_hankel_rows(k + 1, k, l, alpha, beta, C, D)
-    odd = (k + l * (l + 1) // 2) % 2
-    coeffs = {}
-    for r in range(k + 1):
-        val = det(rows[:r] + rows[r + 1:])
-        if val:
-            coeffs[r] = -val if (r + odd) % 2 else val
-    return LaurentPoly(coeffs)
+    cofactors = bordered_cofactors(rows)
+    if (l * (l + 1) // 2) % 2:
+        cofactors = [-c for c in cofactors]
+    return LaurentPoly(dict(enumerate(cofactors)))
 
 
 def bordered_tau_poly(k: int, alpha: int, m: MomentSequence) -> LaurentPoly:

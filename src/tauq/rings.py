@@ -15,6 +15,7 @@ All values are immutable after construction; every operation is pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, NamedTuple
 
 
@@ -480,34 +481,70 @@ def _sum_polys(polys) -> LaurentPoly:
     return acc
 
 
+def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, as Python ints, and
+    the row scales (those lcms)."""
+    out, scales = [], []
+    for row in rows:
+        vals = [x if isinstance(x, (int, Fraction)) else as_rational(x)
+                for x in row]
+        # a list, not a generator: a tuple unpacked from a generator is
+        # allocated at a guessed size and resized, and the resized tuples
+        # pile up in the interpreter's tuple free lists over many calls
+        s = lcm(*[x.denominator for x in vals])
+        out.append([x.numerator * (s // x.denominator) for x in vals])
+        scales.append(s)
+    return out, scales
+
+
+def _eliminate(m: list[list[int]], steps: int) -> int:
+    """Run ``steps`` Bareiss steps in place on integer rows, dividing
+    exactly by the previous pivot. After t steps, entry (i, j) with
+    i, j >= t is the determinant of the leading t x t block bordered by
+    row i and column j (Sylvester's identity).
+
+    Returns the sign of the row swaps, or 0 when a pivot column has no
+    nonzero entry on or below the diagonal (then every minor that the
+    remaining steps would produce is 0).
+    """
+    sign, prev = 1, 1
+    for t in range(steps):
+        if not m[t][t]:
+            for r in range(t + 1, len(m)):
+                if m[r][t]:
+                    m[t], m[r] = m[r], m[t]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[t][t]
+        tail = m[t][t + 1:]
+        for row in m[t + 1:]:
+            a = row[t]
+            row[t + 1:] = [(x * pivot - a * y) // prev
+                           for x, y in zip(row[t + 1:], tail)]
+        prev = pivot
+    return sign
+
+
 def det_bareiss(rows: list[list[Fraction]]) -> Fraction:
     """Fraction-free (Bareiss) determinant for exact numeric entries.
 
-    Row swaps flip the sign; a zero pivot column means a zero determinant.
+    Each row is scaled to integers by the lcm of its denominators and the
+    elimination runs on Python ints with exact division; one Fraction is
+    built at the end. Row swaps flip the sign; a zero pivot column means
+    a zero determinant.
     """
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    m = [[as_rational(x) for x in row] for row in rows]
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    m, scales = _integer_rows(rows)
+    sign = _eliminate(m, n - 1)
+    if not sign:
+        return Fraction(0)
+    return Fraction(sign * m[n - 1][n - 1], prod(scales))
 
 
 def _det_cofactor_generic(rows, zero):
@@ -540,6 +577,37 @@ def det(rows):
     """Exact determinant: Bareiss for numeric entries, cofactor otherwise."""
     if not rows:
         return Fraction(1)
-    if all(isinstance(x, (int, Fraction)) for row in rows for x in row):
+    if _numeric(rows):
         return det_bareiss(rows)
     return det_cofactor(rows)
+
+
+def _numeric(rows) -> bool:
+    return all(isinstance(x, (int, Fraction)) for row in rows for x in row)
+
+
+def bordered_cofactors(rows) -> list:
+    """The k+1 last-column cofactors (-1)^(r+k) det(A without row r) of a
+    (k+1) x k body A: the coefficients of the determinant of A bordered by
+    one more column.
+
+    Numeric bodies take one integer elimination of [A | I_{k+1}]: after k
+    Bareiss steps the last row's identity block holds every cofactor,
+    times the swap sign and the row scales of the other rows. A pivot
+    column with no nonzero entry means A has rank below k, so every
+    cofactor is 0. Other rings take one ``det`` per minor.
+    """
+    k = len(rows) - 1
+    if k < 0 or any(len(row) != k for row in rows):
+        raise ValueError("bordered body must be (k+1) x k")
+    if not _numeric(rows):
+        minors = [det(rows[:r] + rows[r + 1:]) for r in range(k + 1)]
+        return [-d if (r + k) % 2 else d for r, d in enumerate(minors)]
+    m, scales = _integer_rows(rows)
+    for r, row in enumerate(m):
+        row.extend(int(c == r) for c in range(k + 1))
+    sign = _eliminate(m, k)
+    if not sign:
+        return [Fraction(0)] * (k + 1)
+    total = prod(scales)
+    return [Fraction(sign * v * s, total) for v, s in zip(m[k][k:], scales)]

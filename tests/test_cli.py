@@ -264,6 +264,23 @@ def test_oversized_json_integer(capsys):
     assert json.loads(err)["error"] == "MomentParseError"
 
 
+HUGE = json.dumps({"kind": "window", "lo": 0,
+                   "values": ["1" * 3000, "0", "1" * 3000]})
+
+
+@pytest.mark.parametrize("argv", [
+    ("tau", "gl2", "--k", "2", "--moments", HUGE),
+    ("tau", "gl2", "--k", "0..2", "--format", "json", "--moments", HUGE),
+    ("verify", "qsystem", "--k", "0..2", "--moments", HUGE),
+])
+def test_unprintable_result_is_resource_bound(capsys, argv):
+    # tau_2 = m_0 m_2 has about 6000 digits, past Python's str() limit
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ResourceBoundError"
+
+
 def test_moments_file_path(tmp_path, capsys):
     f = tmp_path / "m.json"
     f.write_text('{"kind": "named", "name": "catalan"}')

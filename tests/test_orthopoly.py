@@ -20,6 +20,8 @@ from tauq import (
     verify_mop,
     verify_orthogonality,
 )
+from tauq.rings import det_cofactor
+from tauq.tau_gl3 import block_hankel_rows
 
 
 def test_hankel_form_eval(catalan):
@@ -99,6 +101,32 @@ def test_bordered_leading_coefficient_is_tau(hermite, rand_window):
     with pytest.raises(DegenerateTauError) as exc:
         mop_type2(1, 2, 0, 0, C, D)
     assert exc.value.indices == {"k": 1, "l": 2, "alpha": 0, "beta": 0}
+
+
+def test_bordered_poly_matches_per_minor_expansion(rand_window, formal_c,
+                                                   formal_d):
+    # the old route: one determinant per minor of the (k+1) x k body,
+    # signed by (-1)^(r + k + l(l+1)/2)
+    def per_minor(k, l, a, b, C, D):
+        rows = block_hankel_rows(k + 1, k, l, a, b, C, D)
+        sign = (-1) ** (l * (l + 1) // 2)
+        return LaurentPoly({r: sign * (-1) ** (r + k)
+                            * det_cofactor(rows[:r] + rows[r + 1:])
+                            for r in range(k + 1)})
+    C, D = rand_window(71, -3, 14, 99, 9), rand_window(72, -2, 14, 1, 1)
+    cases = 0
+    for k in range(7):
+        for l in range(min(k, 2) + 1):
+            for a, b in ((-2, 1), (0, 0), (1, -1)):
+                for pair in ((C, D), (D, C)):
+                    assert mop_bordered_poly(k, l, a, b, *pair) == \
+                        per_minor(k, l, a, b, *pair)
+                    cases += 1
+    for k in range(4):
+        for l in range(min(k, 2) + 1):
+            assert mop_bordered_poly(k, l, 0, 0, formal_c, formal_d) == \
+                per_minor(k, l, 0, 0, formal_c, formal_d)
+    assert cases == 2 * 3 * (1 + 2 + 3 * 5)
 
 
 def test_gram_schmidt_matches_determinant_route(catalan, hermite):

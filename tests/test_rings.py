@@ -12,7 +12,7 @@ from tauq import (
     det,
     det_bareiss,
 )
-from tauq.rings import as_rational, det_cofactor
+from tauq.rings import as_rational, bordered_cofactors, det_cofactor
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 symbols = st.builds(MomentSymbol,
@@ -132,11 +132,75 @@ def test_laurent_str_and_eq():
     assert LaurentPoly.const(Fraction(3)) == 3
 
 
-@given(st.integers(1, 4), st.data())
+# zero-heavy entries reach the pivot search, the early zero return and
+# singular matrices; ints and Fractions may share a row
+entries = st.one_of(st.just(0), st.just(Fraction(0)), st.integers(-5, 5), fracs)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 7), st.data())
 def test_det_engines_agree(n, data):
-    rows = [[data.draw(fracs) for _ in range(n)] for _ in range(n)]
-    assert det_bareiss([r[:] for r in rows]) == det_cofactor(rows)
-    assert det(rows) == det_cofactor(rows)
+    rows = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
+    if n > 1 and data.draw(st.booleans()):
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                  unique=True))
+        rows[j] = rows[i][:]
+    expected = det_cofactor(rows)
+    assert det_bareiss([r[:] for r in rows]) == expected
+    assert det(rows) == expected
+
+
+def test_det_bareiss_matches_sympy(rand_window):
+    sympy = pytest.importorskip("sympy")
+    for seed, lo in ((11, -6), (12, -3), (13, -1)):
+        m = rand_window(seed, lo, 34, 999, 99)
+        for n in (1, 2, 5, 9, 12, 16):
+            for alpha in (lo, 0, 3):
+                rows = [[m.get(alpha + i + j) for j in range(n)] for i in range(n)]
+                expected = sympy.Matrix(
+                    [[sympy.Rational(x.numerator, x.denominator) for x in r]
+                     for r in rows]).det()
+                got = det_bareiss(rows)
+                assert (got.numerator, got.denominator) == \
+                    (expected.p, expected.q)
+
+
+def per_minor_cofactors(rows):
+    k = len(rows) - 1
+    return [(-1) ** (r + k) * det_cofactor(rows[:r] + rows[r + 1:])
+            for r in range(k + 1)]
+
+
+@settings(deadline=None)
+@given(st.integers(0, 5), st.data())
+def test_bordered_cofactors_match_minors(k, data):
+    rows = [[data.draw(entries) for _ in range(k)] for _ in range(k + 1)]
+    assert bordered_cofactors(rows) == per_minor_cofactors(rows)
+
+
+def test_bordered_cofactors_edge_cases():
+    assert bordered_cofactors([[]]) == [1]
+    f = Fraction
+    # rank 1 < k = 2: every 2 x 2 minor vanishes, even past the first pivot
+    assert bordered_cofactors([[f(1), f(2)], [f(2), f(4)], [f(-1), f(-2)]]) \
+        == [0, 0, 0]
+    # a zero first column stops the elimination at once
+    assert bordered_cofactors([[0, 1], [0, 3], [0, f(1, 2)]]) == [0, 0, 0]
+    # zero pivots force a row swap in each of the first two steps
+    swap = [[0, 0, 1], [2, 0, 1], [f(1, 2), f(1, 2), 0], [1, 2, 3]]
+    assert bordered_cofactors(swap) == per_minor_cofactors(swap)
+    assert bordered_cofactors(swap) == [f(-7, 2), f(1, 2), -4, 1]
+    with pytest.raises(ValueError):
+        bordered_cofactors([[1, 2], [3, 4]])
+    with pytest.raises(ValueError):
+        bordered_cofactors([])
+
+
+def test_bordered_cofactors_moment_poly():
+    c = [MomentPoly.symbol("c", i) for i in range(5)]
+    rows = [[c[i], c[i + 1]] for i in range(3)]
+    assert bordered_cofactors(rows) == per_minor_cofactors(rows)
+    assert bordered_cofactors(rows)[2] == c[0] * c[2] - c[1] ** 2
 
 
 def test_det_edge_cases():
