@@ -20,8 +20,9 @@ from .rings import (LaurentMatrix, LaurentPoly, MomentPoly, MomentSymbol,
                     RingFraction, det, det_bareiss)
 from .tau_gl2 import (fill_grid_recurrence, qsystem_residual, tau_det,
                       tau_residue, verify_qsystem)
-from .tau_gl3 import (KernelSpec, TauTable, kernel_specs, tau3_e0_det,
-                      tau3_residue, tau3_value, verify_gl3_relations)
+from .tau_gl3 import (KernelSpec, TauTable, kernel_specs, tau3_det,
+                      tau3_e0_det, tau3_residue, tau3_value,
+                      verify_gl3_relations)
 
 __version__ = "0.1.0"
 
@@ -37,7 +38,7 @@ __all__ = [
     "g_minus_gl3", "gram_schmidt_monic", "induction_replay", "kernel_specs",
     "monic_op", "mop_bordered_poly", "mop_type2", "qsystem_residual", "recurrence_coeffs",
     "recurrence_reconstruct", "scalar_compatibility", "serialize",
-    "tail_series", "tau3_e0_det", "tau3_residue", "tau3_value", "tau_det",
+    "tail_series", "tau3_det", "tau3_e0_det", "tau3_residue", "tau3_value", "tau_det",
     "tau_residue", "verify_gl3_relations", "verify_mop",
     "verify_orthogonality", "verify_qsystem", "verify_zero_curvature",
     "window_matrix_gl2", "window_matrix_gl3", "zero_curvature_check",

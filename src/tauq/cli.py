@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -437,6 +438,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser main() uses, built on its first call and kept for the
+    process: parse_args fills a fresh namespace on every call, so nothing
+    carries over from one command to the next."""
+    return build_parser()
+
+
 _VALUE_FLAGS = ("--k", "--l", "--alpha", "--beta", "--count", "--max-work")
 
 
@@ -459,7 +468,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(_attach_values(list(argv)))
+        args = _shared_parser().parse_args(_attach_values(list(argv)))
         return args.func(args)
     except DegenerateTauError as exc:
         print(json.dumps(exc.record()), file=sys.stderr)

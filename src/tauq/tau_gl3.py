@@ -1,7 +1,30 @@
 """Two-index tau-functions from a (C, D, E) moment triple.
 
-The general formula sums, over kernel splittings (n_c, n_d, n_e) with
-n_c + n_d = k and n_e + n_d = l, iterated residues of
+The runtime route, ``tau3_value``, takes one determinant per tau:
+
+* E = 0 (``tau3_e0_det``): zero for k < l, else the signed k x k
+  block-Hankel determinant (l d-columns, then k-l c-columns; the
+  ``block_hankel_rows`` layout) times (-1)^{l(l+1)/2}.
+* E != 0 (``tau3_det``): the same layout with every d-entry replaced by
+
+      M_ij = d_{alpha+i+j} - sum_{m>=0} c_{alpha-beta+i-m-1} e_{beta+j+m},
+
+  the sum running over the m where both moments lie in their finite
+  supports. For k >= l the tau is
+  (-1)^{l(l+1)/2} det[M_ij (j < l) | c_{alpha-beta+i+j-l} (j >= l)],
+  a k x k determinant; for k < l it is
+  (-1)^{k(k+1)/2 + k(l-k)} det[M_ji (j < k) | e_{beta+i+j-k} (j >= k)],
+  an l x l one, which is the same layout with E in the place of C.
+  The kernel factor Delta(x) Delta(z) / prod (x_i - z_j) is a
+  Cauchy-Vandermonde determinant, as in the Cauchy two-matrix model
+  (Bertola, Gekhtman and Szmigielski, *Cauchy biorthogonal polynomials*,
+  2010), and Andreief's identity folds the sum into one determinant. The
+  form is verified against the residue formula on seeded grids in the
+  tests; it is not proven here.
+
+The reference both closed forms are tested against is the general residue
+formula (``tau3_residue``). It sums, over kernel splittings (n_c, n_d, n_e)
+with n_c + n_d = k and n_e + n_d = l, iterated residues of
 
     prod C^(alpha-beta)(x_i) prod D^(alpha)(y_i) prod E^(beta)(z_i) * p,
 
@@ -9,18 +32,15 @@ where the kernel p carries squared Vandermonde factors in each variable
 group, cross factors prod (x_i - y_j) prod (y_i - z_j), the sign
 (-1)^{n_d(n_d+1)/2}, and one geometric-expansion factor per (x_i, z_j)
 pair: 1/(x_i - z_j) expanded as sum_{m>=0} z_j^m x_i^{-m-1}. Finite
-support makes every such expansion a finite sum.
-
-When E is identically zero the sum collapses to a single term and the
-value equals a signed block-Hankel determinant (d-columns then c-columns);
-that closed form is implemented separately and cross-checked against the
-residue engine.
+support makes every such expansion a finite sum. No runtime route calls
+it; ``tau3_value`` only runs its support and work-bound checks, so both
+routes raise the same errors.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import ResourceBoundError, SupportError
 from .moments import MomentSequence
@@ -57,116 +77,133 @@ def kernel_specs(k: int, l: int) -> list[KernelSpec]:
     return [KernelSpec(k - n_d, n_d, l - n_d) for n_d in range(min(k, l) + 1)]
 
 
-# -- multivariate kernel expansion ----------------------------------------
-# Polynomials in the x/y/z variables are dicts mapping a flat exponent
-# tuple (x exponents, then y, then z) to an integer coefficient.
+def _live_specs(k: int, l: int, C: MomentSequence, D: MomentSequence,
+                E: MomentSequence, max_work: int) -> list[KernelSpec]:
+    """The summands of the residue formula that draw on no identically-zero
+    family, after the checks every E != 0 route runs first: SupportError
+    unless all three families are finite windows, ResourceBoundError when
+    one of those summands exceeds max_work. A summand against a zero
+    family vanishes exactly, so the bound does not apply to it."""
+    if not (C.is_finite and D.is_finite and E.is_finite):
+        raise SupportError("the residue formula needs finite-support sequences")
+    zero = [seq.support() is None for seq in (C, D, E)]
+    live = []
+    for spec in kernel_specs(k, l):
+        if any(n and z for n, z in zip((spec.n_c, spec.n_d, spec.n_e), zero)):
+            continue
+        if spec.work > max_work:
+            raise ResourceBoundError(
+                f"summand (n_c,n_d,n_e)=({spec.n_c},{spec.n_d},{spec.n_e}) "
+                f"exceeds work bound {max_work}")
+        live.append(spec)
+    return live
 
-def _poly_mul_factor(poly: dict, a: int, b: int | None, nvars: int) -> dict:
-    """Multiply by (v_a - v_b), or by v_a alone when b is None."""
+
+# -- residue summands by elimination --------------------------------------
+# Polynomials in the x/y/z variables are dicts mapping a flat exponent
+# tuple (x exponents, then y, then z) to an integer coefficient. A variable
+# whose moment has been substituted keeps exponent 0 in the tuple.
+
+def _mul_diff(poly: dict, a: int, b: int) -> dict:
+    """Multiply by (v_a - v_b)."""
     out: dict[tuple[int, ...], int] = {}
     for expo, coef in poly.items():
         e1 = list(expo)
         e1[a] += 1
         t1 = tuple(e1)
         out[t1] = out.get(t1, 0) + coef
-        if b is not None:
-            e2 = list(expo)
-            e2[b] += 1
-            t2 = tuple(e2)
-            out[t2] = out.get(t2, 0) - coef
+        e2 = list(expo)
+        e2[b] += 1
+        t2 = tuple(e2)
+        out[t2] = out.get(t2, 0) - coef
     return {e: c for e, c in out.items() if c}
 
 
-def _kernel_poly(spec: KernelSpec) -> dict:
-    """Vandermonde-squared and cross factors, before underline expansion."""
-    n = spec.work
-    poly: dict[tuple[int, ...], int] = {(0,) * n: 1}
-    x0, y0, z0 = 0, spec.n_c, spec.n_c + spec.n_d
-    for group_start, count in ((x0, spec.n_c), (y0, spec.n_d), (z0, spec.n_e)):
-        for i in range(count):
-            for j in range(i + 1, count):
-                poly = _poly_mul_factor(poly, group_start + i, group_start + j, n)
-                poly = _poly_mul_factor(poly, group_start + i, group_start + j, n)
-    for i in range(spec.n_c):
-        for j in range(spec.n_d):
-            poly = _poly_mul_factor(poly, x0 + i, y0 + j, n)
-    for i in range(spec.n_d):
-        for j in range(spec.n_e):
-            poly = _poly_mul_factor(poly, y0 + i, z0 + j, n)
-    return poly
+def _substitute(poly: dict, var: int, moments: dict) -> dict:
+    """Apply the moment functional to one variable: its exponent e becomes
+    the factor moments[e] (0 off the support)."""
+    out: dict[tuple[int, ...], int] = {}
+    for expo, coef in poly.items():
+        v = moments.get(expo[var])
+        if v:
+            e = list(expo)
+            e[var] = 0
+            t = tuple(e)
+            out[t] = out.get(t, 0) + coef * v
+    return {e: c for e, c in out.items() if c}
 
 
-def _window_bounds(seq: MomentSequence) -> tuple[int, int] | None:
-    if not seq.is_finite:
-        raise SupportError("the residue formula needs finite-support sequences")
-    return seq.support()
+def _expand_pair(poly: dict, x: int, z: int, x_floor: int, z_cap: int) -> dict:
+    """Multiply by 1/(v_x - v_z) = sum_{m>=0} v_z^m v_x^{-m-1}, keeping the
+    m that leave v_x's exponent >= x_floor and v_z's <= z_cap: later steps
+    only lower the one and raise the other, so the rest would meet a zero
+    moment."""
+    out: dict[tuple[int, ...], int] = {}
+    for expo, coef in poly.items():
+        for m in range(min(expo[x] - 1 - x_floor, z_cap - expo[z]) + 1):
+            e = list(expo)
+            e[x] -= m + 1
+            e[z] += m
+            t = tuple(e)
+            out[t] = out.get(t, 0) + coef
+    return {e: c for e, c in out.items() if c}
+
+
+def _int_moments(seq: MomentSequence, offset: int) -> tuple[dict, int]:
+    """Exponent e -> L * seq_{offset+e} on the support, as integers, with L
+    the lcm of the window's denominators."""
+    values = {seq.lo + j - offset: v for j, v in enumerate(seq.values) if v}
+    scale = lcm(*(v.denominator for v in values.values()))
+    return ({e: v.numerator * (scale // v.denominator)
+             for e, v in values.items()}, scale)
 
 
 def _summand(spec: KernelSpec, alpha: int, beta: int,
              C: MomentSequence, D: MomentSequence, E: MomentSequence) -> Fraction:
-    """One (n_c, n_d, n_e) term: expand the kernel, apply the geometric
-    expansions for every (x_i, z_j) pair with support-derived cutoffs, then
-    read residues as moment lookups."""
-    n = spec.work
-    x0, y0, z0 = 0, spec.n_c, spec.n_c + spec.n_d
-    poly = _kernel_poly(spec)
-
-    c_sup = _window_bounds(C)
-    e_sup = _window_bounds(E)
-    if spec.n_c and c_sup is None:
-        return Fraction(0)
-    if spec.n_e and e_sup is None:
-        return Fraction(0)
-    if spec.n_d and _window_bounds(D) is None:
-        return Fraction(0)
-
-    # Degree cap for any single x variable in the kernel part: squared
-    # Vandermonde contributes at most 2(n_c - 1), the x-y cross factors n_d.
-    x_deg_cap = 2 * (spec.n_c - 1) + spec.n_d if spec.n_c else 0
-    for i in range(spec.n_c):
-        for j in range(spec.n_e):
-            # x_i picks moment c_{alpha-beta+e}; exponents below
-            # c_lo - (alpha-beta) die, so m <= x_deg_cap - 1 - that bound.
-            # z_j picks e_{beta+e}; any m > e_hi - beta dies.
-            m_hi = min(e_sup[1] - beta,
-                       x_deg_cap + (alpha - beta) - c_sup[0] - 1)
-            if m_hi < 0:
-                return Fraction(0)
-            out: dict[tuple[int, ...], int] = {}
-            for expo, coef in poly.items():
-                for m in range(m_hi + 1):
-                    e2 = list(expo)
-                    e2[x0 + i] -= m + 1
-                    e2[z0 + j] += m
-                    t = tuple(e2)
-                    out[t] = out.get(t, 0) + coef
-            poly = {e: c for e, c in out.items() if c}
-
-    total = Fraction(0)
-    for expo, coef in poly.items():
-        val = Fraction(coef)
-        for i in range(spec.n_c):
-            val *= C.get(alpha - beta + expo[x0 + i])
-            if not val:
-                break
-        if val:
-            for i in range(spec.n_d):
-                val *= D.get(alpha + expo[y0 + i])
-                if not val:
-                    break
-        if val:
-            for i in range(spec.n_e):
-                val *= E.get(beta + expo[z0 + i])
-                if not val:
-                    break
-        total += val
-    return spec.sign * spec.weight * total
+    """One (n_c, n_d, n_e) term. Variables are eliminated as soon as every
+    factor that holds them is in: each y_j (D moment) after its cross and
+    Vandermonde factors, then each x_i (C moment) after its Vandermonde
+    factors and its geometric expansions against every z_j, then each z_j
+    (E moment). Each family is scaled to integers once and the product of
+    the scales divided out at the end."""
+    n_c, n_d, n_e = spec.n_c, spec.n_d, spec.n_e
+    x0, y0, z0 = 0, n_c, n_c + n_d
+    c, c_scale = _int_moments(C, alpha - beta)
+    d, d_scale = _int_moments(D, alpha)
+    e, e_scale = _int_moments(E, beta)
+    poly: dict[tuple[int, ...], int] = {(0,) * spec.work: 1}
+    for j in range(n_d):
+        y = y0 + j
+        for i in range(n_c):
+            poly = _mul_diff(poly, x0 + i, y)
+        for i in range(n_e):
+            poly = _mul_diff(poly, y, z0 + i)
+        for j2 in range(j + 1, n_d):
+            poly = _mul_diff(_mul_diff(poly, y, y0 + j2), y, y0 + j2)
+        poly = _substitute(poly, y, d)
+    for i in range(n_c):
+        x = x0 + i
+        for i2 in range(i + 1, n_c):
+            poly = _mul_diff(_mul_diff(poly, x, x0 + i2), x, x0 + i2)
+        for j in range(n_e):
+            # the n_e - 1 - j expansions still to come lower x by >= 1 each
+            poly = _expand_pair(poly, x, z0 + j, min(c) + n_e - 1 - j, max(e))
+        poly = _substitute(poly, x, c)
+    for j in range(n_e):
+        z = z0 + j
+        for j2 in range(j + 1, n_e):
+            poly = _mul_diff(_mul_diff(poly, z, z0 + j2), z, z0 + j2)
+        poly = _substitute(poly, z, e)
+    total = poly.get((0,) * spec.work, 0)
+    scale = c_scale ** n_c * d_scale ** n_d * e_scale ** n_e
+    return spec.sign * spec.weight * Fraction(total, scale)
 
 
 def tau3_residue(k: int, l: int, alpha: int, beta: int,
                  C: MomentSequence, D: MomentSequence, E: MomentSequence,
                  max_work: int = SUMMAND_WORK_BOUND) -> Fraction:
-    """Two-index tau by the general residue formula (finite support only).
+    """Two-index tau by the general residue formula (finite support only):
+    the reference route the closed forms are tested against.
 
     A summand drawing against an identically-zero family vanishes exactly
     and is skipped before the work bound applies.
@@ -175,20 +212,8 @@ def tau3_residue(k: int, l: int, alpha: int, beta: int,
         return Fraction(0)
     if k == 0 and l == 0:
         return Fraction(1)
-    for seq in (C, D, E):
-        _window_bounds(seq)
-    total = Fraction(0)
-    for spec in kernel_specs(k, l):
-        if ((spec.n_c and C.support() is None)
-                or (spec.n_d and D.support() is None)
-                or (spec.n_e and E.support() is None)):
-            continue
-        if spec.work > max_work:
-            raise ResourceBoundError(
-                f"summand (n_c,n_d,n_e)=({spec.n_c},{spec.n_d},{spec.n_e}) "
-                f"exceeds work bound {max_work}")
-        total += _summand(spec, alpha, beta, C, D, E)
-    return total
+    return sum((_summand(spec, alpha, beta, C, D, E)
+                for spec in _live_specs(k, l, C, D, E, max_work)), Fraction(0))
 
 
 def block_hankel_rows(n_rows: int, k: int, l: int, alpha: int, beta: int,
@@ -212,6 +237,40 @@ def tau3_e0_det(k: int, l: int, alpha: int, beta: int,
         return C.ring_one()
     val = det(block_hankel_rows(k, k, l, alpha, beta, C, D))
     return -val if l * (l + 1) // 2 % 2 else val
+
+
+def tau3_det(k: int, l: int, alpha: int, beta: int,
+             C: MomentSequence, D: MomentSequence, E: MomentSequence) -> Fraction:
+    """Closed form for finite C, D, E (see the module docstring): the
+    block_hankel_rows layout, with E in the place of C when k < l, minus
+    the c*e convolution in its d-columns, one k x k or l x l determinant."""
+    if k < 0 or l < 0:
+        return Fraction(0)
+    c_sup, e_sup = C.support(), E.support()
+
+    def conv(p: int, q: int):
+        # sum_{m>=0} c_{alpha-beta+p-m-1} e_{beta+q+m} over both supports
+        if c_sup is None or e_sup is None:
+            return 0
+        top = alpha - beta + p - 1
+        return sum(C.get(top - m) * E.get(beta + q + m)
+                   for m in range(max(0, top - c_sup[1], e_sup[0] - beta - q),
+                                  min(top - c_sup[0], e_sup[1] - beta - q) + 1))
+
+    if k >= l:
+        rows = block_hankel_rows(k, k, l, alpha, beta, C, D)
+        for i, row in enumerate(rows):
+            for j in range(l):
+                row[j] -= conv(i, j)
+        flips = l * (l + 1) // 2
+    else:
+        rows = block_hankel_rows(l, l, k, alpha, alpha - beta, E, D)
+        for i, row in enumerate(rows):
+            for j in range(k):
+                row[j] -= conv(j, i)
+        flips = k * (k + 1) // 2 + k * (l - k)
+    val = det(rows)
+    return -val if flips % 2 else val
 
 
 class TauTable:
@@ -242,14 +301,19 @@ def _e_is_zero(E: MomentSequence | None) -> bool:
 def tau3_value(k: int, l: int, alpha: int, beta: int,
                C: MomentSequence, D: MomentSequence, E: MomentSequence | None,
                max_work: int = SUMMAND_WORK_BOUND) -> Fraction:
-    """Tau with boundary conventions, choosing the cheapest exact engine:
-    the block-Hankel closed form when E = 0, the residue formula otherwise.
+    """Tau with boundary conventions, by one closed-form determinant:
+    tau3_e0_det when E = 0, tau3_det otherwise. With E != 0 the residue
+    formula's support and work-bound checks run first, so the errors are
+    the reference's; max_work bounds no work on this route.
     """
     if k < 0 or l < 0:
         return Fraction(0)
     if _e_is_zero(E):
         return tau3_e0_det(k, l, alpha, beta, C, D)
-    return tau3_residue(k, l, alpha, beta, C, D, E, max_work=max_work)
+    if k == 0 and l == 0:
+        return Fraction(1)
+    _live_specs(k, l, C, D, E, max_work)
+    return tau3_det(k, l, alpha, beta, C, D, E)
 
 
 # The four difference relations, written exactly as stated: each entry is

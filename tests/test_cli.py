@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tauq
 from tauq.cli import main, parse_range, single_value
 from tauq.errors import UsageError
 
@@ -133,6 +138,16 @@ def test_verify_gl3_nonzero_e(capsys):
                        "--k", "0..1", "--l", "0..1")
     assert code == 0
     assert out.strip() == "gl3-relations: 16 checks, 16 pass"
+
+
+def test_verify_gl3_nonzero_e_k4(capsys):
+    # tau up to (5, 5): the residue engine did not finish this in a minute
+    code, out, _ = run(capsys, "verify", "gl3", "--moments-c", RAND_C,
+                       "--moments-d", RAND_D, "--moments-e", RAND_E,
+                       "--k", "0..4", "--l", "0..4", "--alpha", "-1..1",
+                       "--beta", "0..1")
+    assert code == 0
+    assert out.strip() == "gl3-relations: 600 checks, 600 pass"
 
 
 def test_verify_zero_curvature_skips(capsys):
@@ -333,3 +348,22 @@ def test_negative_count_or_work_is_usage_error(capsys, argv):
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "UsageError"
+
+
+def test_commands_in_one_process_match_fresh_runs(capsys):
+    # main() keeps one parser for the process: a success, a usage error and
+    # other subcommands with other flags must print what each prints alone
+    sequence = [
+        ("tau", "gl2", "--moments", CATALAN, "--k", "0..2", "--alpha", "1",
+         "--format", "csv"),
+        ("opgen", "--moments", CATALAN, "--count", "-2"),
+        ("tau", "gl2", "--moments", HERMITE, "--k", "0..3"),
+        ("recurrence", "--moments", HERMITE, "--count", "3", "--format", "json"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(tauq.__file__).parents[1]))
+    for argv in sequence:
+        code, out, err = run(capsys, *argv)
+        alone = subprocess.run([sys.executable, "-m", "tauq.cli", *argv],
+                               capture_output=True, text=True, env=env,
+                               timeout=60)
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr)

@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+import tauq.tau_gl3
 from tauq import (
     KernelSpec,
     MomentSequence,
@@ -9,11 +11,13 @@ from tauq import (
     SupportError,
     TauTable,
     kernel_specs,
+    tau3_det,
     tau3_e0_det,
     tau3_residue,
     tau3_value,
     verify_gl3_relations,
 )
+from tauq.cli import main
 from tauq.tau_gl3 import relation_sides
 
 ZERO = MomentSequence.zero()
@@ -52,6 +56,7 @@ def test_worked_residue_instance():
     D = MomentSequence.window(0, [Fraction(1)])
     E = MomentSequence.window(0, [Fraction(2)])
     assert tau3_residue(1, 1, 0, 0, C, D, E) == 5
+    assert tau3_det(1, 1, 0, 0, C, D, E) == 5
 
 
 def test_e0_det_formal(formal_c, formal_d):
@@ -77,9 +82,13 @@ def test_residue_matches_e0_det(rand_pair):
                         tau3_e0_det(k, l, a, b, C, D)
 
 
-def test_residue_requires_finite_support(catalan, linear_window):
+def test_residue_requires_finite_support(catalan, linear_window, rand_window):
     with pytest.raises(SupportError):
         tau3_residue(1, 0, 0, 0, catalan, linear_window, ZERO)
+    # the closed-form route keeps the reference's contract: a named E
+    C = rand_window(42, -2, 4, 6, 4)
+    with pytest.raises(SupportError):
+        tau3_value(1, 1, 0, 0, C, linear_window, catalan)
 
 
 def test_residue_work_bound(rand_window):
@@ -89,8 +98,11 @@ def test_residue_work_bound(rand_window):
     with pytest.raises(ResourceBoundError) as exc:
         tau3_residue(2, 2, 0, 0, C, D, E, max_work=3)
     assert "work bound 3" in str(exc.value)
+    with pytest.raises(ResourceBoundError) as exc:
+        tau3_value(2, 2, 0, 0, C, D, E, max_work=3)
+    assert "work bound 3" in str(exc.value)
     # the same instance inside the default bound
-    tau3_residue(2, 2, 0, 0, C, D, E)
+    assert tau3_residue(2, 2, 0, 0, C, D, E) == tau3_value(2, 2, 0, 0, C, D, E)
 
 
 def test_zero_family_short_circuits_bound(rand_pair):
@@ -107,6 +119,63 @@ def test_tau3_value_dispatch(rand_pair, rand_window):
     E = rand_window(44, -1, 2, 6, 4)
     assert tau3_value(1, 1, 0, 0, C, D, E) == tau3_residue(1, 1, 0, 0, C, D, E)
     assert tau3_value(-1, 0, 0, 0, C, D, E) == 0
+
+
+def _gate_triples(rand_window):
+    """(C, D, E) windows for the closed-form gate: random windows with
+    negative lo, a zero-heavy window, and C or D identically zero."""
+    heavy = MomentSequence.window(
+        -2, [Fraction(3), 0, 0, Fraction(-1, 2), 0, 0, Fraction(5)])
+    return [(rand_window(301, -2, 4), rand_window(302, -3, 3),
+             rand_window(303, -2, 2)),
+            (heavy, rand_window(305, -1, 5), rand_window(306, -3, 1)),
+            (ZERO, rand_window(307, -2, 3), rand_window(308, -1, 3)),
+            (rand_window(309, -3, 2), ZERO, heavy)]
+
+
+def test_det_matches_residue(rand_window):
+    # k + l <= 5 on both sides of k = l, every alpha in -2..2 and beta in
+    # -1..2: 21 (k, l) pairs x 20 offsets x 4 triples
+    n = 0
+    for C, D, E in _gate_triples(rand_window):
+        for k in range(6):
+            for l in range(6 - k):
+                for a in range(-2, 3):
+                    for b in range(-1, 3):
+                        assert tau3_det(k, l, a, b, C, D, E) == \
+                            tau3_residue(k, l, a, b, C, D, E), (k, l, a, b)
+                        n += 1
+    assert n == 1680
+
+
+def test_det_matches_residue_order_six(rand_window):
+    C, D, E = _gate_triples(rand_window)[0]
+    for k, l, a, b in [(3, 3, 0, 0), (4, 2, 1, 0), (2, 4, 0, 1),
+                       (1, 5, -1, 1), (5, 1, 0, 0), (0, 6, 0, 0)]:
+        assert tau3_det(k, l, a, b, C, D, E) == \
+            tau3_residue(k, l, a, b, C, D, E, max_work=6), (k, l, a, b)
+
+
+def test_e_nonzero_route_skips_residue(monkeypatch, rand_window, capsys):
+    calls = []
+    reference = tauq.tau_gl3.tau3_residue
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return reference(*args, **kwargs)
+
+    monkeypatch.setattr(tauq.tau_gl3, "tau3_residue", counting)
+    C, D, E = _gate_triples(rand_window)[0]
+    tau3_value(2, 3, 0, 1, C, D, E)
+    verify_gl3_relations(C, D, E, 2, 2, (0, 0), (0, 0))
+    argv = ["tau", "gl3", "--k", "0..3", "--l", "0..2"]
+    for flag, seed in (("c", 42), ("d", 43), ("e", 44)):
+        argv += [f"--moments-{flag}", json.dumps(
+            {"kind": "random", "seed": seed, "lo": -1, "hi": 3,
+             "max_abs_num": 6, "max_den": 4})]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_grid_boundaries(catalan_window, linear_window):
@@ -142,6 +211,9 @@ def test_verify_relations_nonzero_e(rand_window):
     E = rand_window(44, -1, 2, 6, 4)
     r = verify_gl3_relations(C, D, E, 1, 1, (0, 0), (0, 0))
     assert (r.total, r.failures) == (16, 0)
+    # k, l <= 3 reaches tau up to (4, 4), past the residue engine's reach
+    r = verify_gl3_relations(C, D, E, 3, 3, (0, 1), (0, 1))
+    assert (r.total, r.failures) == (256, 0)
 
 
 def test_verify_relations_detects_violation(catalan, linear_window):
