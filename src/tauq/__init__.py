@@ -11,15 +11,14 @@ from .factorization import (DiagonalTwist, connection_matrices_gl2,
                             zero_curvature_check)
 from .moments import MomentSequence, build_moments, serialize
 from .orthopoly import (HankelForm, MonicPolynomial, bordered_tau_poly,
-                        form_eval, gram_schmidt_monic, monic_op,
-                        mop_bordered_poly, mop_type2,
+                        form_eval, monic_op, mop_bordered_poly, mop_type2,
                         recurrence_coeffs, recurrence_reconstruct,
                         verify_mop, verify_orthogonality)
 from .report import Check, Skip, VerificationReport
 from .rings import (LaurentMatrix, LaurentPoly, MomentPoly, MomentSymbol,
                     RingFraction, det, det_bareiss)
 from .tau_gl2 import (fill_grid_recurrence, qsystem_residual, tau_det,
-                      tau_residue, verify_qsystem)
+                      verify_qsystem)
 from .tau_gl3 import (KernelSpec, TauTable, kernel_specs, tau3_det,
                       tau3_e0_det, tau3_residue, tau3_value,
                       verify_gl3_relations)
@@ -35,11 +34,11 @@ __all__ = [
     "VerificationReport", "bordered_tau_poly",
     "build_moments", "connection_matrices_gl2", "det", "det_bareiss",
     "evaluate_shifted", "fill_grid_recurrence", "form_eval", "g_minus_gl2",
-    "g_minus_gl3", "gram_schmidt_monic", "induction_replay", "kernel_specs",
-    "monic_op", "mop_bordered_poly", "mop_type2", "qsystem_residual", "recurrence_coeffs",
+    "g_minus_gl3", "induction_replay", "kernel_specs", "monic_op",
+    "mop_bordered_poly", "mop_type2", "qsystem_residual", "recurrence_coeffs",
     "recurrence_reconstruct", "scalar_compatibility", "serialize",
-    "tail_series", "tau3_det", "tau3_e0_det", "tau3_residue", "tau3_value", "tau_det",
-    "tau_residue", "verify_gl3_relations", "verify_mop",
+    "tail_series", "tau3_det", "tau3_e0_det", "tau3_residue", "tau3_value",
+    "tau_det", "verify_gl3_relations", "verify_mop",
     "verify_orthogonality", "verify_qsystem", "verify_zero_curvature",
     "window_matrix_gl2", "window_matrix_gl3", "zero_curvature_check",
 ]

@@ -6,8 +6,9 @@ generation). Moments arrive as a file path or inline JSON; all arithmetic
 is exact, all output deterministic.
 
 Exit codes: 0 all checks pass / computation done; 1 at least one identity
-violation; 2 usage or parse error; 3 degenerate input (a required tau is
-zero). Errors are single-line JSON records on stderr.
+violation; 2 usage or parse error, including a verify run whose ranges
+select no instance; 3 degenerate input (a required tau is zero). Errors
+are single-line JSON records on stderr.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .orthopoly import (monic_op, mop_type2, recurrence_coeffs,
                         verify_mop, verify_orthogonality)
 from .report import VerificationReport
 from .tau_gl2 import tau_det, verify_qsystem
-from .tau_gl3 import SUMMAND_WORK_BOUND, tau3_value, verify_gl3_relations
+from .tau_gl3 import tau3_value, verify_gl3_relations
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,12 +127,17 @@ def emit_report(report: VerificationReport, fmt: str) -> None:
         print(f"  skip {s.instance}: {s.reason}")
 
 
-def report_exit(report: VerificationReport) -> int:
+def finish_report(report: VerificationReport, fmt: str) -> int:
+    """Print a verification report and return its exit code: 1 on a
+    failed check, 3 when every instance was skipped, else 0. A run whose
+    ranges select no instance is a usage error, not a vacuous pass, and
+    prints nothing to stdout."""
+    if report.total == 0 and not report.skipped:
+        raise UsageError(f"{report.name}: the requested ranges select no instance")
+    emit_report(report, fmt)
     if report.failures:
         return 1
-    if report.total == 0 and report.skipped:
-        return 3
-    return 0
+    return 3 if report.total == 0 else 0
 
 
 def emit_polys(entries: list[dict], fmt: str, label: str) -> None:
@@ -196,9 +202,8 @@ def cmd_tau_gl3(args) -> int:
     l_range = parse_range(args.l, "l")
     a_range = parse_range(args.alpha, "alpha")
     b_range = parse_range(args.beta, "beta")
-    bound = SUMMAND_WORK_BOUND if args.max_work is None else args.max_work
     entries = [{"k": k, "l": l, "alpha": a, "beta": b,
-                "value": str(tau3_value(k, l, a, b, C, D, E, max_work=bound))}
+                "value": str(tau3_value(k, l, a, b, C, D, E))}
                for k in range(k_range[0], k_range[1] + 1)
                for l in range(l_range[0], l_range[1] + 1)
                for a in range(a_range[0], a_range[1] + 1)
@@ -213,8 +218,7 @@ def cmd_verify_qsystem(args) -> int:
     report = verify_qsystem(m, parse_range(args.k, "k")[1],
                             parse_range(args.alpha, "alpha"))
     # the k range starts at the recurrence base regardless of the flag's lo
-    emit_report(report, args.format)
-    return report_exit(report)
+    return finish_report(report, args.format)
 
 
 def cmd_verify_gl3(args) -> int:
@@ -223,18 +227,15 @@ def cmd_verify_gl3(args) -> int:
                                   parse_range(args.k, "k")[1],
                                   parse_range(args.l, "l")[1],
                                   parse_range(args.alpha, "alpha"),
-                                  parse_range(args.beta, "beta"),
-                                  max_work=args.max_work)
-    emit_report(report, args.format)
-    return report_exit(report)
+                                  parse_range(args.beta, "beta"))
+    return finish_report(report, args.format)
 
 
 def cmd_verify_zero_curvature(args) -> int:
     m = _gl2_source(args)
     report = verify_zero_curvature(m, parse_range(args.k, "k"),
                                    parse_range(args.alpha, "alpha"))
-    emit_report(report, args.format)
-    return report_exit(report)
+    return finish_report(report, args.format)
 
 
 def cmd_verify_orthogonality(args) -> int:
@@ -246,8 +247,7 @@ def cmd_verify_orthogonality(args) -> int:
             report.extend(verify_orthogonality(m, a, args.count))
         except DegenerateTauError as exc:
             report.add_skip({"alpha": a, **exc.indices}, str(exc))
-    emit_report(report, args.format)
-    return report_exit(report)
+    return finish_report(report, args.format)
 
 
 def cmd_verify_mop(args) -> int:
@@ -269,8 +269,7 @@ def cmd_verify_mop(args) -> int:
                     except DegenerateTauError as exc:
                         report.add_skip({"k": k, "l": l, "alpha": a, "beta": b},
                                         str(exc))
-    emit_report(report, args.format)
-    return report_exit(report)
+    return finish_report(report, args.format)
 
 
 def cmd_opgen(args) -> int:
@@ -339,6 +338,12 @@ def _add_gl3_moments(p: argparse.ArgumentParser) -> None:
                    help="e-family moments (omit for the e=0 case)")
 
 
+def _add_ignored_max_work(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-work", type=nonnegative_int, metavar="N",
+                   help="accepted and ignored: every tau is one determinant, "
+                        "so there is no residue work to bound")
+
+
 def _add_ranges(p: argparse.ArgumentParser, *names: str, **defaults) -> None:
     for name in names:
         p.add_argument(f"--{name}", default=defaults.get(name, "0"),
@@ -364,8 +369,7 @@ def build_parser() -> _Parser:
     t3 = tau_sub.add_parser("gl3", help="two-index tau table")
     _add_gl3_moments(t3)
     _add_ranges(t3, "k", "l", "alpha", "beta", k="0..3", l="0..2")
-    t3.add_argument("--max-work", type=nonnegative_int, default=None, metavar="N",
-                    help="per-summand residue work bound (default 5)")
+    _add_ignored_max_work(t3)
     _add_format(t3)
     _add_mode(t3)
     t3.set_defaults(func=cmd_tau_gl3)
@@ -383,9 +387,7 @@ def build_parser() -> _Parser:
     vg = v_sub.add_parser("gl3", help="the four two-index difference relations")
     _add_gl3_moments(vg)
     _add_ranges(vg, "k", "l", "alpha", "beta", k="0..2", l="0..2")
-    vg.add_argument("--max-work", type=nonnegative_int, default=None, metavar="N",
-                    help="per-summand residue work bound "
-                         "(default: derived from the ranges)")
+    _add_ignored_max_work(vg)
     _add_format(vg)
     _add_mode(vg)
     vg.set_defaults(func=cmd_verify_gl3)

@@ -163,48 +163,35 @@ def connection_matrices_gl2(k: int, alpha: int, m: MomentSequence,
     if tau is None:
         tau = tau_table(m)
 
-    def ratio(n1, n2, d1, d2, what, **ix):
-        return _tau_ratio(n1 * n2, d1 * d2, formal, what, **ix)
-
     tk_a, tk_a1 = tau(k, alpha), tau(k, alpha + 1)
     tk1_a, tk1_a1 = tau(k + 1, alpha), tau(k + 1, alpha + 1)
     tkm_a1 = tau(k - 1, alpha + 1)
 
+    # each ratio once, in the order V, W, U first use them: the first zero
+    # denominator decides what the DegenerateTauError names
+    v00 = _tau_ratio(tkm_a1 * tk1_a, tk_a1 * tk_a, formal,
+                     "tau_k^(alpha+1) tau_k^(alpha)", k=k, alpha=alpha)
+    v01 = _tau_ratio(tkm_a1, tk_a1, formal,
+                     "tau_k^(alpha+1)", k=k, alpha=alpha + 1)
+    v10 = _tau_ratio(tk1_a, tk_a, formal, "tau_k^(alpha)", k=k, alpha=alpha)
+    w01 = _tau_ratio(tk_a, tk1_a, formal,
+                     "tau_{k+1}^(alpha)", k=k + 1, alpha=alpha)
+    w10 = _tau_ratio(tk1_a1, tk_a1, formal,
+                     "tau_k^(alpha+1)", k=k, alpha=alpha + 1)
+    w11 = _tau_ratio(tk_a * tk1_a1, tk1_a * tk_a1, formal,
+                     "tau_{k+1}^(alpha) tau_k^(alpha+1)", k=k, alpha=alpha)
+
     v = LaurentMatrix([
-        [LaurentPoly({1: one,
-                      0: -ratio(tkm_a1, tk1_a, tk_a1, tk_a,
-                                "tau_k^(alpha+1) tau_k^(alpha)",
-                                k=k, alpha=alpha)}),
-         LaurentPoly({0: _tau_ratio(tkm_a1, tk_a1, formal,
-                                    "tau_k^(alpha+1)", k=k, alpha=alpha + 1)})],
-        [LaurentPoly({0: -_tau_ratio(tk1_a, tk_a, formal,
-                                     "tau_k^(alpha)", k=k, alpha=alpha)}),
-         LaurentPoly({0: one})],
+        [LaurentPoly({1: one, 0: -v00}), LaurentPoly({0: v01})],
+        [LaurentPoly({0: -v10}), LaurentPoly({0: one})],
     ])
     w = LaurentMatrix([
-        [LaurentPoly({0: one}),
-         LaurentPoly({0: -_tau_ratio(tk_a, tk1_a, formal,
-                                     "tau_{k+1}^(alpha)", k=k + 1, alpha=alpha)})],
-        [LaurentPoly({0: _tau_ratio(tk1_a1, tk_a1, formal,
-                                    "tau_k^(alpha+1)", k=k, alpha=alpha + 1)}),
-         LaurentPoly({1: one,
-                      0: -ratio(tk_a, tk1_a1, tk1_a, tk_a1,
-                                "tau_{k+1}^(alpha) tau_k^(alpha+1)",
-                                k=k, alpha=alpha)})],
+        [LaurentPoly({0: one}), LaurentPoly({0: -w01})],
+        [LaurentPoly({0: w10}), LaurentPoly({1: one, 0: -w11})],
     ])
     u = LaurentMatrix([
-        [LaurentPoly({1: one,
-                      0: (-ratio(tk_a, tk1_a1, tk1_a, tk_a1,
-                                 "tau_{k+1}^(alpha) tau_k^(alpha+1)",
-                                 k=k, alpha=alpha)
-                          - ratio(tkm_a1, tk1_a, tk_a1, tk_a,
-                                  "tau_k^(alpha+1) tau_k^(alpha)",
-                                  k=k, alpha=alpha))}),
-         LaurentPoly({0: _tau_ratio(tk_a, tk1_a, formal,
-                                    "tau_{k+1}^(alpha)", k=k + 1, alpha=alpha)})],
-        [LaurentPoly({0: -_tau_ratio(tk1_a, tk_a, formal,
-                                     "tau_k^(alpha)", k=k, alpha=alpha)}),
-         LaurentPoly.zero()],
+        [LaurentPoly({1: one, 0: -w11 - v00}), LaurentPoly({0: w01})],
+        [LaurentPoly({0: -v10}), LaurentPoly.zero()],
     ])
     return v, w, u
 

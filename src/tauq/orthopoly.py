@@ -7,7 +7,8 @@ powers; the two-family block version gives type-II multiple orthogonal
 polynomials sharing orthogonality conditions between the c and d forms.
 
 Norms and three-term recurrence coefficients are derived facts here, not
-inputs: tests gate them against a brute-force Gram-Schmidt oracle.
+inputs: tests gate the polynomials against a brute-force Gram-Schmidt
+oracle, and the coefficients by rebuilding the polynomials from them.
 """
 from __future__ import annotations
 
@@ -127,24 +128,6 @@ def monic_op(k: int, alpha: int, m: MomentSequence) -> MonicPolynomial:
                   k=k, alpha=alpha)
 
 
-def gram_schmidt_monic(m: MomentSequence, alpha: int, K: int) -> list[MonicPolynomial]:
-    """Brute-force monic orthogonalization of 1, z, ..., z^K under the
-    Hankel form; the oracle monic_op is checked against."""
-    form = HankelForm(m, alpha)
-    basis: list[LaurentPoly] = []
-    norms: list[Fraction] = []
-    for k in range(K + 1):
-        p = LaurentPoly.z_pow(k)
-        for q, nq in zip(basis, norms):
-            if not nq:
-                raise DegenerateTauError("zero norm; orthogonalization stuck",
-                                         k=len(norms) - 1, alpha=alpha)
-            p = p - q.scale(form_eval(form, LaurentPoly.z_pow(k), q) / nq)
-        basis.append(p)
-        norms.append(form_eval(form, p, p))
-    return [MonicPolynomial.from_laurent(p) for p in basis]
-
-
 def verify_orthogonality(m: MomentSequence, alpha: int, K: int) -> VerificationReport:
     """<p_j, p_k> = 0 for j < k <= K, and <p_k, p_k> = tau_{k+1}/tau_k."""
     report = VerificationReport("orthogonality")
@@ -164,27 +147,18 @@ def verify_orthogonality(m: MomentSequence, alpha: int, K: int) -> VerificationR
 
 
 def recurrence_coeffs(m: MomentSequence, alpha: int, K: int) -> list[tuple]:
-    """(a_k, b_k) with z p_k = p_{k+1} + a_k p_k + b_k p_{k-1}, k < K,
-    from inner products; b_0 = 0 by convention. Reconstructing from these
-    must reproduce monic_op exactly (tested, not assumed)."""
-    form = HankelForm(m, alpha)
+    """(a_k, b_k) with z p_k = p_{k+1} + a_k p_k + b_k p_{k-1}, k < K, read
+    off the polynomials: with s_k, t_k the z^{k-1}, z^{k-2} coefficients of
+    p_k, comparing the z^k and z^{k-1} coefficients gives a_k = s_k - s_{k+1}
+    and b_k = t_k - t_{k+1} - a_k s_k (so b_0 = 0). Reconstructing from
+    these must reproduce monic_op exactly (tested, not assumed)."""
     polys = [monic_op(k, alpha, m) for k in range(K + 1)]
-    norms = [form_eval(form, p, p) for p in polys]
+    s = [p.coeff(k - 1) for k, p in enumerate(polys)]
+    t = [p.coeff(k - 2) for k, p in enumerate(polys)]
     out = []
     for k in range(K):
-        if not norms[k]:
-            raise DegenerateTauError("zero norm; recurrence undefined",
-                                     k=k, alpha=alpha)
-        zp = polys[k].as_laurent().shift(1)
-        a_k = form_eval(form, zp, polys[k]) / norms[k]
-        if k == 0:
-            b_k = Fraction(0)
-        else:
-            if not norms[k - 1]:
-                raise DegenerateTauError("zero norm; recurrence undefined",
-                                         k=k - 1, alpha=alpha)
-            b_k = norms[k] / norms[k - 1]
-        out.append((a_k, b_k))
+        a_k = s[k] - s[k + 1]
+        out.append((a_k, t[k] - t[k + 1] - a_k * s[k]))
     return out
 
 

@@ -1,6 +1,6 @@
-"""Single-family tau-functions: Hankel determinants, the symmetrized
-residue formula, condensation filling, and the bilinear recurrence
-check tau_k^(a) tau_{k-2}^(a+2) = tau_{k-1}^(a+2) tau_{k-1}^(a) - (tau_{k-1}^(a+1))^2.
+"""Single-family tau-functions: Hankel determinants, condensation
+filling, and the bilinear recurrence check
+tau_k^(a) tau_{k-2}^(a+2) = tau_{k-1}^(a+2) tau_{k-1}^(a) - (tau_{k-1}^(a+1))^2.
 
 Verifiers read tau from one memoized table per call (``tau_table``),
 which computes each entry once through this module's ``tau_det``.
@@ -10,63 +10,16 @@ moment source (Fraction numerically, MomentPoly for formal sequences).
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
-
-from .errors import DegenerateTauError, ResourceBoundError
+from .errors import DegenerateTauError
 from .moments import MomentSequence
 from .report import VerificationReport
 from .tau_gl3 import TauTable, tau3_e0_det
-
-RESIDUE_K_BOUND = 5
 
 
 def tau_det(k: int, alpha: int, m: MomentSequence):
     """tau_k^(alpha) as the k x k Hankel determinant det[c_{alpha+i+j}]:
     the block-Hankel tau with no d-columns."""
     return tau3_e0_det(k, 0, alpha, 0, m, m)
-
-
-def _vandermonde_sq(k: int) -> dict[tuple[int, ...], int]:
-    """Expansion of prod_{i<j} (w_i - w_j)^2 as exponent-tuple -> coefficient."""
-    poly: dict[tuple[int, ...], int] = {(0,) * k: 1}
-    for i in range(k):
-        for j in range(i + 1, k):
-            for _ in range(2):
-                out: dict[tuple[int, ...], int] = {}
-                for expo, coef in poly.items():
-                    e1 = list(expo)
-                    e1[i] += 1
-                    out[tuple(e1)] = out.get(tuple(e1), 0) + coef
-                    e2 = list(expo)
-                    e2[j] += 1
-                    out[tuple(e2)] = out.get(tuple(e2), 0) - coef
-                poly = {e: c for e, c in out.items() if c}
-    return poly
-
-
-def tau_residue(k: int, alpha: int, m: MomentSequence, max_k: int = RESIDUE_K_BOUND):
-    """tau_k^(alpha) by the symmetrized residue formula.
-
-    (1/k!) Res_{w_1} ... Res_{w_k} of prod_{i<j}(w_i - w_j)^2 prod_i C^(alpha)(w_i),
-    residues taken innermost first. Res_w(w^e C^(alpha)(w)) = c_{alpha+e}, so
-    each monomial of the squared Vandermonde picks one moment per variable.
-    """
-    if k < 0:
-        raise ValueError("tau_residue requires k >= 0")
-    if k > max_k:
-        raise ResourceBoundError(f"residue formula bounded at k <= {max_k}, got {k}")
-    if k == 0:
-        return m.ring_one()
-    total = m.ring_zero()
-    for expo, coef in _vandermonde_sq(k).items():
-        term = m.ring_one() * coef
-        for e in expo:
-            term = term * m.get(alpha + e)
-            if not term:
-                break
-        total = total + term
-    return total * Fraction(1, factorial(k))
 
 
 def tau_table(m: MomentSequence) -> TauTable:

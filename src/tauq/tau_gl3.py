@@ -33,8 +33,8 @@ group, cross factors prod (x_i - y_j) prod (y_i - z_j), the sign
 (-1)^{n_d(n_d+1)/2}, and one geometric-expansion factor per (x_i, z_j)
 pair: 1/(x_i - z_j) expanded as sum_{m>=0} z_j^m x_i^{-m-1}. Finite
 support makes every such expansion a finite sum. No runtime route calls
-it; ``tau3_value`` only runs its support and work-bound checks, so both
-routes raise the same errors.
+it, and only it has a summand work bound (``max_work``); with E != 0
+``tau3_value`` checks only that all three families are finite windows.
 """
 from __future__ import annotations
 
@@ -75,28 +75,6 @@ class KernelSpec:
 def kernel_specs(k: int, l: int) -> list[KernelSpec]:
     """All splittings n_c + n_d = k, n_e + n_d = l with nonnegative parts."""
     return [KernelSpec(k - n_d, n_d, l - n_d) for n_d in range(min(k, l) + 1)]
-
-
-def _live_specs(k: int, l: int, C: MomentSequence, D: MomentSequence,
-                E: MomentSequence, max_work: int) -> list[KernelSpec]:
-    """The summands of the residue formula that draw on no identically-zero
-    family, after the checks every E != 0 route runs first: SupportError
-    unless all three families are finite windows, ResourceBoundError when
-    one of those summands exceeds max_work. A summand against a zero
-    family vanishes exactly, so the bound does not apply to it."""
-    if not (C.is_finite and D.is_finite and E.is_finite):
-        raise SupportError("the residue formula needs finite-support sequences")
-    zero = [seq.support() is None for seq in (C, D, E)]
-    live = []
-    for spec in kernel_specs(k, l):
-        if any(n and z for n, z in zip((spec.n_c, spec.n_d, spec.n_e), zero)):
-            continue
-        if spec.work > max_work:
-            raise ResourceBoundError(
-                f"summand (n_c,n_d,n_e)=({spec.n_c},{spec.n_d},{spec.n_e}) "
-                f"exceeds work bound {max_work}")
-        live.append(spec)
-    return live
 
 
 # -- residue summands by elimination --------------------------------------
@@ -206,14 +184,26 @@ def tau3_residue(k: int, l: int, alpha: int, beta: int,
     the reference route the closed forms are tested against.
 
     A summand drawing against an identically-zero family vanishes exactly
-    and is skipped before the work bound applies.
+    and is skipped before the work bound applies; ResourceBoundError when
+    another summand exceeds max_work.
     """
     if k < 0 or l < 0:
         return Fraction(0)
     if k == 0 and l == 0:
         return Fraction(1)
-    return sum((_summand(spec, alpha, beta, C, D, E)
-                for spec in _live_specs(k, l, C, D, E, max_work)), Fraction(0))
+    if not (C.is_finite and D.is_finite and E.is_finite):
+        raise SupportError("the residue formula needs finite-support sequences")
+    zero = [seq.support() is None for seq in (C, D, E)]
+    total = Fraction(0)
+    for spec in kernel_specs(k, l):
+        if any(n and z for n, z in zip((spec.n_c, spec.n_d, spec.n_e), zero)):
+            continue
+        if spec.work > max_work:
+            raise ResourceBoundError(
+                f"summand (n_c,n_d,n_e)=({spec.n_c},{spec.n_d},{spec.n_e}) "
+                f"exceeds work bound {max_work}")
+        total += _summand(spec, alpha, beta, C, D, E)
+    return total
 
 
 def block_hankel_rows(n_rows: int, k: int, l: int, alpha: int, beta: int,
@@ -275,18 +265,18 @@ def tau3_det(k: int, l: int, alpha: int, beta: int,
 
 class TauTable:
     """Memo of tau values keyed by index tuple. Each entry is computed once,
-    as fn(*key, *args, **kwargs), and read back by get(*key) or by calling
-    the table, so a table goes wherever a tau callable is expected."""
+    as fn(*key, *args), and read back by get(*key) or by calling the table,
+    so a table goes wherever a tau callable is expected."""
 
-    __slots__ = ("fn", "args", "kwargs", "values")
+    __slots__ = ("fn", "args", "values")
 
-    def __init__(self, fn, *args, **kwargs):
-        self.fn, self.args, self.kwargs = fn, args, kwargs
+    def __init__(self, fn, *args):
+        self.fn, self.args = fn, args
         self.values: dict[tuple, object] = {}
 
     def get(self, *key):
         if key not in self.values:
-            self.values[key] = self.fn(*key, *self.args, **self.kwargs)
+            self.values[key] = self.fn(*key, *self.args)
         return self.values[key]
 
     __call__ = get
@@ -299,12 +289,12 @@ def _e_is_zero(E: MomentSequence | None) -> bool:
 
 
 def tau3_value(k: int, l: int, alpha: int, beta: int,
-               C: MomentSequence, D: MomentSequence, E: MomentSequence | None,
-               max_work: int = SUMMAND_WORK_BOUND) -> Fraction:
+               C: MomentSequence, D: MomentSequence,
+               E: MomentSequence | None) -> Fraction:
     """Tau with boundary conventions, by one closed-form determinant:
-    tau3_e0_det when E = 0, tau3_det otherwise. With E != 0 the residue
-    formula's support and work-bound checks run first, so the errors are
-    the reference's; max_work bounds no work on this route.
+    tau3_e0_det when E = 0, tau3_det otherwise. With E != 0 every family
+    must be a finite window (SupportError otherwise), as in the residue
+    reference.
     """
     if k < 0 or l < 0:
         return Fraction(0)
@@ -312,7 +302,8 @@ def tau3_value(k: int, l: int, alpha: int, beta: int,
         return tau3_e0_det(k, l, alpha, beta, C, D)
     if k == 0 and l == 0:
         return Fraction(1)
-    _live_specs(k, l, C, D, E, max_work)
+    if not (C.is_finite and D.is_finite and E.is_finite):
+        raise SupportError("the residue formula needs finite-support sequences")
     return tau3_det(k, l, alpha, beta, C, D, E)
 
 
@@ -347,20 +338,16 @@ def verify_gl3_relations(C: MomentSequence, D: MomentSequence,
                          E: MomentSequence | None,
                          k_max: int, l_max: int,
                          alpha_range: tuple[int, int],
-                         beta_range: tuple[int, int],
-                         max_work: int | None = None) -> VerificationReport:
+                         beta_range: tuple[int, int]) -> VerificationReport:
     """Check all four relations on every in-range instance, exactly.
 
     Out-of-range tau values follow the k < 0 / l < 0 -> 0 convention, so
-    the relations can be checked at the edges. No instance is skipped:
-    the relations have no denominators. The relations reach one step past
-    the ranges, so the summand work bound defaults to (k_max+1)+(l_max+1)
-    rather than the direct-call default.
+    the relations can be checked at the edges; they reach one step past
+    the ranges. Every tau is one tau3_value determinant, read from one
+    table. No instance is skipped: the relations have no denominators.
     """
-    if max_work is None:
-        max_work = k_max + l_max + 2
     report = VerificationReport("gl3-relations")
-    tau = TauTable(tau3_value, C, D, E, max_work=max_work)
+    tau = TauTable(tau3_value, C, D, E)
     for relation in (1, 2, 3, 4):
         for k in range(0, k_max + 1):
             for l in range(0, l_max + 1):

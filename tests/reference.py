@@ -1,0 +1,77 @@
+"""Slow independent routes to single-family taus and orthogonal polynomials.
+
+Test oracles only: the symmetrized residue formula for tau_k^(alpha)
+(every monomial of a squared Vandermonde, k! of them and more) and brute
+Gram-Schmidt under the Hankel form. The library takes both answers from
+determinants; the tests require the two routes to agree.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial
+
+from tauq import (DegenerateTauError, HankelForm, LaurentPoly,
+                  MomentSequence, MonicPolynomial, ResourceBoundError,
+                  form_eval)
+
+RESIDUE_K_BOUND = 5
+
+
+def _vandermonde_sq(k: int) -> dict[tuple[int, ...], int]:
+    """Expansion of prod_{i<j} (w_i - w_j)^2 as exponent-tuple -> coefficient."""
+    poly: dict[tuple[int, ...], int] = {(0,) * k: 1}
+    for i in range(k):
+        for j in range(i + 1, k):
+            for _ in range(2):
+                out: dict[tuple[int, ...], int] = {}
+                for expo, coef in poly.items():
+                    e1 = list(expo)
+                    e1[i] += 1
+                    out[tuple(e1)] = out.get(tuple(e1), 0) + coef
+                    e2 = list(expo)
+                    e2[j] += 1
+                    out[tuple(e2)] = out.get(tuple(e2), 0) - coef
+                poly = {e: c for e, c in out.items() if c}
+    return poly
+
+
+def tau_residue(k: int, alpha: int, m: MomentSequence, max_k: int = RESIDUE_K_BOUND):
+    """tau_k^(alpha) by the symmetrized residue formula.
+
+    (1/k!) Res_{w_1} ... Res_{w_k} of prod_{i<j}(w_i - w_j)^2 prod_i C^(alpha)(w_i),
+    residues taken innermost first. Res_w(w^e C^(alpha)(w)) = c_{alpha+e}, so
+    each monomial of the squared Vandermonde picks one moment per variable.
+    """
+    if k < 0:
+        raise ValueError("tau_residue requires k >= 0")
+    if k > max_k:
+        raise ResourceBoundError(f"residue formula bounded at k <= {max_k}, got {k}")
+    if k == 0:
+        return m.ring_one()
+    total = m.ring_zero()
+    for expo, coef in _vandermonde_sq(k).items():
+        term = m.ring_one() * coef
+        for e in expo:
+            term = term * m.get(alpha + e)
+            if not term:
+                break
+        total = total + term
+    return total * Fraction(1, factorial(k))
+
+
+def gram_schmidt_monic(m: MomentSequence, alpha: int, K: int) -> list[MonicPolynomial]:
+    """Brute-force monic orthogonalization of 1, z, ..., z^K under the
+    Hankel form; the oracle monic_op is checked against."""
+    form = HankelForm(m, alpha)
+    basis: list[LaurentPoly] = []
+    norms: list[Fraction] = []
+    for k in range(K + 1):
+        p = LaurentPoly.z_pow(k)
+        for q, nq in zip(basis, norms):
+            if not nq:
+                raise DegenerateTauError("zero norm; orthogonalization stuck",
+                                         k=len(norms) - 1, alpha=alpha)
+            p = p - q.scale(form_eval(form, LaurentPoly.z_pow(k), q) / nq)
+        basis.append(p)
+        norms.append(form_eval(form, p, p))
+    return [MonicPolynomial.from_laurent(p) for p in basis]

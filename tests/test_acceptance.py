@@ -21,7 +21,6 @@ from tauq import (
     build_moments,
     connection_matrices_gl2,
     fill_grid_recurrence,
-    gram_schmidt_monic,
     induction_replay,
     monic_op,
     mop_type2,
@@ -29,7 +28,6 @@ from tauq import (
     tau3_e0_det,
     tau3_residue,
     tau_det,
-    tau_residue,
     verify_gl3_relations,
     verify_mop,
     verify_orthogonality,
@@ -39,6 +37,8 @@ from tauq import (
     window_matrix_gl3,
     zero_curvature_check,
 )
+
+from reference import gram_schmidt_monic, tau_residue
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src"

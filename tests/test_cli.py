@@ -99,14 +99,15 @@ def test_tau_gl3_symbolic(capsys):
     assert out.strip() == "tau[k=2, l=1, alpha=0, beta=0] = c_0*d_1 - c_1*d_0"
 
 
-def test_tau_gl3_work_bound(capsys):
-    code, _, err = run(capsys, "tau", "gl3", "--moments-c", RAND_C,
-                       "--moments-d", RAND_D, "--moments-e", RAND_E,
-                       "--k", "2..2", "--l", "2..2", "--max-work", "3")
-    assert code == 2
-    rec = json.loads(err)
-    assert rec["error"] == "ResourceBoundError"
-    assert "work bound 3" in rec["detail"]
+@pytest.mark.parametrize("kl, flag", [("3", []), ("2", ["--max-work", "3"])],
+                         ids=["no-flag", "max-work-3"])
+def test_tau_gl3_max_work_ignored(capsys, kl, flag):
+    # every tau is one determinant: --max-work is accepted and bounds nothing
+    argv = ["tau", "gl3", "--moments-c", RAND_C, "--moments-d", RAND_D,
+            "--moments-e", RAND_E, "--k", kl, "--l", kl]
+    code, out, err = run(capsys, *argv, *flag)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, *argv, "--max-work", "99")
 
 
 def test_verify_qsystem(capsys):
@@ -344,6 +345,22 @@ def test_infinite_support_is_exit_2(capsys):
     ("opgen", "--moments", CATALAN, "--count", "two"),
 ])
 def test_negative_count_or_work_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "qsystem", "--moments", CATALAN, "--k", "-3..-1"),
+    ("verify", "gl3", "--moments-c", CATALAN, "--moments-d", LINEAR,
+     "--k", "-2..-1"),
+    ("verify", "mop", "--moments-c", CATALAN, "--moments-d", LINEAR,
+     "--k", "-3..-1"),
+    ("verify", "mop", "--moments-c", CATALAN, "--moments-d", LINEAR,
+     "--k", "1", "--l", "2..3"),
+])
+def test_verify_selecting_no_instance_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     lines = err.splitlines()

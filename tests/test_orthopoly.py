@@ -9,7 +9,6 @@ from tauq import (
     MonicPolynomial,
     bordered_tau_poly,
     form_eval,
-    gram_schmidt_monic,
     monic_op,
     mop_bordered_poly,
     mop_type2,
@@ -22,6 +21,8 @@ from tauq import (
 )
 from tauq.rings import det_cofactor
 from tauq.tau_gl3 import block_hankel_rows
+
+from reference import gram_schmidt_monic
 
 
 def test_hankel_form_eval(catalan):

@@ -15,11 +15,12 @@ from tauq import (
     induction_replay,
     qsystem_residual,
     tau_det,
-    tau_residue,
     verify_orthogonality,
     verify_qsystem,
     verify_zero_curvature,
 )
+
+from reference import tau_residue
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 

@@ -98,9 +98,6 @@ def test_residue_work_bound(rand_window):
     with pytest.raises(ResourceBoundError) as exc:
         tau3_residue(2, 2, 0, 0, C, D, E, max_work=3)
     assert "work bound 3" in str(exc.value)
-    with pytest.raises(ResourceBoundError) as exc:
-        tau3_value(2, 2, 0, 0, C, D, E, max_work=3)
-    assert "work bound 3" in str(exc.value)
     # the same instance inside the default bound
     assert tau3_residue(2, 2, 0, 0, C, D, E) == tau3_value(2, 2, 0, 0, C, D, E)
 
@@ -157,14 +154,19 @@ def test_det_matches_residue_order_six(rand_window):
 
 
 def test_e_nonzero_route_skips_residue(monkeypatch, rand_window, capsys):
+    # the closed-form route runs neither the residue nor its summand list
     calls = []
-    reference = tauq.tau_gl3.tau3_residue
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return reference(*args, **kwargs)
+    def count_calls(name):
+        reference = getattr(tauq.tau_gl3, name)
 
-    monkeypatch.setattr(tauq.tau_gl3, "tau3_residue", counting)
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return reference(*args, **kwargs)
+        monkeypatch.setattr(tauq.tau_gl3, name, counting)
+
+    count_calls("tau3_residue")
+    count_calls("kernel_specs")
     C, D, E = _gate_triples(rand_window)[0]
     tau3_value(2, 3, 0, 1, C, D, E)
     verify_gl3_relations(C, D, E, 2, 2, (0, 0), (0, 0))
@@ -179,7 +181,7 @@ def test_e_nonzero_route_skips_residue(monkeypatch, rand_window, capsys):
 
 
 def test_grid_boundaries(catalan_window, linear_window):
-    grid = TauTable(tau3_value, catalan_window, linear_window, ZERO, max_work=2)
+    grid = TauTable(tau3_value, catalan_window, linear_window, ZERO)
     assert grid.get(-1, 0, 0, 0) == 0
     assert grid.get(0, 0, 5, 5) == 1
     assert grid.get(2, 1, 0, 0) == \
