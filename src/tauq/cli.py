@@ -17,10 +17,11 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 
-from .errors import (DegenerateTauError, MomentParseError, ResourceBoundError,
-                     SupportError, UsageError)
+from .errors import (DegenerateTauError, MomentParseError, OutputClosedError,
+                     ResourceBoundError, SupportError, UsageError)
 from .factorization import verify_zero_curvature
 from .moments import MomentSequence, build_moments
 from .orthopoly import (monic_op, mop_type2, recurrence_coeffs,
@@ -28,6 +29,15 @@ from .orthopoly import (monic_op, mop_type2, recurrence_coeffs,
 from .report import VerificationReport
 from .tau_gl2 import tau_det, verify_qsystem
 from .tau_gl3 import tau3_value, verify_gl3_relations
+
+# Largest determinant order a --mode symbolic run may compute. An order-n
+# determinant takes n 2^(n-1) products of ever longer polynomials: on a
+# 2-vCPU VM (Python 3.11.7) `tau gl2 --mode symbolic --k 0..9` takes 1.6 s
+# and prints 1 MB, while the order-10 tau alone takes 7 s and 4.8 MB.
+SYMBOLIC_ORDER_BOUND = 9
+# Largest --k of symbolic zero-curvature: its cross-multiplied identities
+# multiply whole tau polynomials, and --k 0..3 already takes 11 s there.
+SYMBOLIC_ZERO_CURVATURE_K_BOUND = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,6 +182,13 @@ def _gl2_source(args) -> MomentSequence:
     return load_moments(args.moments, "moments")
 
 
+def _check_symbolic(args, what: str, value: int, bound: int) -> None:
+    """Refuse a symbolic run over one of the bounds above, before any work."""
+    if args.mode == "symbolic" and value > bound:
+        raise ResourceBoundError(
+            f"--mode symbolic: {what} {value} is above the bound {bound}")
+
+
 def _gl3_sources(args):
     if getattr(args, "mode", "numeric") == "symbolic":
         if args.moments_c or args.moments_d or args.moments_e:
@@ -189,6 +206,7 @@ def cmd_tau_gl2(args) -> int:
     m = _gl2_source(args)
     k_range = parse_range(args.k, "k")
     a_range = parse_range(args.alpha, "alpha")
+    _check_symbolic(args, "determinant order", k_range[1], SYMBOLIC_ORDER_BOUND)
     entries = [{"k": k, "alpha": a, "value": str(tau_det(k, a, m))}
                for k in range(k_range[0], k_range[1] + 1)
                for a in range(a_range[0], a_range[1] + 1)]
@@ -202,6 +220,7 @@ def cmd_tau_gl3(args) -> int:
     l_range = parse_range(args.l, "l")
     a_range = parse_range(args.alpha, "alpha")
     b_range = parse_range(args.beta, "beta")
+    _check_symbolic(args, "determinant order", k_range[1], SYMBOLIC_ORDER_BOUND)
     entries = [{"k": k, "l": l, "alpha": a, "beta": b,
                 "value": str(tau3_value(k, l, a, b, C, D, E))}
                for k in range(k_range[0], k_range[1] + 1)
@@ -215,26 +234,32 @@ def cmd_tau_gl3(args) -> int:
 
 def cmd_verify_qsystem(args) -> int:
     m = _gl2_source(args)
-    report = verify_qsystem(m, parse_range(args.k, "k")[1],
-                            parse_range(args.alpha, "alpha"))
+    k_max = parse_range(args.k, "k")[1]
+    a_range = parse_range(args.alpha, "alpha")
+    _check_symbolic(args, "determinant order", k_max, SYMBOLIC_ORDER_BOUND)
     # the k range starts at the recurrence base regardless of the flag's lo
-    return finish_report(report, args.format)
+    return finish_report(verify_qsystem(m, k_max, a_range), args.format)
 
 
 def cmd_verify_gl3(args) -> int:
     C, D, E = _gl3_sources(args)
-    report = verify_gl3_relations(C, D, E,
-                                  parse_range(args.k, "k")[1],
-                                  parse_range(args.l, "l")[1],
-                                  parse_range(args.alpha, "alpha"),
-                                  parse_range(args.beta, "beta"))
+    k_max = parse_range(args.k, "k")[1]
+    l_max = parse_range(args.l, "l")[1]
+    a_range = parse_range(args.alpha, "alpha")
+    b_range = parse_range(args.beta, "beta")
+    # the relations reach tau_{k+1, l+1}
+    _check_symbolic(args, "determinant order", k_max + 1, SYMBOLIC_ORDER_BOUND)
+    report = verify_gl3_relations(C, D, E, k_max, l_max, a_range, b_range)
     return finish_report(report, args.format)
 
 
 def cmd_verify_zero_curvature(args) -> int:
     m = _gl2_source(args)
-    report = verify_zero_curvature(m, parse_range(args.k, "k"),
-                                   parse_range(args.alpha, "alpha"))
+    k_range = parse_range(args.k, "k")
+    a_range = parse_range(args.alpha, "alpha")
+    _check_symbolic(args, "zero-curvature --k", k_range[1],
+                    SYMBOLIC_ZERO_CURVATURE_K_BOUND)
+    report = verify_zero_curvature(m, k_range, a_range)
     return finish_report(report, args.format)
 
 
@@ -471,7 +496,19 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = _shared_parser().parse_args(_attach_values(list(argv)))
-        return args.func(args)
+        code = args.func(args)
+        # a closed stdout shows up here for output that fits the buffer
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away. Point stdout at the null device, so the
+        # interpreter's flush at exit writes nowhere instead of failing again.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        err = OutputClosedError("stdout was closed before the output was written")
+        print(json.dumps(err.record()), file=sys.stderr)
+        return 2
     except DegenerateTauError as exc:
         print(json.dumps(exc.record()), file=sys.stderr)
         return 3

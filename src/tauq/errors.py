@@ -39,6 +39,10 @@ class ResourceBoundError(TauqError):
     """A computation exceeded its configured work bound."""
 
 
+class OutputClosedError(TauqError):
+    """The reader of the output closed it before the result was written."""
+
+
 class DegenerateTauError(TauqError):
     """A required tau value is zero; carries the offending indices."""
 

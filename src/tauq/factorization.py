@@ -59,7 +59,7 @@ def evaluate_shifted(p: MomentPoly, seqs: dict[str, MomentSequence],
     (omitted families are unshifted), collapsing coefficients per z-power
     as it goes."""
     total = LaurentPoly.zero()
-    for mono, coef in p.terms.items():
+    for mono, coef in p.items():
         acc = LaurentPoly.const(Fraction(coef))
         for s in mono:
             fac = _shifted_series(s.index, seqs[s.family],

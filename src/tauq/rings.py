@@ -15,8 +15,11 @@ All values are immutable after construction; every operation is pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm, prod
 from typing import Iterable, NamedTuple
+
+from .errors import ResourceBoundError
 
 
 def as_rational(x) -> Fraction:
@@ -44,19 +47,38 @@ class MomentSymbol(NamedTuple):
 
 
 _FAMILIES = ("c", "d", "e")
+_FAMILY_RANK = {f: r for r, f in enumerate(_FAMILIES)}
+# A symbol is packed into one int, rank(family) << 28 | (index + 2**27), so
+# packed monomials sort exactly as tuples of MomentSymbol do.
+_INDEX_BOUND = 1 << 27
+_FAMILY_SHIFT = 28
+_INDEX_MASK = (1 << _FAMILY_SHIFT) - 1
+
+
+def _unpack(code: int) -> MomentSymbol:
+    return MomentSymbol(_FAMILIES[code >> _FAMILY_SHIFT],
+                        (code & _INDEX_MASK) - _INDEX_BOUND)
+
+
+def _clean(terms: dict) -> dict:
+    """Drop zero coefficients; store integral ones as ints."""
+    return {m: c if c.__class__ is int or c.denominator != 1 else c.numerator
+            for m, c in terms.items() if c}
 
 
 class MomentPoly:
     """Polynomial over Q in moment symbols.
 
-    Terms map a monomial (sorted tuple of MomentSymbol, with repetition)
-    to a nonzero Fraction coefficient. Equality is structural.
+    Terms map a monomial (sorted tuple of packed symbols, with repetition)
+    to a nonzero coefficient: an int when integral, else a Fraction.
+    Equality is structural. ``items`` reads the terms back with
+    MomentSymbol monomials.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[tuple[MomentSymbol, ...], Fraction] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+    def __init__(self, terms: dict[tuple[int, ...], int | Fraction] | None = None):
+        self.terms = _clean(terms) if terms else {}
 
     @classmethod
     def zero(cls) -> "MomentPoly":
@@ -64,7 +86,7 @@ class MomentPoly:
 
     @classmethod
     def one(cls) -> "MomentPoly":
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     @classmethod
     def const(cls, c) -> "MomentPoly":
@@ -74,7 +96,12 @@ class MomentPoly:
     def symbol(cls, family: str, index: int) -> "MomentPoly":
         if family not in _FAMILIES:
             raise ValueError(f"unknown moment family {family!r}")
-        return cls({(MomentSymbol(family, index),): Fraction(1)})
+        if not -_INDEX_BOUND < index < _INDEX_BOUND:
+            raise ResourceBoundError(
+                f"moment index {index} is outside the symbolic range "
+                f"|index| < {_INDEX_BOUND}")
+        return cls({(_FAMILY_RANK[family] << _FAMILY_SHIFT
+                     | index + _INDEX_BOUND,): 1})
 
     def _coerce(self, other) -> "MomentPoly | None":
         if isinstance(other, MomentPoly):
@@ -88,8 +115,9 @@ class MomentPoly:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
+        get = out.get
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = get(m, 0) + c
         return MomentPoly(out)
 
     __radd__ = __add__
@@ -110,12 +138,13 @@ class MomentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple[MomentSymbol, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        get = out.get
+        right = other.terms.items()
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+            for mb, cb in right:
                 m = tuple(sorted(ma + mb))
-                prod = ca * cb
-                out[m] = out.get(m, Fraction(0)) + prod
+                out[m] = get(m, 0) + ca * cb
         return MomentPoly(out)
 
     __rmul__ = __mul__
@@ -140,48 +169,44 @@ class MomentPoly:
     def __bool__(self):
         return bool(self.terms)
 
+    def items(self):
+        """(monomial as a sorted tuple of MomentSymbol, coefficient) per term."""
+        for mono, coef in self.terms.items():
+            yield tuple(map(_unpack, mono)), coef
+
     def evaluate(self, assign):
         """Substitute assign(symbol) for every symbol; plain Fraction result
         when the assignment is numeric. Substitution is a ring homomorphism.
         """
         total = None
-        for mono, coef in self.terms.items():
-            val = coef
+        for mono, coef in self.items():
+            val = as_rational(coef)
             for s in mono:
                 val = val * assign(s)
             total = val if total is None else total + val
         return Fraction(0) if total is None else total
 
     def symbols(self) -> set[MomentSymbol]:
-        return {s for mono in self.terms for s in mono}
+        return {s for mono, _ in self.items() for s in mono}
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        names = {code: str(_unpack(code))
+                 for code in set(chain.from_iterable(self.terms))}
         parts = []
-        for mono, coef in sorted(self.terms.items()):
+        for mono in sorted(self.terms):
             factors = []
-            run: list[str] = []
-            for s in mono:
-                name = str(s)
-                if run and run[-1] == name:
-                    run.append(name)
-                else:
-                    if run:
-                        factors.append(_pow_str(run))
-                    run = [name]
-            if run:
-                factors.append(_pow_str(run))
+            for code in dict.fromkeys(mono):
+                power = mono.count(code)
+                factors.append(names[code] if power == 1
+                               else f"{names[code]}^{power}")
             body = "*".join(factors)
-            parts.append(_signed_term(coef, body, first=not parts))
+            parts.append(_signed_term(self.terms[mono], body, first=not parts))
         return "".join(parts)
 
     def __repr__(self) -> str:
         return f"MomentPoly({self})"
-
-
-def _pow_str(run: list[str]) -> str:
-    return run[0] if len(run) == 1 else f"{run[0]}^{len(run)}"
 
 
 def _signed_term(coef, body: str, first: bool) -> str:
@@ -464,8 +489,7 @@ class LaurentMatrix:
         return min(degs) if degs else None
 
     def det(self) -> LaurentPoly:
-        return _det_cofactor_generic([list(r) for r in self.entries],
-                                     zero=LaurentPoly.zero())
+        return det(self.entries)
 
     def __str__(self) -> str:
         return "[" + ", ".join(
@@ -562,7 +586,8 @@ def _det_cofactor_generic(rows, zero):
 
 
 def det_cofactor(rows):
-    """Cofactor-expansion determinant over any commutative ring."""
+    """Cofactor-expansion determinant over any commutative ring: n!
+    products, the reference the Laplace kernel is tested against."""
     if not rows:
         return Fraction(1)
     if any(len(row) != len(rows) for row in rows):
@@ -573,13 +598,47 @@ def det_cofactor(rows):
     return _det_cofactor_generic([list(r) for r in rows], zero)
 
 
+def _laplace(lines) -> dict:
+    """Laplace expansion by subsets over any commutative ring.
+
+    Places lines[0], lines[1], ... one at a time, each in a free column,
+    and keys the signed sum of the placements so far by the mask of used
+    columns. After every line is placed, the entry for a mask is the
+    determinant of the square matrix those columns cut from the lines.
+    Placing line t costs C(w, t) (w - t) ring products for lines of width
+    w, fewer than n 2^(n-1) in all for an n x n matrix.
+    """
+    partial = {1 << j: x for j, x in enumerate(lines[0])}
+    for line in lines[1:]:
+        nxt: dict = {}
+        for mask, acc in partial.items():
+            for j, x in enumerate(line):
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                term = acc * x
+                key = mask | bit
+                prev = nxt.get(key)
+                # one transposition per used column right of j
+                if (mask >> j).bit_count() & 1:
+                    nxt[key] = -term if prev is None else prev - term
+                else:
+                    nxt[key] = term if prev is None else prev + term
+        partial = nxt
+    return partial
+
+
 def det(rows):
-    """Exact determinant: Bareiss for numeric entries, cofactor otherwise."""
+    """Exact determinant: Bareiss for numeric entries, the Laplace subset
+    kernel otherwise."""
     if not rows:
         return Fraction(1)
     if _numeric(rows):
         return det_bareiss(rows)
-    return det_cofactor(rows)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    return _laplace(rows)[(1 << n) - 1]
 
 
 def _numeric(rows) -> bool:
@@ -595,13 +654,16 @@ def bordered_cofactors(rows) -> list:
     Bareiss steps the last row's identity block holds every cofactor,
     times the swap sign and the row scales of the other rows. A pivot
     column with no nonzero entry means A has rank below k, so every
-    cofactor is 0. Other rings take one ``det`` per minor.
+    cofactor is 0. Other rings run the Laplace kernel over the k columns:
+    its masks that miss one of the k+1 rows hold every minor at once.
     """
     k = len(rows) - 1
     if k < 0 or any(len(row) != k for row in rows):
         raise ValueError("bordered body must be (k+1) x k")
     if not _numeric(rows):
-        minors = [det(rows[:r] + rows[r + 1:]) for r in range(k + 1)]
+        by_rows = _laplace(list(zip(*rows)))
+        full = (1 << (k + 1)) - 1
+        minors = [by_rows[full ^ (1 << r)] for r in range(k + 1)]
         return [-d if (r + k) % 2 else d for r, d in enumerate(minors)]
     m, scales = _integer_rows(rows)
     for r, row in enumerate(m):

@@ -303,7 +303,8 @@ def tau3_value(k: int, l: int, alpha: int, beta: int,
     if k == 0 and l == 0:
         return Fraction(1)
     if not (C.is_finite and D.is_finite and E.is_finite):
-        raise SupportError("the residue formula needs finite-support sequences")
+        raise SupportError("the c*e convolution in tau3_det needs "
+                           "finite-support sequences")
     return tau3_det(k, l, alpha, beta, C, D, E)
 
 

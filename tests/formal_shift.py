@@ -49,7 +49,7 @@ def apply_shift(shift: ShiftEndomorphism, p: MomentPoly,
     """Homomorphic image of p under the shift field, z-dependence collected
     as a Laurent polynomial with MomentPoly coefficients."""
     total = LaurentPoly.zero()
-    for mono, coef in p.terms.items():
+    for mono, coef in p.items():
         acc = LaurentPoly.const(MomentPoly.const(coef))
         for s in mono:
             if s.family == shift.family:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import tauq
+from tauq import cli
 from tauq.cli import main, parse_range, single_value
 from tauq.errors import UsageError
 
@@ -331,7 +333,9 @@ def test_infinite_support_is_exit_2(capsys):
                        "--moments-d", LINEAR, "--moments-e", HERMITE,
                        "--k", "0..1", "--l", "0..1")
     assert code == 2
-    assert json.loads(err)["error"] == "SupportError"
+    assert json.loads(err) == {
+        "error": "SupportError",
+        "detail": "the c*e convolution in tau3_det needs finite-support sequences"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -384,3 +388,78 @@ def test_commands_in_one_process_match_fresh_runs(capsys):
                                capture_output=True, text=True, env=env,
                                timeout=60)
         assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr)
+
+
+# sha256 of stdout, recorded before the symbolic layer moved to packed
+# monomials, int coefficients and the Laplace subset kernel
+PINNED_SYMBOLIC = [
+    (("tau", "gl2", "--mode", "symbolic", "--k", "0..7", "--alpha", "-3"),
+     "b2ad409c7bf7f9fee58484fbbb2adf6da7af4023bd854c5d7bb38c006b742f57"),
+    (("tau", "gl3", "--mode", "symbolic", "--k", "0..5", "--l", "0..2",
+      "--beta", "-1", "--format", "csv"),
+     "860b7bb47baba9934ff4fe2ae09ddf8755f7e284ea9b1fe842b01a7078064c6b"),
+    (("verify", "qsystem", "--mode", "symbolic", "--k", "0..6",
+      "--format", "json"),
+     "fd3c3ad75c386bf44989ffcf4ef7061c37228b88ef047f5637d8a42e45c9fed8"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_SYMBOLIC,
+                         ids=["tau-gl2", "tau-gl3-csv", "qsystem-json"])
+def test_symbolic_output_is_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("tau", "gl2", "--mode", "symbolic", "--k", "0..20"),
+    ("tau", "gl3", "--mode", "symbolic", "--k", "10", "--l", "0..2"),
+    ("verify", "qsystem", "--mode", "symbolic", "--k", "0..10"),
+    ("verify", "gl3", "--mode", "symbolic", "--k", "0..9", "--l", "0"),
+    ("verify", "zero-curvature", "--mode", "symbolic", "--k", "0..4"),
+    ("tau", "gl2", "--mode", "symbolic", "--k", "1", "--alpha", str(2 ** 27)),
+    ("tau", "gl2", "--mode", "symbolic", "--k", "1", "--alpha", str(-2 ** 27)),
+])
+def test_symbolic_bounds_are_resource_bound(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ResourceBoundError"
+
+
+def test_symbolic_bounds_are_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SYMBOLIC_ORDER_BOUND", 2)
+    monkeypatch.setattr(cli, "SYMBOLIC_ZERO_CURVATURE_K_BOUND", 1)
+    for argv, code in [
+            (("tau", "gl2", "--mode", "symbolic", "--k", "0..2"), 0),
+            (("tau", "gl2", "--mode", "symbolic", "--k", "0..3"), 2),
+            (("verify", "gl3", "--mode", "symbolic", "--k", "0..1"), 0),
+            (("verify", "gl3", "--mode", "symbolic", "--k", "0..2"), 2),
+            (("verify", "zero-curvature", "--mode", "symbolic", "--k", "0..1"), 0),
+            (("verify", "zero-curvature", "--mode", "symbolic", "--k", "0..2"), 2),
+            # numeric runs have no order bound
+            (("tau", "gl2", "--moments", CATALAN, "--k", "0..3"), 0)]:
+        assert run(capsys, *argv)[0] == code, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("tau", "gl2", "--mode", "symbolic", "--k", "0..2"),
+    # long enough to fail inside print, not at the final flush
+    ("verify", "qsystem", "--mode", "symbolic", "--k", "0..6", "--format", "json"),
+])
+def test_closed_stdout_is_exit_2(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(tauq.__file__).parents[1]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tauq.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == "OutputClosedError"

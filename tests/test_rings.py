@@ -8,11 +8,15 @@ from tauq import (
     LaurentPoly,
     MomentPoly,
     MomentSymbol,
+    ResourceBoundError,
     RingFraction,
     det,
     det_bareiss,
+    tau_det,
 )
+from tauq import rings
 from tauq.rings import as_rational, bordered_cofactors, det_cofactor
+from tauq.tau_gl3 import block_hankel_rows
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 symbols = st.builds(MomentSymbol,
@@ -67,6 +71,37 @@ def test_moment_poly_evaluate_and_symbols():
     assert p.symbols() == {MomentSymbol("c", 0), MomentSymbol("c", 2)}
     val = p.evaluate(lambda s: Fraction(s.index + 1))
     assert val == Fraction(1 * 3 - 3)
+
+
+def test_moment_poly_coefficient_types(formal_c):
+    # integral coefficients are ints; a Fraction only where one is needed
+    assert type(MomentPoly.one().terms[()]) is int
+    assert type(MomentPoly.const(Fraction(6, 3)).terms[()]) is int
+    assert MomentPoly.const("1/2").terms[()] == Fraction(1, 2)
+    half_c = MomentPoly.const(Fraction(1, 2)) * MomentPoly.symbol("c", 1)
+    assert [type(v) for v in (half_c + half_c).terms.values()] == [int]
+    tau = tau_det(5, -1, formal_c)
+    assert tau and all(type(v) is int for v in tau.terms.values())
+    # evaluation stays a Fraction, also for int assignments
+    assert type(tau.evaluate(lambda s: s.index + 3)) is Fraction
+    assert type(MomentPoly.one().evaluate(lambda s: 1)) is Fraction
+
+
+def test_packed_symbols_keep_moment_symbol_order():
+    edge = 2 ** 27 - 1
+    syms = [MomentSymbol(f, i) for f in "edc" for i in (edge, 3, 0, -1, -edge)]
+    p = MomentPoly.zero()
+    for s in syms:
+        p = p + MomentPoly.symbol(*s)
+    assert str(p) == " + ".join(str(s) for s in sorted(syms))
+    assert p.symbols() == set(syms)
+    sq = MomentPoly.symbol("d", -edge) ** 2 * MomentPoly.symbol("c", edge)
+    assert list(sq.items()) == [((MomentSymbol("c", edge), MomentSymbol("d", -edge),
+                                  MomentSymbol("d", -edge)), 1)]
+    assert str(sq) == f"c_{edge}*d_{-edge}^2"
+    for index in (edge + 1, -edge - 1):
+        with pytest.raises(ResourceBoundError):
+            MomentPoly.symbol("c", index)
 
 
 @given(moment_polys(), moment_polys(), moment_polys())
@@ -150,6 +185,55 @@ def test_det_engines_agree(n, data):
     assert det(rows) == expected
 
 
+@st.composite
+def sparse_polys(draw):
+    # zero in both rings, or up to two terms q * symbol with q in Q
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from([MomentPoly.zero(), Fraction(0)]))
+    p = MomentPoly.zero()
+    for _ in range(draw(st.integers(1, 2))):
+        s = draw(symbols)
+        p = p + MomentPoly.const(draw(fracs)) * MomentPoly.symbol(s.family, s.index)
+    return p
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 6), st.data())
+def test_laplace_det_matches_cofactor_on_moment_polys(n, data):
+    rows = [[data.draw(sparse_polys()) for _ in range(n)] for _ in range(n)]
+    assert det(rows) == det_cofactor(rows)
+
+
+def test_symbolic_det_never_calls_cofactor(monkeypatch, formal_c, formal_d):
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return det_cofactor(rows)
+    monkeypatch.setattr(rings, "det_cofactor", counting)
+    rows = block_hankel_rows(5, 4, 2, 0, 1, formal_c, formal_d)
+    assert det(rows[:4]) and tau_det(5, 0, formal_c)
+    assert all(bordered_cofactors(rows))
+    assert calls == []
+
+
+def _sympy_expr(sympy, p):
+    return sympy.Add(*[sympy.Rational(str(c))
+                       * sympy.Mul(*[sympy.Symbol(str(s)) for s in mono])
+                       for mono, c in p.items()])
+
+
+def test_formal_determinants_match_sympy(formal_c, formal_d):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    for n in range(1, 7):
+        for l, alpha, beta in ((0, 0, 0), (n // 2, -1, 2), (n, 3, -2)):
+            rows = block_hankel_rows(n, n, l, alpha, beta, formal_c, formal_d)
+            dm = DomainMatrix.from_Matrix(sympy.Matrix(
+                [[_sympy_expr(sympy, x) for x in row] for row in rows]))
+            assert dm.det() == dm.domain.from_sympy(_sympy_expr(sympy, det(rows)))
+
+
 def test_det_bareiss_matches_sympy(rand_window):
     sympy = pytest.importorskip("sympy")
     for seed, lo in ((11, -6), (12, -3), (13, -1)):
@@ -196,11 +280,19 @@ def test_bordered_cofactors_edge_cases():
         bordered_cofactors([])
 
 
-def test_bordered_cofactors_moment_poly():
+def test_bordered_cofactors_moment_poly(formal_c, formal_d):
     c = [MomentPoly.symbol("c", i) for i in range(5)]
     rows = [[c[i], c[i + 1]] for i in range(3)]
     assert bordered_cofactors(rows) == per_minor_cofactors(rows)
     assert bordered_cofactors(rows)[2] == c[0] * c[2] - c[1] ** 2
+    for k in range(1, 6):
+        for l in (0, k // 2, k):
+            rows = block_hankel_rows(k + 1, k, l, -1, 1, formal_c, formal_d)
+            assert bordered_cofactors(rows) == per_minor_cofactors(rows)
+            # and with zero entries
+            holes = [[MomentPoly.zero() if (i + j) % 3 == 0 else x
+                      for j, x in enumerate(row)] for i, row in enumerate(rows)]
+            assert bordered_cofactors(holes) == per_minor_cofactors(holes)
 
 
 def test_det_edge_cases():
