@@ -3,12 +3,11 @@ from moment sequences."""
 
 from .errors import (DegenerateTauError, MomentParseError, ResourceBoundError,
                      SupportError, TauqError, UsageError)
-from .factorization import (DiagonalTwist, connection_matrices_gl2,
-                            evaluate_shifted, g_minus_gl2, g_minus_gl3,
-                            induction_replay, scalar_compatibility,
-                            tail_series, verify_zero_curvature,
-                            window_matrix_gl2, window_matrix_gl3,
-                            zero_curvature_check)
+from .factorization import (connection_matrices_gl2, evaluate_shifted,
+                            g_minus_gl2, g_minus_gl3, induction_replay,
+                            scalar_compatibility, tail_series,
+                            verify_zero_curvature, window_matrix_gl2,
+                            window_matrix_gl3, zero_curvature_check)
 from .moments import MomentSequence, build_moments, serialize
 from .orthopoly import (HankelForm, MonicPolynomial, bordered_tau_poly,
                         form_eval, monic_op, mop_bordered_poly, mop_type2,
@@ -26,7 +25,7 @@ from .tau_gl3 import (KernelSpec, TauTable, kernel_specs, tau3_det,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Check", "DegenerateTauError", "DiagonalTwist", "HankelForm",
+    "Check", "DegenerateTauError", "HankelForm",
     "KernelSpec", "LaurentMatrix", "LaurentPoly", "MomentParseError",
     "MomentPoly", "MomentSequence", "MomentSymbol", "MonicPolynomial",
     "ResourceBoundError", "RingFraction", "Skip", "SupportError",

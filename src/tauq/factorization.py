@@ -28,12 +28,13 @@ tests compare against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateTauError, SupportError
 from .moments import MomentSequence
-from .orthopoly import bordered_tau_poly, mop_bordered_poly
+# bordered_tau_poly is unused here, but bench/tracing.py wraps it under
+# this module's name (and tests/test_bench_names.py checks that it exists)
+from .orthopoly import bordered_tau_poly, mop_bordered_poly  # noqa: F401
 from .report import VerificationReport
 from .rings import LaurentMatrix, LaurentPoly, MomentPoly, RingFraction
 from .tau_gl2 import TauTable, qsystem_residual, tau_table
@@ -81,29 +82,58 @@ def _contract(b: LaurentPoly, seq: MomentSequence, n: int) -> LaurentPoly:
 
 def tail_series(seq: MomentSequence, offset: int) -> LaurentPoly:
     """sum_{i >= 0} m_{offset+i} z^{-i-1}, truncated by finite support."""
-    sup = seq.support()
-    if sup is None:
-        return LaurentPoly.zero()
-    return LaurentPoly({-i - 1: seq.get(offset + i)
-                        for i in range(max(0, sup[1] - offset) + 1)})
+    return _shifted_series(offset, seq, -1).shift(-1)
 
 
-@dataclass(frozen=True)
-class DiagonalTwist:
-    """diag(z^p) twist; the group element conjugating wave factors."""
+# -- lower wave factor and window, for one (GL2) or two (GL3) families ------
 
-    powers: tuple[int, ...]
+def _g_minus(k: int, l: int, alpha: int, beta: int,
+             seqs: tuple[MomentSequence, ...], indices: dict) -> LaurentMatrix:
+    """The (n+1) x (n+1) lower wave factor divided by tau_{k,l}, for the n
+    pull-back families seqs: (m,) with l = beta = 0 (so C = D = m), or
+    (C, D). Column j comes from B_{k,l}, B_{k-1,l} and (-1)^k B_{k-1,l-1};
+    row 0 takes each over z^k, row i contracts each with family i's sigma
+    series over z. The diagonal entry of row i is one index lower and has
+    no 1/z, or is tau itself when the family has no columns to pull back
+    (c when k = l, d when l = 0). In the d row the sign twist cancels
+    the (-1)^k that Sd- carries."""
+    for seq in seqs:
+        if not seq.is_finite:
+            raise SupportError("the inverse shift field needs finite support")
 
-    @classmethod
-    def gl2(cls, k: int) -> "DiagonalTwist":
-        return cls((k, -k))
+    def bordered(kk: int, ll: int) -> LaurentPoly:
+        if ll < 0 or kk < ll:
+            return LaurentPoly.zero()
+        return mop_bordered_poly(kk, ll, alpha, beta, seqs[0], seqs[-1])
 
-    @classmethod
-    def gl3(cls, k: int, l: int) -> "DiagonalTwist":
-        return cls((k, l - k, -l))
+    b = bordered(k, l)
+    tau = b.coeff(k)
+    if not tau:
+        raise DegenerateTauError("tau is zero", **indices)
+    n = len(seqs)
+    cols = [b, bordered(k - 1, l),
+            bordered(k - 1, l - 1).scale(Fraction((-1) ** k))][:n + 1]
+    # (family, sigma offset, has columns to pull back)
+    families = zip(seqs, (alpha - beta + k - l, alpha + l), (k > l, l > 0))
+    rows = [[col.shift(-k) for col in cols]]
+    for i, (seq, off, live) in enumerate(families, 1):
+        row = [_contract(col, seq, off).shift(-1) for col in cols]
+        row[i] = (_contract(cols[i], seq, off - 1) if live
+                  else LaurentPoly.const(tau))
+        rows.append(row)
+    return LaurentMatrix(rows).scale(Fraction(1) / tau)
 
-    def matrix(self, one=Fraction(1)) -> LaurentMatrix:
-        return LaurentMatrix.diagonal_z(self.powers, one)
+
+def _window(k: int, l: int, alpha: int, beta: int,
+            seqs: tuple[MomentSequence, ...], g_minus) -> LaurentMatrix:
+    """Unipotent series factor (minus each family's tail series in column
+    0) times diag(z^k, z^{l-k}, z^{-l}) (cut to size) times g_minus(),
+    which is called after the tail series are built."""
+    uni = LaurentMatrix.identity(len(seqs) + 1)
+    for i, (seq, off) in enumerate(zip(seqs, (alpha - beta, alpha)), 1):
+        uni.entries[i][0] = -tail_series(seq, off)
+    twist = LaurentMatrix.diagonal_z((k, l - k, -l)[:len(seqs) + 1])
+    return uni @ (twist @ g_minus())
 
 
 # -- GL2 ------------------------------------------------------------------
@@ -114,42 +144,20 @@ def g_minus_gl2(k: int, alpha: int, m: MomentSequence) -> LaurentMatrix:
     Unipotent up to z^{-1} tails: (1,1) has constant term 1 and only
     nonpositive powers, off-diagonal entries only strictly negative powers.
     """
-    if not m.is_finite:
-        raise SupportError("the inverse shift field needs finite support")
-    b_k = bordered_tau_poly(k, alpha, m)
-    tau_k = b_k.coeff(k)
-    if not tau_k:
-        raise DegenerateTauError("tau is zero", k=k, alpha=alpha)
-    if k:
-        b_prev = bordered_tau_poly(k - 1, alpha, m)
-        minus_k = _contract(b_prev, m, alpha + k - 1)
-    else:
-        b_prev, minus_k = LaurentPoly.zero(), LaurentPoly.const(tau_k)
-    inv = Fraction(1) / tau_k
-    return LaurentMatrix([
-        [b_k.shift(-k).scale(inv), b_prev.shift(-k).scale(inv)],
-        [_contract(b_k, m, alpha + k).shift(-1).scale(inv), minus_k.scale(inv)],
-    ])
+    return _g_minus(k, 0, alpha, 0, (m,), {"k": k, "alpha": alpha})
 
 
 def window_matrix_gl2(k: int, alpha: int, m: MomentSequence) -> LaurentMatrix:
     """Product of the unipotent factor [[1,0],[-tail,1]] with the twisted
     g_minus; polynomial in z (min degree >= 0) and equal to the ordered
     connection-matrix product U_0 U_1 ... U_{k-1}."""
-    uni = LaurentMatrix([
-        [LaurentPoly.const(Fraction(1)), LaurentPoly.zero()],
-        [-tail_series(m, alpha), LaurentPoly.const(Fraction(1))],
-    ])
-    twisted = DiagonalTwist.gl2(k).matrix() @ g_minus_gl2(k, alpha, m)
-    return uni @ twisted
+    return _window(k, 0, alpha, 0, (m,), lambda: g_minus_gl2(k, alpha, m))
 
 
 def _tau_ratio(num, den, formal: bool, what: str, **indices):
-    if formal:
-        return RingFraction(num, den)
     if not den:
         raise DegenerateTauError(f"{what} is zero", **indices)
-    return num / den
+    return RingFraction(num, den) if formal else num / den
 
 
 def connection_matrices_gl2(k: int, alpha: int, m: MomentSequence,
@@ -301,39 +309,11 @@ def g_minus_gl3(k: int, l: int, alpha: int, beta: int,
                 C: MomentSequence, D: MomentSequence) -> LaurentMatrix:
     """The 3x3 lower wave factor divided by tau_{k,l}: first row shifts
     both families forward, middle row pulls c back, last row pulls d back,
-    with sign twists (-1)^k / (-1)^{k+1} on the off-diagonal entries.
-    Needs E identically zero (tau is then the block-Hankel determinant and
-    the e-family shift fields act trivially). All nine entries come from
-    B_{k,l}, B_{k-1,l} and B_{k-1,l-1}; in the last row the sign twists
-    cancel the (-1)^k that Sd- carries."""
-    for seq in (C, D):
-        if not seq.is_finite:
-            raise SupportError("the inverse shift field needs finite support")
-
-    def bordered(kk: int, ll: int) -> LaurentPoly:
-        if ll < 0 or kk < ll:
-            return LaurentPoly.zero()
-        return mop_bordered_poly(kk, ll, alpha, beta, C, D)
-
-    b = bordered(k, l)
-    tau = b.coeff(k)
-    if not tau:
-        raise DegenerateTauError("tau is zero", k=k, l=l, alpha=alpha, beta=beta)
-    b_c, b_d = bordered(k - 1, l), bordered(k - 1, l - 1)
-    n_c = alpha - beta + k - l
-    sk = Fraction((-1) ** k)
-    tau_poly = LaurentPoly.const(tau)
-    rows = [
-        [b.shift(-k), b_c.shift(-k), b_d.shift(-k).scale(sk)],
-        [_contract(b, C, n_c).shift(-1),
-         _contract(b_c, C, n_c - 1) if k > l else tau_poly,
-         _contract(b_d, C, n_c).shift(-1).scale(sk)],
-        [_contract(b, D, alpha + l).shift(-1),
-         _contract(b_c, D, alpha + l).shift(-1),
-         _contract(b_d, D, alpha + l - 1).scale(sk) if l else tau_poly],
-    ]
-    inv = Fraction(1) / tau
-    return LaurentMatrix([[e.scale(inv) for e in row] for row in rows])
+    with sign twists (-1)^k on the last column. Needs E identically zero
+    (tau is then the block-Hankel determinant and the e-family shift
+    fields act trivially)."""
+    return _g_minus(k, l, alpha, beta, (C, D),
+                    {"k": k, "l": l, "alpha": alpha, "beta": beta})
 
 
 def window_matrix_gl3(k: int, l: int, alpha: int, beta: int,
@@ -344,13 +324,5 @@ def window_matrix_gl3(k: int, l: int, alpha: int, beta: int,
     if k < l:
         raise DegenerateTauError("tau vanishes identically for k < l",
                                  k=k, l=l, alpha=alpha, beta=beta)
-    one = LaurentPoly.const(Fraction(1))
-    zero = LaurentPoly.zero()
-    uni = LaurentMatrix([
-        [one, zero, zero],
-        [-tail_series(C, alpha - beta), one, zero],
-        [-tail_series(D, alpha), zero, one],
-    ])
-    twisted = (DiagonalTwist.gl3(k, l).matrix()
-               @ g_minus_gl3(k, l, alpha, beta, C, D))
-    return uni @ twisted
+    return _window(k, l, alpha, beta, (C, D),
+                   lambda: g_minus_gl3(k, l, alpha, beta, C, D))

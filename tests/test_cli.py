@@ -170,6 +170,18 @@ def test_verify_zero_curvature_symbolic(capsys):
     assert out.strip() == "zero-curvature: 9 checks, 9 pass"
 
 
+def test_verify_zero_curvature_symbolic_negative_k(capsys):
+    # tau_k = 0 for k < 0: a zero denominator is a skip, as in numeric mode
+    code, out, err = run(capsys, "verify", "zero-curvature", "--mode", "symbolic",
+                         "--k", "-2..1", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["summary"] == {"total": 8, "pass": 8, "skipped": 4}
+    negative = [s for s in json.loads(out)["skipped"] if s["instance"]["k"] < 0]
+    code, out, _ = run(capsys, "verify", "zero-curvature", "--moments", CATALAN,
+                       "--k", "-2..-1", "--format", "json")
+    assert code == 0 and json.loads(out)["skipped"] == negative
+
+
 def test_verify_orthogonality(capsys):
     code, out, _ = run(capsys, "verify", "orthogonality", "--moments", CATALAN,
                        "--count", "4")

@@ -5,7 +5,6 @@ import pytest
 
 from tauq import (
     DegenerateTauError,
-    DiagonalTwist,
     LaurentMatrix,
     LaurentPoly,
     MomentPoly,
@@ -107,14 +106,6 @@ def test_bordered_tau_poly(hermite, catalan, catalan_window, formal_c):
         route = evaluate_shifted(tau_det(k, 0, formal_c),
                                  {"c": catalan_window}, {"c": 1}).shift(k)
         assert bordered_tau_poly(k, 0, catalan_window) == route
-
-
-def test_diagonal_twist():
-    m2 = DiagonalTwist.gl2(2).matrix()
-    assert m2.entries[0][0] == LaurentPoly.z_pow(2)
-    assert m2.entries[1][1] == LaurentPoly.z_pow(-2)
-    t3 = DiagonalTwist.gl3(2, 1)
-    assert t3.powers == (2, -1, -1)
 
 
 def test_g_minus_gl2_base_case(catalan_window):
@@ -320,3 +311,43 @@ def test_window_gl3_degenerate_cases(catalan_window, linear_window):
     # the pure-d Hankel of a linear sequence is singular from size 3 on
     with pytest.raises(DegenerateTauError):
         window_matrix_gl3(3, 3, 0, 0, catalan_window, linear_window)
+
+
+def _leading_block(build, *args):
+    """The leading 2x2 block of a factor matrix, or the error it raised
+    (type, detail without the indices, and the (k, alpha) indices)."""
+    try:
+        g = build(*args)
+    except (DegenerateTauError, SupportError) as exc:
+        idx = getattr(exc, "indices", {})
+        return (type(exc), str(exc).split(" at {")[0],
+                {key: idx[key] for key in ("k", "alpha") if key in idx})
+    return LaurentMatrix([row[:2] for row in g.entries[:2]])
+
+
+def test_gl2_is_the_one_family_slice_of_gl3(rand_window, catalan):
+    # GL2 is l = beta = 0 with C = D = m: its wave factor and window are
+    # the leading 2x2 blocks of the GL3 ones, errors included
+    outcomes, minor_zero = [], 0
+    for m in (rand_window(1, -3, 8), rand_window(4, -2, 9, 1, 1),
+              rand_window(13, -3, 6, 1, 1), catalan):
+        for a in (-1, 0, 1):
+            for k in range(6):
+                # tau_{k-1} = 0 below a nonzero tau_k: a singular minor
+                minor_zero += (m.is_finite and k > 0 and tau_det(k, a, m) != 0
+                               and not tau_det(k - 1, a, m))
+                for gl2, gl3 in ((g_minus_gl2, g_minus_gl3),
+                                 (window_matrix_gl2, window_matrix_gl3)):
+                    got = _leading_block(gl2, k, a, m)
+                    assert got == _leading_block(gl3, k, 0, a, 0, m, m), \
+                        (gl2.__name__, m, k, a)
+                    outcomes.append(got[0] if isinstance(got, tuple) else None)
+    assert minor_zero == 7
+    assert outcomes.count(None) == 88
+    assert outcomes.count(DegenerateTauError) == 20
+    assert outcomes.count(SupportError) == 36
+    # below the first row of the grid tau is zero on both sides
+    m = rand_window(1, -3, 8)
+    assert _leading_block(g_minus_gl2, -1, 0, m) == \
+        _leading_block(g_minus_gl3, -1, 0, 0, 0, m, m) == \
+        (DegenerateTauError, "tau is zero", {"k": -1, "alpha": 0})
