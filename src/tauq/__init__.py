@@ -19,8 +19,7 @@ from .rings import (LaurentMatrix, LaurentPoly, MomentPoly, MomentSymbol,
 from .tau_gl2 import (fill_grid_recurrence, qsystem_residual, tau_det,
                       verify_qsystem)
 from .tau_gl3 import (KernelSpec, TauTable, kernel_specs, tau3_det,
-                      tau3_e0_det, tau3_residue, tau3_value,
-                      verify_gl3_relations)
+                      tau3_e0_det, tau3_residue, verify_gl3_relations)
 
 __version__ = "0.1.0"
 
@@ -36,7 +35,7 @@ __all__ = [
     "g_minus_gl3", "induction_replay", "kernel_specs", "monic_op",
     "mop_bordered_poly", "mop_type2", "qsystem_residual", "recurrence_coeffs",
     "recurrence_reconstruct", "scalar_compatibility", "serialize",
-    "tail_series", "tau3_det", "tau3_e0_det", "tau3_residue", "tau3_value",
+    "tail_series", "tau3_det", "tau3_e0_det", "tau3_residue",
     "tau_det", "verify_gl3_relations", "verify_mop",
     "verify_orthogonality", "verify_qsystem", "verify_zero_curvature",
     "window_matrix_gl2", "window_matrix_gl3", "zero_curvature_check",

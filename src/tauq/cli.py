@@ -16,19 +16,20 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import sys
 
 from .errors import (DegenerateTauError, MomentParseError, OutputClosedError,
-                     ResourceBoundError, SupportError, UsageError)
+                     ResourceBoundError, TauqError, UsageError)
 from .factorization import verify_zero_curvature
 from .moments import MomentSequence, build_moments
 from .orthopoly import (monic_op, mop_type2, recurrence_coeffs,
                         verify_mop, verify_orthogonality)
 from .report import VerificationReport
 from .tau_gl2 import tau_det, verify_qsystem
-from .tau_gl3 import tau3_value, verify_gl3_relations
+from .tau_gl3 import tau3_det, verify_gl3_relations
 
 # Largest determinant order a --mode symbolic run may compute. An order-n
 # determinant takes n 2^(n-1) products of ever longer polynomials: on a
@@ -125,8 +126,6 @@ def emit_entries(entries: list[dict], fields: list[str], fmt: str,
 
 
 def emit_report(report: VerificationReport, fmt: str) -> None:
-    if fmt == "csv":
-        raise UsageError("csv output applies to tau tables only, not reports")
     if fmt == "json":
         _print_json(report.to_dict())
         return
@@ -151,9 +150,7 @@ def finish_report(report: VerificationReport, fmt: str) -> int:
 
 
 def emit_polys(entries: list[dict], fmt: str, label: str) -> None:
-    """Polynomial output (opgen/mop/recurrence); json or pretty only."""
-    if fmt == "csv":
-        raise UsageError("csv output applies to tau tables only, not polynomials")
+    """Polynomial output (opgen/mop); json or pretty."""
     if fmt == "json":
         _print_json({"entries": entries})
         return
@@ -202,34 +199,27 @@ def _gl3_sources(args):
     return (C, D, E)
 
 
+def _tau_table(args, fields: tuple[str, ...], tau) -> int:
+    """Print tau(*indices) over the product of the fields' ranges, in
+    nested-loop order. The first field bounds a symbolic run's order."""
+    ranges = [parse_range(getattr(args, f), f) for f in fields]
+    _check_symbolic(args, "determinant order", ranges[0][1], SYMBOLIC_ORDER_BOUND)
+    entries = [{**dict(zip(fields, idx)), "value": str(tau(*idx))}
+               for idx in itertools.product(
+                   *(range(lo, hi + 1) for lo, hi in ranges))]
+    emit_entries(entries, [*fields, "value"], args.format, "tau")
+    return 0
+
+
 def cmd_tau_gl2(args) -> int:
     m = _gl2_source(args)
-    k_range = parse_range(args.k, "k")
-    a_range = parse_range(args.alpha, "alpha")
-    _check_symbolic(args, "determinant order", k_range[1], SYMBOLIC_ORDER_BOUND)
-    entries = [{"k": k, "alpha": a, "value": str(tau_det(k, a, m))}
-               for k in range(k_range[0], k_range[1] + 1)
-               for a in range(a_range[0], a_range[1] + 1)]
-    emit_entries(entries, ["k", "alpha", "value"], args.format, "tau")
-    return 0
+    return _tau_table(args, ("k", "alpha"), lambda k, a: tau_det(k, a, m))
 
 
 def cmd_tau_gl3(args) -> int:
     C, D, E = _gl3_sources(args)
-    k_range = parse_range(args.k, "k")
-    l_range = parse_range(args.l, "l")
-    a_range = parse_range(args.alpha, "alpha")
-    b_range = parse_range(args.beta, "beta")
-    _check_symbolic(args, "determinant order", k_range[1], SYMBOLIC_ORDER_BOUND)
-    entries = [{"k": k, "l": l, "alpha": a, "beta": b,
-                "value": str(tau3_value(k, l, a, b, C, D, E))}
-               for k in range(k_range[0], k_range[1] + 1)
-               for l in range(l_range[0], l_range[1] + 1)
-               for a in range(a_range[0], a_range[1] + 1)
-               for b in range(b_range[0], b_range[1] + 1)]
-    emit_entries(entries, ["k", "l", "alpha", "beta", "value"],
-                 args.format, "tau")
-    return 0
+    return _tau_table(args, ("k", "l", "alpha", "beta"),
+                      lambda k, l, a, b: tau3_det(k, l, a, b, C, D, E))
 
 
 def cmd_verify_qsystem(args) -> int:
@@ -331,8 +321,6 @@ def cmd_recurrence(args) -> int:
                for k, (a, b) in enumerate(coeffs)]
     if args.format == "json":
         _print_json({"entries": entries})
-    elif args.format == "csv":
-        raise UsageError("csv output applies to tau tables only, not coefficients")
     else:
         for e in entries:
             print(f"k={e['k']}: a={e['a']}, b={e['b']}")
@@ -341,8 +329,11 @@ def cmd_recurrence(args) -> int:
 
 # -- parser wiring ----------------------------------------------------------
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv", "pretty"),
+def _add_format(p: argparse.ArgumentParser, table: bool = False) -> None:
+    """--format; csv only for tau tables, so argparse refuses it elsewhere
+    before any work is done."""
+    p.add_argument("--format", choices=("json", "csv", "pretty") if table
+                   else ("json", "pretty"),
                    default="pretty", help="output format (default pretty)")
 
 
@@ -387,7 +378,7 @@ def build_parser() -> _Parser:
     t2 = tau_sub.add_parser("gl2", help="Hankel tau table")
     _add_gl2_moments(t2)
     _add_ranges(t2, "k", "alpha", k="0..4", alpha="0")
-    _add_format(t2)
+    _add_format(t2, table=True)
     _add_mode(t2)
     t2.set_defaults(func=cmd_tau_gl2)
 
@@ -395,7 +386,7 @@ def build_parser() -> _Parser:
     _add_gl3_moments(t3)
     _add_ranges(t3, "k", "l", "alpha", "beta", k="0..3", l="0..2")
     _add_ignored_max_work(t3)
-    _add_format(t3)
+    _add_format(t3, table=True)
     _add_mode(t3)
     t3.set_defaults(func=cmd_tau_gl3)
 
@@ -512,8 +503,7 @@ def main(argv=None) -> int:
     except DegenerateTauError as exc:
         print(json.dumps(exc.record()), file=sys.stderr)
         return 3
-    except (UsageError, MomentParseError, SupportError,
-            ResourceBoundError) as exc:
+    except TauqError as exc:
         print(json.dumps(exc.record()), file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -447,15 +447,15 @@ class LaurentMatrix:
         return len(self.entries)
 
     @classmethod
-    def identity(cls, n: int, one=Fraction(1)) -> "LaurentMatrix":
-        return cls([[LaurentPoly.const(one) if i == j else LaurentPoly.zero()
+    def identity(cls, n: int) -> "LaurentMatrix":
+        return cls([[LaurentPoly.const(Fraction(1)) if i == j else LaurentPoly.zero()
                      for j in range(n)] for i in range(n)])
 
     @classmethod
-    def diagonal_z(cls, powers: Iterable[int], one=Fraction(1)) -> "LaurentMatrix":
+    def diagonal_z(cls, powers: Iterable[int]) -> "LaurentMatrix":
         powers = list(powers)
         n = len(powers)
-        return cls([[LaurentPoly.z_pow(powers[i], one) if i == j else LaurentPoly.zero()
+        return cls([[LaurentPoly.z_pow(powers[i]) if i == j else LaurentPoly.zero()
                      for j in range(n)] for i in range(n)])
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":

@@ -1,28 +1,26 @@
 """Two-index tau-functions from a (C, D, E) moment triple.
 
-The runtime route, ``tau3_value``, takes one determinant per tau:
+Every tau is one determinant, ``tau3_det``, which also holds the
+boundary conventions (0 for k < 0 or l < 0, 1 at k = l = 0, 0 for k < l
+when E = 0). It takes the ``block_hankel_rows`` layout (l d-columns, then
+k-l c-columns) with every d-entry replaced by
 
-* E = 0 (``tau3_e0_det``): zero for k < l, else the signed k x k
-  block-Hankel determinant (l d-columns, then k-l c-columns; the
-  ``block_hankel_rows`` layout) times (-1)^{l(l+1)/2}.
-* E != 0 (``tau3_det``): the same layout with every d-entry replaced by
+    M_ij = d_{alpha+i+j} - sum_{m>=0} c_{alpha-beta+i-m-1} e_{beta+j+m},
 
-      M_ij = d_{alpha+i+j} - sum_{m>=0} c_{alpha-beta+i-m-1} e_{beta+j+m},
+the sum running over the m where both moments lie in their finite
+supports (no sum when E = 0). For k >= l the tau is
+(-1)^{l(l+1)/2} det[M_ij (j < l) | c_{alpha-beta+i+j-l} (j >= l)],
+a k x k determinant; for k < l and E != 0 it is
+(-1)^{k(k+1)/2 + k(l-k)} det[M_ji (j < k) | e_{beta+i+j-k} (j >= k)],
+an l x l one, which is the same layout with E in the place of C.
+The kernel factor Delta(x) Delta(z) / prod (x_i - z_j) is a
+Cauchy-Vandermonde determinant, as in the Cauchy two-matrix model
+(Bertola, Gekhtman and Szmigielski, *Cauchy biorthogonal polynomials*,
+2010), and Andreief's identity folds the sum into one determinant. The
+form is verified against the residue formula on seeded grids in the
+tests; it is not proven here.
 
-  the sum running over the m where both moments lie in their finite
-  supports. For k >= l the tau is
-  (-1)^{l(l+1)/2} det[M_ij (j < l) | c_{alpha-beta+i+j-l} (j >= l)],
-  a k x k determinant; for k < l it is
-  (-1)^{k(k+1)/2 + k(l-k)} det[M_ji (j < k) | e_{beta+i+j-k} (j >= k)],
-  an l x l one, which is the same layout with E in the place of C.
-  The kernel factor Delta(x) Delta(z) / prod (x_i - z_j) is a
-  Cauchy-Vandermonde determinant, as in the Cauchy two-matrix model
-  (Bertola, Gekhtman and Szmigielski, *Cauchy biorthogonal polynomials*,
-  2010), and Andreief's identity folds the sum into one determinant. The
-  form is verified against the residue formula on seeded grids in the
-  tests; it is not proven here.
-
-The reference both closed forms are tested against is the general residue
+The reference the closed form is tested against is the general residue
 formula (``tau3_residue``). It sums, over kernel splittings (n_c, n_d, n_e)
 with n_c + n_d = k and n_e + n_d = l, iterated residues of
 
@@ -34,7 +32,7 @@ group, cross factors prod (x_i - y_j) prod (y_i - z_j), the sign
 pair: 1/(x_i - z_j) expanded as sum_{m>=0} z_j^m x_i^{-m-1}. Finite
 support makes every such expansion a finite sum. No runtime route calls
 it, and only it has a summand work bound (``max_work``); with E != 0
-``tau3_value`` checks only that all three families are finite windows.
+``tau3_det`` checks only that all three families are finite windows.
 """
 from __future__ import annotations
 
@@ -181,7 +179,7 @@ def tau3_residue(k: int, l: int, alpha: int, beta: int,
                  C: MomentSequence, D: MomentSequence, E: MomentSequence,
                  max_work: int = SUMMAND_WORK_BOUND) -> Fraction:
     """Two-index tau by the general residue formula (finite support only):
-    the reference route the closed forms are tested against.
+    the reference route the closed form is tested against.
 
     A summand drawing against an identically-zero family vanishes exactly
     and is skipped before the work bound applies; ResourceBoundError when
@@ -215,52 +213,51 @@ def block_hankel_rows(n_rows: int, k: int, l: int, alpha: int, beta: int,
              for j in range(k)] for i in range(n_rows)]
 
 
-def tau3_e0_det(k: int, l: int, alpha: int, beta: int,
-                C: MomentSequence, D: MomentSequence):
-    """Closed form when E = 0: zero for k < l, else the signed k x k
-    block-Hankel determinant (block_hankel_rows) times (-1)^{l(l+1)/2}.
-    With l = 0 and C = D it is the one-family Hankel tau.
-    """
-    if k < 0 or l < 0 or k < l:
-        return C.ring_zero()
-    if k == 0:
-        return C.ring_one()
-    val = det(block_hankel_rows(k, k, l, alpha, beta, C, D))
-    return -val if l * (l + 1) // 2 % 2 else val
-
-
 def tau3_det(k: int, l: int, alpha: int, beta: int,
-             C: MomentSequence, D: MomentSequence, E: MomentSequence) -> Fraction:
-    """Closed form for finite C, D, E (see the module docstring): the
-    block_hankel_rows layout, with E in the place of C when k < l, minus
-    the c*e convolution in its d-columns, one k x k or l x l determinant."""
+             C: MomentSequence, D: MomentSequence,
+             E: MomentSequence | None = None):
+    """The two-index tau with its boundary conventions, as one determinant
+    (see the module docstring); E = None means E = 0. With E != 0 every
+    family must be a finite window (SupportError otherwise), as in the
+    residue reference."""
     if k < 0 or l < 0:
-        return Fraction(0)
-    c_sup, e_sup = C.support(), E.support()
-
-    def conv(p: int, q: int):
-        # sum_{m>=0} c_{alpha-beta+p-m-1} e_{beta+q+m} over both supports
-        if c_sup is None or e_sup is None:
-            return 0
-        top = alpha - beta + p - 1
-        return sum(C.get(top - m) * E.get(beta + q + m)
-                   for m in range(max(0, top - c_sup[1], e_sup[0] - beta - q),
-                                  min(top - c_sup[0], e_sup[1] - beta - q) + 1))
-
+        return C.ring_zero()
+    if k == 0 and l == 0:
+        return C.ring_one()
+    e_zero = E is None or (E.is_finite and E.support() is None)
+    if e_zero and k < l:
+        return C.ring_zero()
+    if not e_zero and not (C.is_finite and D.is_finite and E.is_finite):
+        raise SupportError("the c*e convolution in tau3_det needs "
+                           "finite-support sequences")
     if k >= l:
         rows = block_hankel_rows(k, k, l, alpha, beta, C, D)
-        for i, row in enumerate(rows):
-            for j in range(l):
-                row[j] -= conv(i, j)
         flips = l * (l + 1) // 2
     else:
         rows = block_hankel_rows(l, l, k, alpha, alpha - beta, E, D)
-        for i, row in enumerate(rows):
-            for j in range(k):
-                row[j] -= conv(j, i)
         flips = k * (k + 1) // 2 + k * (l - k)
+    c_sup = None if e_zero else C.support()
+    if c_sup is not None:
+        e_sup = E.support()
+        for i, row in enumerate(rows):
+            for j in range(min(k, l)):
+                # sum_{m>=0} c_{alpha-beta+p-m-1} e_{beta+q+m} over both supports
+                p, q = (i, j) if k >= l else (j, i)
+                top = alpha - beta + p - 1
+                row[j] -= sum(C.get(top - m) * E.get(beta + q + m) for m in range(
+                    max(0, top - c_sup[1], e_sup[0] - beta - q),
+                    min(top - c_sup[0], e_sup[1] - beta - q) + 1))
     val = det(rows)
     return -val if flips % 2 else val
+
+
+def tau3_e0_det(k: int, l: int, alpha: int, beta: int,
+                C: MomentSequence, D: MomentSequence):
+    """tau3_det with E = 0; with l = 0 and C = D it is the one-family
+    Hankel tau."""
+    # Kept only because bench/tracing.py wraps it (its span counts the
+    # one-family taus of tau_det) and bench/oracles.py imports it.
+    return tau3_det(k, l, alpha, beta, C, D)
 
 
 class TauTable:
@@ -280,32 +277,6 @@ class TauTable:
         return self.values[key]
 
     __call__ = get
-
-
-def _e_is_zero(E: MomentSequence | None) -> bool:
-    if E is None:
-        return True
-    return E.is_finite and E.support() is None
-
-
-def tau3_value(k: int, l: int, alpha: int, beta: int,
-               C: MomentSequence, D: MomentSequence,
-               E: MomentSequence | None) -> Fraction:
-    """Tau with boundary conventions, by one closed-form determinant:
-    tau3_e0_det when E = 0, tau3_det otherwise. With E != 0 every family
-    must be a finite window (SupportError otherwise), as in the residue
-    reference.
-    """
-    if k < 0 or l < 0:
-        return Fraction(0)
-    if _e_is_zero(E):
-        return tau3_e0_det(k, l, alpha, beta, C, D)
-    if k == 0 and l == 0:
-        return Fraction(1)
-    if not (C.is_finite and D.is_finite and E.is_finite):
-        raise SupportError("the c*e convolution in tau3_det needs "
-                           "finite-support sequences")
-    return tau3_det(k, l, alpha, beta, C, D, E)
 
 
 # The four difference relations, written exactly as stated: each entry is
@@ -344,11 +315,11 @@ def verify_gl3_relations(C: MomentSequence, D: MomentSequence,
 
     Out-of-range tau values follow the k < 0 / l < 0 -> 0 convention, so
     the relations can be checked at the edges; they reach one step past
-    the ranges. Every tau is one tau3_value determinant, read from one
+    the ranges. Every tau is one tau3_det determinant, read from one
     table. No instance is skipped: the relations have no denominators.
     """
     report = VerificationReport("gl3-relations")
-    tau = TauTable(tau3_value, C, D, E)
+    tau = TauTable(tau3_det, C, D, E)
     for relation in (1, 2, 3, 4):
         for k in range(0, k_max + 1):
             for l in range(0, l_max + 1):

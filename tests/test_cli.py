@@ -339,6 +339,38 @@ def test_csv_rejected_for_reports(capsys):
     assert json.loads(err)["error"] == "UsageError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "qsystem", "--moments", CATALAN),
+    ("verify", "gl3", "--moments-c", CATALAN, "--moments-d", LINEAR),
+    ("verify", "zero-curvature", "--moments", CATALAN),
+    ("verify", "orthogonality", "--moments", CATALAN),
+    ("verify", "mop", "--moments-c", CATALAN, "--moments-d", LINEAR),
+    ("opgen", "--moments", CATALAN),
+    ("mop", "--moments-c", CATALAN, "--moments-d", LINEAR),
+    ("recurrence", "--moments", CATALAN),
+])
+def test_csv_refused_before_any_work(capsys, monkeypatch, argv):
+    # csv is a tau-table format: every other subcommand refuses it while
+    # parsing, before it loads a moment source
+    def no_load(*_):
+        raise AssertionError("moments loaded before --format was checked")
+    monkeypatch.setattr(cli, "load_moments", no_load)
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "UsageError"
+
+
+def test_stray_tauq_error_is_one_json_line(capsys, monkeypatch):
+    # any TauqError, not only the subclasses main() names, ends as a record
+    def boom(*_):
+        raise tauq.TauqError("boom")
+    monkeypatch.setattr(cli, "tau_det", boom)
+    code, out, err = run(capsys, "tau", "gl2", "--moments", CATALAN)
+    assert (code, out) == (2, "")
+    assert err == '{"error": "TauqError", "detail": "boom"}\n'
+
+
 def test_infinite_support_is_exit_2(capsys):
     # the factorization route needs a finite window
     code, _, err = run(capsys, "verify", "gl3", "--moments-c", CATALAN,

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -9,12 +11,12 @@ from tauq import (
     MomentSequence,
     ResourceBoundError,
     SupportError,
+    TauqError,
     TauTable,
     kernel_specs,
     tau3_det,
     tau3_e0_det,
     tau3_residue,
-    tau3_value,
     verify_gl3_relations,
 )
 from tauq.cli import main
@@ -88,7 +90,7 @@ def test_residue_requires_finite_support(catalan, linear_window, rand_window):
     # the closed-form route keeps the reference's contract: a named E
     C = rand_window(42, -2, 4, 6, 4)
     with pytest.raises(SupportError):
-        tau3_value(1, 1, 0, 0, C, linear_window, catalan)
+        tau3_det(1, 1, 0, 0, C, linear_window, catalan)
 
 
 def test_residue_work_bound(rand_window):
@@ -99,7 +101,7 @@ def test_residue_work_bound(rand_window):
         tau3_residue(2, 2, 0, 0, C, D, E, max_work=3)
     assert "work bound 3" in str(exc.value)
     # the same instance inside the default bound
-    assert tau3_residue(2, 2, 0, 0, C, D, E) == tau3_value(2, 2, 0, 0, C, D, E)
+    assert tau3_residue(2, 2, 0, 0, C, D, E) == tau3_det(2, 2, 0, 0, C, D, E)
 
 
 def test_zero_family_short_circuits_bound(rand_pair):
@@ -111,11 +113,40 @@ def test_zero_family_short_circuits_bound(rand_pair):
 
 def test_tau3_value_dispatch(rand_pair, rand_window):
     C, D = rand_pair
-    assert tau3_value(2, 1, 0, 0, C, D, None) == tau3_e0_det(2, 1, 0, 0, C, D)
-    assert tau3_value(2, 1, 0, 0, C, D, ZERO) == tau3_e0_det(2, 1, 0, 0, C, D)
+    assert tau3_det(2, 1, 0, 0, C, D, None) == tau3_e0_det(2, 1, 0, 0, C, D)
+    assert tau3_det(2, 1, 0, 0, C, D, ZERO) == tau3_e0_det(2, 1, 0, 0, C, D)
     E = rand_window(44, -1, 2, 6, 4)
-    assert tau3_value(1, 1, 0, 0, C, D, E) == tau3_residue(1, 1, 0, 0, C, D, E)
-    assert tau3_value(-1, 0, 0, 0, C, D, E) == 0
+    assert tau3_det(1, 1, 0, 0, C, D, E) == tau3_residue(1, 1, 0, 0, C, D, E)
+    assert tau3_det(-1, 0, 0, 0, C, D, E) == 0
+
+
+# sha256 of the grid below, recorded from the two-index tau before its
+# E = 0 and E != 0 routes and their boundary conventions merged into tau3_det
+BEHAVIOUR_DIGEST = "529d62b3e121c7509af2ed43617523e3d5de39ca2fd142d08e5afb0704f97445"
+
+
+def test_behaviour_matrix_is_pinned(rand_window, catalan, hermite,
+                                    formal_c, formal_d):
+    # every kind of family (window with negative lo, empty, all-zero,
+    # named, formal) for C and D; E also None; k, l from -1. Each case is
+    # its value string or its error type and text.
+    cs = [rand_window(501, -2, 3), ZERO, MomentSequence.window(-1, [0, 0, 0]),
+          catalan, formal_c]
+    ds = [rand_window(502, -1, 4), ZERO, MomentSequence.window(2, [0, 0]),
+          hermite, formal_d]
+    es = [None, ZERO, MomentSequence.window(0, [0, 0, 0]),
+          rand_window(503, -2, 2), catalan, MomentSequence.formal("e")]
+    lines = []
+    for C, D, E in itertools.product(cs, ds, es):
+        for k, l in itertools.product(range(-1, 4), repeat=2):
+            for a, b in ((0, 0), (-1, 1), (2, -1)):
+                try:
+                    lines.append(str(tau3_det(k, l, a, b, C, D, E)))
+                except TauqError as exc:
+                    lines.append(f"{type(exc).__name__}: {exc}")
+    assert len(lines) == 11250
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == BEHAVIOUR_DIGEST
 
 
 def _gate_triples(rand_window):
@@ -168,7 +199,7 @@ def test_e_nonzero_route_skips_residue(monkeypatch, rand_window, capsys):
     count_calls("tau3_residue")
     count_calls("kernel_specs")
     C, D, E = _gate_triples(rand_window)[0]
-    tau3_value(2, 3, 0, 1, C, D, E)
+    tau3_det(2, 3, 0, 1, C, D, E)
     verify_gl3_relations(C, D, E, 2, 2, (0, 0), (0, 0))
     argv = ["tau", "gl3", "--k", "0..3", "--l", "0..2"]
     for flag, seed in (("c", 42), ("d", 43), ("e", 44)):
@@ -181,7 +212,7 @@ def test_e_nonzero_route_skips_residue(monkeypatch, rand_window, capsys):
 
 
 def test_grid_boundaries(catalan_window, linear_window):
-    grid = TauTable(tau3_value, catalan_window, linear_window, ZERO)
+    grid = TauTable(tau3_det, catalan_window, linear_window, ZERO)
     assert grid.get(-1, 0, 0, 0) == 0
     assert grid.get(0, 0, 5, 5) == 1
     assert grid.get(2, 1, 0, 0) == \
@@ -192,7 +223,7 @@ def test_grid_boundaries(catalan_window, linear_window):
 
 def test_relation_sides_balance(catalan, linear_window):
     def t(k, l, a, b):
-        return tau3_value(k, l, a, b, catalan, linear_window, None)
+        return tau3_det(k, l, a, b, catalan, linear_window, None)
     for rel in (1, 2, 3, 4):
         lhs, rhs = relation_sides(rel, 2, 1, 0, 0, t)
         assert lhs == rhs
@@ -221,7 +252,7 @@ def test_verify_relations_nonzero_e(rand_window):
 def test_verify_relations_detects_violation(catalan, linear_window):
     # perturb one tau through the callable path: relation 1 must break
     def t(k, l, a, b):
-        v = tau3_value(k, l, a, b, catalan, linear_window, None)
+        v = tau3_det(k, l, a, b, catalan, linear_window, None)
         return v + 1 if (k, l, a, b) == (1, 1, 1, 0) else v
     lhs, rhs = relation_sides(1, 1, 1, 0, 0, t)
     assert lhs != rhs
