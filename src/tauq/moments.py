@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import comb, prod
 
 from .errors import MomentParseError, SupportError
 from .rings import MomentPoly, as_rational
@@ -46,7 +47,6 @@ class MomentSequence:
         self.values = values if values is not None else []
         self.name = name
         self.family = family
-        self._catalan_cache: list[Fraction] = [Fraction(1)]
 
     @classmethod
     def window(cls, lo: int, values) -> "MomentSequence":
@@ -81,17 +81,9 @@ class MomentSequence:
             if i < 0:
                 return Fraction(0)
             if self.name == "catalan":
-                return self._catalan(i)
+                return Fraction(comb(2 * i, i) // (i + 1))
             return _hermite_moment(i)
         return MomentPoly.symbol(self.family, i)
-
-    def _catalan(self, n: int) -> Fraction:
-        cache = self._catalan_cache
-        while len(cache) <= n:
-            m = len(cache) - 1
-            cache.append(sum((cache[j] * cache[m - j] for j in range(m + 1)),
-                             Fraction(0)))
-        return cache[n]
 
     # -- structure ----------------------------------------------------
 
@@ -160,10 +152,7 @@ def _hermite_moment(i: int) -> Fraction:
     if i % 2:
         return Fraction(0)
     m = i // 2
-    num = 1
-    for odd in range(1, 2 * m, 2):
-        num *= odd
-    return Fraction(num, 2 ** m)
+    return Fraction(prod(range(1, 2 * m, 2)), 2 ** m)
 
 
 # -- external schema ------------------------------------------------------

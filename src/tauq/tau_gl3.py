@@ -206,11 +206,14 @@ def tau3_residue(k: int, l: int, alpha: int, beta: int,
 
 def block_hankel_rows(n_rows: int, k: int, l: int, alpha: int, beta: int,
                       C: MomentSequence, D: MomentSequence) -> list[list]:
-    """Rows 0 .. n_rows-1 of the k-column block-Hankel matrix: l d-columns
-    d_{alpha+i+j}, then k-l c-columns c_{alpha-beta+i+(j-l)}. n_rows = k
-    gives the tau matrix, n_rows = k+1 the body of the bordered one."""
-    return [[D.get(alpha + i + j) if j < l else C.get(alpha - beta + i + (j - l))
-             for j in range(k)] for i in range(n_rows)]
+    """Rows 0 .. n_rows-1 of the k-column block-Hankel matrix, 0 <= l <= k:
+    l d-columns d_{alpha+i+j}, then k-l c-columns c_{alpha-beta+i+(j-l)}.
+    n_rows = k gives the tau matrix, n_rows = k+1 the body of the bordered
+    one. Each distinct moment is read once, and only from a family with
+    columns; every row is a fresh list, since tau3_det edits them in place."""
+    d = [D.get(alpha + s) for s in range(n_rows + l - 1)] if l > 0 else []
+    c = [C.get(alpha - beta + s) for s in range(n_rows + k - l - 1)] if k > l else []
+    return [d[i:i + l] + c[i:i + k - l] for i in range(n_rows)]
 
 
 def tau3_det(k: int, l: int, alpha: int, beta: int,

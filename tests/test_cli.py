@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -309,6 +311,30 @@ def test_unprintable_result_is_resource_bound(capsys, argv):
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "ResourceBoundError"
+
+
+def test_named_moments_at_large_alpha(capsys):
+    start = time.process_time()
+    code, out, _ = run(capsys, "tau", "gl2", "--moments", CATALAN, "--k", "2",
+                       "--alpha", "3000", "--format", "json")
+    elapsed = time.process_time() - start
+    c = [comb(2 * n, n) // (n + 1) for n in (3000, 3001, 3002)]
+    assert code == 0
+    assert json.loads(out)["entries"] == [
+        {"k": 2, "alpha": 3000, "value": str(c[0] * c[2] - c[1] ** 2)}]
+    assert elapsed < 5
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("--k", "2", "--l", "0", "--alpha", str(2 ** 27), "--beta", "10"),
+     "tau[k=2, l=0, alpha=134217728, beta=10] = c_134217718*c_134217720 - c_134217719^2"),
+    (("--k", "2", "--l", "2", "--alpha", "0", "--beta", str(-2 ** 27)),
+     "tau[k=2, l=2, alpha=0, beta=-134217728] = -d_0*d_2 + d_1^2"),
+])
+def test_symbolic_family_without_columns_is_not_read(capsys, argv, line):
+    # the unused family's indices are past the 2^27 symbol bound
+    code, out, err = run(capsys, "tau", "gl3", "--mode", "symbolic", *argv)
+    assert (code, out, err) == (0, line + "\n", "")
 
 
 def test_moments_file_path(tmp_path, capsys):

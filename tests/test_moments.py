@@ -26,6 +26,25 @@ def test_hermite_values(hermite):
     assert hermite.get(-2) == 0
 
 
+def test_catalan_matches_convolution_recurrence(catalan):
+    # C_0 = 1, C_{n+1} = sum_j C_j C_{n-j}, over ints
+    ref = [1]
+    for n in range(400):
+        ref.append(sum(ref[j] * ref[n - j] for j in range(n + 1)))
+    assert [catalan.get(n) for n in range(401)] == ref
+    assert all(catalan.get(n) == 0 for n in range(-60, 0))
+
+
+def test_hermite_matches_ratio_recurrence(hermite):
+    # m_0 = 1, m_{2j+2} = m_{2j} (2j + 1) / 2, and 0 at odd indices
+    even = Fraction(1)
+    for j in range(401):
+        assert hermite.get(2 * j) == even
+        assert hermite.get(2 * j - 1) == 0
+        even = even * (2 * j + 1) / 2
+    assert all(hermite.get(i) == 0 for i in range(-60, 0))
+
+
 def test_window_lookup_and_support():
     w = MomentSequence.window(-1, [Fraction(0), Fraction(2), Fraction(3)])
     assert w.get(-1) == 0

@@ -20,7 +20,7 @@ from tauq import (
     verify_gl3_relations,
 )
 from tauq.cli import main
-from tauq.tau_gl3 import relation_sides
+from tauq.tau_gl3 import block_hankel_rows, relation_sides
 
 ZERO = MomentSequence.zero()
 
@@ -28,6 +28,47 @@ ZERO = MomentSequence.zero()
 @pytest.fixture(scope="module")
 def rand_pair(rand_window):
     return rand_window(101, -2, 9), rand_window(201, -2, 9)
+
+
+class RecordingSequence(MomentSequence):
+    """A copy of a sequence that records the index of every get call."""
+
+    def __init__(self, seq):
+        super().__init__(seq.kind, lo=seq.lo, values=seq.values,
+                         name=seq.name, family=seq.family)
+        self.calls = []
+
+    def get(self, i):
+        self.calls.append(i)
+        return super().get(i)
+
+
+def test_block_hankel_rows_reads_each_moment_once(rand_window):
+    families = [rand_window(7, -2, 5), MomentSequence.named("catalan"),
+                MomentSequence.named("hermite"), MomentSequence.formal("c"),
+                MomentSequence.formal("d"), ZERO]
+    cases = 0
+    for C0, D0 in itertools.product(families, repeat=2):
+        for k in range(7):
+            for l, n_rows, a, b in itertools.product(
+                    range(k + 1), (k, k + 1), (-3, 0, 2), (-1, 0, 2)):
+                C, D = RecordingSequence(C0), RecordingSequence(D0)
+                rows = block_hankel_rows(n_rows, k, l, a, b, C, D)
+                assert rows == [[D0.get(a + i + j) if j < l
+                                 else C0.get(a - b + i + j - l)
+                                 for j in range(k)] for i in range(n_rows)]
+                assert len({id(row) for row in rows}) == n_rows
+                # exactly the indices the entries use, each read once
+                assert sorted(D.calls) == sorted(
+                    {a + i + j for i in range(n_rows) for j in range(l)})
+                assert sorted(C.calls) == sorted(
+                    {a - b + i + j for i in range(n_rows) for j in range(k - l)})
+                cases += 1
+    assert cases == 18144
+    # one family for both blocks, as in the one-family bordered body
+    m = RecordingSequence(MomentSequence.named("catalan"))
+    assert len(block_hankel_rows(5, 4, 0, 0, 0, m, m)) == 5
+    assert m.calls == list(range(8))
 
 
 def test_kernel_specs_enumeration():
