@@ -16,7 +16,7 @@ from .orthopoly import (HankelForm, MonicPolynomial, bordered_tau_poly,
 from .report import Check, Skip, VerificationReport
 from .rings import (LaurentMatrix, LaurentPoly, MomentPoly, MomentSymbol,
                     RingFraction, det, det_bareiss)
-from .tau_gl2 import (fill_grid_recurrence, qsystem_residual, tau_det,
+from .tau_gl2 import (condensation_table, qsystem_residual, tau_det,
                       verify_qsystem)
 from .tau_gl3 import (KernelSpec, TauTable, kernel_specs, tau3_det,
                       tau3_e0_det, tau3_residue, verify_gl3_relations)
@@ -30,8 +30,8 @@ __all__ = [
     "ResourceBoundError", "RingFraction", "Skip", "SupportError",
     "TauTable", "TauqError", "UsageError",
     "VerificationReport", "bordered_tau_poly",
-    "build_moments", "connection_matrices_gl2", "det", "det_bareiss",
-    "evaluate_shifted", "fill_grid_recurrence", "form_eval", "g_minus_gl2",
+    "build_moments", "condensation_table", "connection_matrices_gl2", "det",
+    "det_bareiss", "evaluate_shifted", "form_eval", "g_minus_gl2",
     "g_minus_gl3", "induction_replay", "kernel_specs", "monic_op",
     "mop_bordered_poly", "mop_type2", "qsystem_residual", "recurrence_coeffs",
     "recurrence_reconstruct", "scalar_compatibility", "serialize",

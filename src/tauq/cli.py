@@ -28,7 +28,7 @@ from .moments import MomentSequence, build_moments
 from .orthopoly import (monic_op, mop_type2, recurrence_coeffs,
                         verify_mop, verify_orthogonality)
 from .report import VerificationReport
-from .tau_gl2 import tau_det, verify_qsystem
+from .tau_gl2 import condensation_table, tau_det, verify_qsystem
 from .tau_gl3 import tau3_det, verify_gl3_relations
 
 # Largest determinant order a --mode symbolic run may compute. An order-n
@@ -213,7 +213,11 @@ def _tau_table(args, fields: tuple[str, ...], tau) -> int:
 
 def cmd_tau_gl2(args) -> int:
     m = _gl2_source(args)
-    return _tau_table(args, ("k", "alpha"), lambda k, a: tau_det(k, a, m))
+    if m.is_formal:
+        return _tau_table(args, ("k", "alpha"), lambda k, a: tau_det(k, a, m))
+    table = condensation_table(m, parse_range(args.k, "k"),
+                               parse_range(args.alpha, "alpha"))
+    return _tau_table(args, ("k", "alpha"), lambda k, a: table[k, a])
 
 
 def cmd_tau_gl3(args) -> int:

@@ -1,16 +1,29 @@
-"""Single-family tau-functions: Hankel determinants, condensation
-filling, and the bilinear recurrence check
+"""Single-family tau-functions: Hankel determinants, numeric tau tables by
+condensation, and the bilinear recurrence check
 tau_k^(a) tau_{k-2}^(a+2) = tau_{k-1}^(a+2) tau_{k-1}^(a) - (tau_{k-1}^(a+1))^2.
 
-Verifiers read tau from one memoized table per call (``tau_table``),
-which computes each entry once through this module's ``tau_det``.
+``tau_det`` computes one tau as a Hankel determinant. Verifiers read tau
+from one memoized table of such determinants per call (``tau_table``):
+they check the relation above, so they must not fill their table with it.
+
+``condensation_table`` runs that relation as an algorithm (Dodgson's
+condensation, the Desnanot-Jacobi identity the Q-system is proved by) for
+numeric tables: tau_K costs O(K^2) big-int operations instead of one
+O(K^3) elimination per entry. It works on integers. The alpha range is cut
+into tiles of about K alphas; each tile reads its moments once and scales
+them by the lcm L of their denominators, so row k of the triangle holds
+L^k tau_k and every division is exact. A zero divisor makes its entry
+unknown, and every entry above that depends on it is unknown too; only the
+requested unknown entries are computed by ``tau_det``.
 
 Conventions: tau_k = 0 for k < 0 and tau_0 = 1, in the ring matching the
 moment source (Fraction numerically, MomentPoly for formal sequences).
 """
 from __future__ import annotations
 
-from .errors import DegenerateTauError
+from fractions import Fraction
+from math import lcm
+
 from .moments import MomentSequence
 from .report import VerificationReport
 from .tau_gl3 import TauTable, tau3_e0_det
@@ -36,32 +49,54 @@ def condensation_numerator(k: int, alpha: int, tau):
             - tau(k - 1, alpha + 1) ** 2)
 
 
-def fill_grid_recurrence(m: MomentSequence, k_max: int,
-                         alpha_range: tuple[int, int]) -> TauTable:
-    """Fill a tau table from rows k = 0, 1 upward via the condensation
-    recurrence tau_k = condensation_numerator / tau_{k-2}^(a+2).
-
-    Row k over the requested alphas needs row k-1 two shifts wider, so
-    intermediate rows are filled over widening ranges; rows 0 and 1 come
-    from tau_det as they are read. A zero denominator aborts with the
-    offending (k, alpha): a silent hole would poison downstream identity
-    checks.
-    """
-    a_lo, a_hi = alpha_range
-    if a_hi < a_lo:
-        raise ValueError("empty alpha range")
+def condensation_table(m: MomentSequence, k_range: tuple[int, int],
+                       alpha_range: tuple[int, int]) -> dict:
+    """tau_k^(alpha) for every k and alpha of the two inclusive ranges, as
+    a dict keyed (k, alpha), by integer condensation over tiles of about
+    k_max alphas (see the module docstring). A zero divisor does not abort
+    it: a requested entry that depends on one is computed by ``tau_det``,
+    and no other determinant is taken."""
+    (k_lo, k_hi), (a_lo, a_hi) = k_range, alpha_range
+    if k_hi < k_lo or a_hi < a_lo:
+        raise ValueError("empty k or alpha range")
     if m.is_formal:
-        raise ValueError("grid filling divides; use a numeric moment source")
-    grid = tau_table(m)
-    for k in range(2, k_max + 1):
-        for alpha in range(a_lo, a_hi + 2 * (k_max - k) + 1):
-            den = grid.get(k - 2, alpha + 2)
-            if not den:
-                raise DegenerateTauError(
-                    "condensation denominator tau_{k-2}^(alpha+2) is zero",
-                    k=k, alpha=alpha)
-            grid.values[k, alpha] = condensation_numerator(k, alpha, grid) / den
-    return grid
+        raise ValueError("condensation divides; use a numeric moment source")
+    table = {}
+    width = max(k_hi, 1)
+    for t_lo in range(a_lo, a_hi + 1, width):
+        _condense_tile(m, k_range, range(t_lo, min(t_lo + width, a_hi + 1)),
+                       table)
+    for key in [key for key, v in table.items() if v is None]:
+        table[key] = tau_det(*key, m)
+    return table
+
+
+def _condense_tile(m: MomentSequence, k_range: tuple[int, int],
+                   alphas: range, table: dict) -> None:
+    """Fill table[k, a] for a in alphas, None where unknown, from one
+    condensation triangle on the tile's moments times their lcm L. Row k
+    of the triangle starts at alphas[0], is 2(k_max - k) entries longer
+    than the tile, and holds L^k tau_k."""
+    k_lo, k_hi = k_range
+    for k in range(k_lo, min(k_hi, 0) + 1):
+        for alpha in alphas:
+            table[k, alpha] = Fraction(int(k == 0))
+    if k_hi < 1:
+        return
+    moments = [m.get(i) for i in range(alphas[0], alphas[-1] + 2 * k_hi - 1)]
+    scale = lcm(*[c.denominator for c in moments])
+    row = [c.numerator * (scale // c.denominator) for c in moments]
+    prev, power = [1] * (len(row) + 2), scale  # rows 0 and 1
+    for k in range(1, k_hi + 1):
+        if k > 1:
+            # d = 0 is a zero divisor, d = None an unknown one
+            prev, row = row, [(x * z - y * y) // d if d and None not in (x, y, z)
+                              else None for x, y, z, d in
+                              zip(row, row[1:], row[2:], prev[2:])]
+            power *= scale
+        if k >= k_lo:
+            for alpha, v in zip(alphas, row):
+                table[k, alpha] = None if v is None else Fraction(v, power)
 
 
 def qsystem_residual(k: int, alpha: int, tau):

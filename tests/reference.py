@@ -3,7 +3,9 @@
 Test oracles only: the symmetrized residue formula for tau_k^(alpha)
 (every monomial of a squared Vandermonde, k! of them and more) and brute
 Gram-Schmidt under the Hankel form. The library takes both answers from
-determinants; the tests require the two routes to agree.
+determinants; the tests require the two routes to agree. Also the numeric
+tau table one determinant per entry, which the condensation table must
+equal.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from math import factorial
 
 from tauq import (DegenerateTauError, HankelForm, LaurentPoly,
                   MomentSequence, MonicPolynomial, ResourceBoundError,
-                  form_eval)
+                  form_eval, tau_det)
 
 RESIDUE_K_BOUND = 5
 
@@ -75,3 +77,13 @@ def gram_schmidt_monic(m: MomentSequence, alpha: int, K: int) -> list[MonicPolyn
         basis.append(p)
         norms.append(form_eval(form, p, p))
     return [MonicPolynomial.from_laurent(p) for p in basis]
+
+
+def tau_det_table(m: MomentSequence, k_range: tuple[int, int],
+                  alpha_range: tuple[int, int]) -> dict:
+    """tau_k^(alpha) over two inclusive ranges, keyed (k, alpha), one
+    determinant per entry (bound at import, so a test that counts the
+    library's determinant calls does not count these)."""
+    return {(k, a): tau_det(k, a, m)
+            for k in range(k_range[0], k_range[1] + 1)
+            for a in range(alpha_range[0], alpha_range[1] + 1)}

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,6 +14,8 @@ import tauq
 from tauq import cli
 from tauq.cli import main, parse_range, single_value
 from tauq.errors import UsageError
+
+from reference import tau_det_table
 
 CATALAN = '{"kind": "named", "name": "catalan"}'
 HERMITE = '{"kind": "named", "name": "hermite"}'
@@ -391,7 +394,7 @@ def test_stray_tauq_error_is_one_json_line(capsys, monkeypatch):
     # any TauqError, not only the subclasses main() names, ends as a record
     def boom(*_):
         raise tauq.TauqError("boom")
-    monkeypatch.setattr(cli, "tau_det", boom)
+    monkeypatch.setattr(cli, "condensation_table", boom)
     code, out, err = run(capsys, "tau", "gl2", "--moments", CATALAN)
     assert (code, out) == (2, "")
     assert err == '{"error": "TauqError", "detail": "boom"}\n'
@@ -533,3 +536,57 @@ def test_closed_stdout_is_exit_2(argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert json.loads(lines[0])["error"] == "OutputClosedError"
+
+
+def _numeric_gl2_argvs(count: int = 21) -> list[tuple]:
+    """Seeded numeric tau gl2 argvs: random windows (3-digit numerators,
+    2-digit denominators, some ending inside the cone the table reads),
+    catalan, hermite at odd alpha and the zero window, with negative k
+    and alpha, in every format."""
+    rng = random.Random(12)
+    argvs = []
+    for i in range(count):
+        k_lo = rng.randint(-3, 6)
+        k_hi = k_lo + rng.randint(0, 6)
+        a_lo = rng.randint(-4, 5)
+        a_hi = a_lo + rng.randint(0, 10)
+        if i % 4 == 0:
+            source = json.dumps({"kind": "random", "seed": rng.randint(0, 999),
+                                 "lo": a_lo + rng.randint(-2, 2),
+                                 "hi": a_hi + 2 * k_hi + rng.randint(-8, 0),
+                                 "max_abs_num": 999, "max_den": 99})
+        else:
+            source = (CATALAN, HERMITE,
+                      '{"kind": "window", "lo": 0, "values": []}')[i % 4 - 1]
+        argvs.append(("tau", "gl2", "--moments", source,
+                      "--k", f"{k_lo}..{k_hi}", "--alpha", f"{a_lo}..{a_hi}",
+                      "--format", ("json", "csv", "pretty")[i % 3]))
+    return argvs
+
+
+@pytest.mark.parametrize("argv", _numeric_gl2_argvs())
+def test_tau_gl2_numeric_output_matches_determinants(capsys, monkeypatch,
+                                                     argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(cli, "condensation_table", tau_det_table)
+    assert run(capsys, *argv) == (code, out, err)
+
+
+def test_verifiers_never_read_a_condensation_table(capsys, monkeypatch):
+    # verify qsystem checks the relation condensation_table fills with,
+    # and zero-curvature's identities are its consequences: both must
+    # read determinants
+    def refuse(*args):
+        raise AssertionError("a verifier read a condensation table")
+
+    monkeypatch.setattr(cli, "condensation_table", refuse)
+    monkeypatch.setattr(tauq.tau_gl2, "condensation_table", refuse)
+    for suite in ("qsystem", "zero-curvature"):
+        for source in (("--moments", RAND_C), ("--moments", HERMITE),
+                       ("--mode", "symbolic")):
+            code, _, err = run(capsys, "verify", suite, *source,
+                               "--k", "0..2", "--alpha", "-1..1")
+            assert (code, err) == (0, ""), (suite, source)
+    with pytest.raises(AssertionError):
+        main(["tau", "gl2", "--moments", RAND_C])

@@ -4,11 +4,14 @@
 window, named, random, malformed or missing moment sources. Whatever the
 input, it returns 0, 1, 2 or 3 and raises nothing. Exit 2, and exit 3
 without a report on stdout, leave exactly one JSON record on stderr;
-exits 0 and 1 leave stderr empty.
+exits 0 and 1 leave stderr empty. Numeric ``tau gl2`` runs at orders up
+to 48 on windows up to 100 values long also stay under a CPU-time ceiling.
 """
 import contextlib
 import io
 import json
+import random
+import time
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -110,3 +113,57 @@ def test_exit_code_contract(argv):
         assert "error" in json.loads(lines[0]), argv
     else:
         assert lines == [], argv
+
+
+# numeric tau gl2 at high order: the condensation table and its
+# determinant fallback must finish within this much process time per argv
+# (the dearest example below takes about 1.8 s on a 2-vCPU VM)
+CPU_CEILING_S = 5.0
+MAX_ORDER, MAX_WINDOW = 48, 100
+
+
+def _window_values(seed: int, length: int, zeros: float) -> list[str]:
+    """Two-digit numerators over one-digit denominators, each value zero
+    with probability ``zeros``: a zero moment leaves every entry above it
+    in the cone to the determinant fallback, whose cost at order 48 grows
+    with the digit count."""
+    rng = random.Random(seed)
+    return ["0" if rng.random() < zeros
+            else f"{rng.randint(-99, 99)}/{rng.randint(1, 9)}"
+            for _ in range(length)]
+
+
+@st.composite
+def numeric_gl2_argv(draw) -> list[str]:
+    """tau gl2 on a window of up to 100 values, with orders up to 48, a k
+    range at most 3 wide and an alpha range at most 12 wide."""
+    values = _window_values(draw(st.integers(0, 2 ** 32)),
+                            draw(st.integers(0, MAX_WINDOW)),
+                            draw(st.sampled_from([0.0, 0.01, 0.1, 0.5])))
+    k_hi = draw(st.integers(-2, MAX_ORDER))
+    k_lo = k_hi - draw(st.integers(0, 2))
+    a_lo = draw(st.integers(-8, 8))
+    a_hi = a_lo + draw(st.integers(0, 11))
+    window = {"kind": "window", "lo": draw(st.integers(-5, 5)),
+              "values": values}
+    return ["tau", "gl2", "--moments", json.dumps(window),
+            "--k", f"{k_lo}..{k_hi}", "--alpha", f"{a_lo}..{a_hi}",
+            "--format", draw(st.sampled_from(["json", "csv", "pretty"]))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=numeric_gl2_argv())
+# the dearest shape drawn: 36 entries of order 46-48 that read the zeros
+# left of the window, so all of them fall back to the determinant
+@example(argv=["tau", "gl2", "--moments", json.dumps(
+    {"kind": "window", "lo": 0, "values": _window_values(1, MAX_WINDOW, 0.01)}),
+    "--k", "46..48", "--alpha", "-8..3"])
+def test_numeric_tau_gl2_cpu_ceiling(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.process_time()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    spent = time.process_time() - start
+    assert spent < CPU_CEILING_S, (spent, argv)
+    assert (code, err.getvalue()) == (0, ""), argv

@@ -1,17 +1,19 @@
+import random
+import time
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tauq.tau_gl2
 from tauq import (
-    DegenerateTauError,
     MomentPoly,
     MomentSequence,
     ResourceBoundError,
     TauTable,
-    fill_grid_recurrence,
+    condensation_table,
     induction_replay,
     qsystem_residual,
     tau_det,
@@ -20,7 +22,7 @@ from tauq import (
     verify_zero_curvature,
 )
 
-from reference import tau_residue
+from reference import tau_det_table, tau_residue
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -83,31 +85,111 @@ def test_grid_get_set(catalan):
 
 
 def test_fill_grid_matches_det(catalan):
-    grid = fill_grid_recurrence(catalan, 5, (0, 2))
-    for k in range(6):
-        for a in range(3):
-            assert grid.get(k, a) == tau_det(k, a, catalan)
+    assert condensation_table(catalan, (0, 5), (0, 2)) == \
+        tau_det_table(catalan, (0, 5), (0, 2))
 
 
 def test_fill_grid_hermite_degeneracy(hermite):
-    grid = fill_grid_recurrence(hermite, 3, (0, 0))
-    assert [grid.get(k, 0) for k in range(4)] == [1, 1, Fraction(1, 2), Fraction(1, 4)]
-    with pytest.raises(DegenerateTauError) as exc:
-        fill_grid_recurrence(hermite, 4, (0, 0))
-    assert exc.value.indices == {"k": 3, "alpha": 1}
+    # tau_1^(1) = c_1 = 0 divides tau_3^(-1); the table falls back to the
+    # determinant there instead of aborting
+    table = condensation_table(hermite, (0, 4), (-1, 0))
+    assert [table[k, 0] for k in range(5)] == [
+        1, 1, Fraction(1, 2), Fraction(1, 4), Fraction(3, 16)]
+    assert table[3, -1] == 0
+    assert table == tau_det_table(hermite, (0, 4), (-1, 0))
 
 
 def test_fill_grid_zero_sequence():
-    with pytest.raises(DegenerateTauError) as exc:
-        fill_grid_recurrence(MomentSequence.zero(), 3, (0, 0))
-    assert exc.value.indices == {"k": 3, "alpha": 0}
+    table = condensation_table(MomentSequence.zero(), (-1, 4), (-2, 2))
+    assert table == {(k, a): Fraction(int(k == 0))
+                     for k in range(-1, 5) for a in range(-2, 3)}
 
 
 def test_fill_grid_rejects_formal_and_empty_range(formal_c, catalan):
     with pytest.raises(ValueError):
-        fill_grid_recurrence(formal_c, 2, (0, 0))
+        condensation_table(formal_c, (0, 2), (0, 0))
     with pytest.raises(ValueError):
-        fill_grid_recurrence(catalan, 2, (1, 0))
+        condensation_table(catalan, (0, 2), (1, 0))
+    with pytest.raises(ValueError):
+        condensation_table(catalan, (2, 1), (0, 0))
+
+
+def _rand_window(rng, lo, hi, num=999, den=99, zeros=0.0):
+    """Seeded window on [lo, hi]: +-a/b with a <= num, b <= den, each value
+    zero with probability ``zeros``."""
+    return MomentSequence.window(lo, [
+        Fraction(0) if rng.random() < zeros
+        else Fraction(rng.randint(-num, num), rng.randint(1, den))
+        for _ in range(hi - lo + 1)])
+
+
+@pytest.mark.parametrize("zeros", [0.0, 0.5], ids=["dense", "zero-heavy"])
+@pytest.mark.parametrize("seed", range(20))
+def test_condensation_table_random_windows(seed, zeros):
+    # the window may start before or after alpha_lo (lo up to 3 either
+    # side, sometimes negative) and end past the cone the table reads or
+    # up to 8 moments inside it
+    rng = random.Random(seed)
+    k_lo = rng.randint(-2, 3)
+    k_hi = k_lo + rng.randint(0, 7)
+    a_lo = rng.randint(-5, 4)
+    a_hi = a_lo + rng.randint(0, 12)
+    lo = a_lo + rng.randint(-3, 3)
+    hi = max(lo, a_hi + 2 * k_hi - 2 + rng.randint(-8, 2))
+    m = _rand_window(rng, lo, hi, zeros=zeros)
+    assert condensation_table(m, (k_lo, k_hi), (a_lo, a_hi)) == \
+        tau_det_table(m, (k_lo, k_hi), (a_lo, a_hi))
+
+
+def _forced_zero_window(rng, k, alpha):
+    """A seeded window on [alpha - 4, alpha + 2k + 8] with tau_k^(alpha) = 0:
+    c_{alpha+2k-2} enters that determinant only in its last diagonal
+    entry, with cofactor tau_{k-1}^(alpha), so one value of it zeroes it."""
+    while True:
+        m = _rand_window(rng, alpha - 4, alpha + 2 * k + 8)
+        cofactor = tau_det(k - 1, alpha, m)
+        if cofactor:
+            break
+    j = alpha + 2 * k - 2 - m.lo
+    m.values[j] = Fraction(0)
+    m.values[j] = -tau_det(k, alpha, m) / cofactor
+    assert tau_det(k, alpha, m) == 0
+    return m
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_condensation_table_forced_zero_minor(k):
+    # tau_k^(2) = 0 divides tau_{k+2}^(0), and every entry above that
+    # reads tau_{k+2}^(0) is unknown too
+    m = _forced_zero_window(random.Random(k), k, 2)
+    assert condensation_table(m, (0, k + 4), (-3, 4)) == \
+        tau_det_table(m, (0, k + 4), (-3, 4))
+
+
+def test_condensation_table_hermite_odd_alpha(hermite):
+    # every odd moment is zero, and so is the divisor tau_1^(a + 2) of
+    # tau_3^(a) at odd a: those entries and every entry from k = 4 up
+    # come from the determinant
+    for alphas in ((1, 1), (-3, 5), (7, 9)):
+        assert condensation_table(hermite, (-1, 9), alphas) == \
+            tau_det_table(hermite, (-1, 9), alphas)
+
+
+def test_condensation_table_large_denominators():
+    # pairwise-distinct 20-digit denominators and a wide alpha range. The
+    # lcm of all 315 moments has about 6,300 digits, and one triangle
+    # scaled by it takes tens of seconds; each tile of about k_max alphas
+    # scales by the lcm of its own 23 moments or so
+    rng = random.Random(20)
+    dens = set()
+    while len(dens) < 315:
+        dens.add(rng.randrange(10 ** 19, 10 ** 20))
+    m = MomentSequence.window(-2, [Fraction(rng.randint(-999, 999), d)
+                                   for d in sorted(dens)])
+    start = time.process_time()
+    table = condensation_table(m, (6, 8), (-4, 300))
+    assert time.process_time() - start < 5.0
+    assert table == tau_det_table(m, (6, 8), (-4, 300))
 
 
 def test_qsystem_residual_zero_on_data(catalan, hermite):
@@ -167,8 +249,37 @@ def test_verifier_computes_each_tau_once(tau_det_calls, request, source, verify)
 
 
 def test_fill_grid_determinants_only_below_row_two(tau_det_calls, catalan):
-    grid = fill_grid_recurrence(catalan, 6, (-1, 2))
-    values = {(k, a): grid.get(k, a) for k in range(7) for a in range(-1, 3)}
-    assert tau_det_calls
-    assert max(k for k, _ in tau_det_calls) <= 1
-    assert values == {key: tau_det(*key, catalan) for key in values}
+    # every catalan tau at alpha >= 0 is positive: no divisor is zero, so
+    # the table takes no determinant at all, in any row
+    table = condensation_table(catalan, (-1, 12), (0, 20))
+    assert not tau_det_calls
+    assert table == tau_det_table(catalan, (-1, 12), (0, 20))
+
+
+def _unknown(m, k_range, alpha_range) -> set:
+    """The requested entries whose condensation divides by a zero tau,
+    directly or through an entry it reads, found from determinants."""
+    @cache
+    def unknown(k, a):
+        return k >= 2 and (not tau_det(k - 2, a + 2, m)
+                           or unknown(k - 2, a + 2)
+                           or any(unknown(k - 1, a + s) for s in range(3)))
+    return {key for key in tau_det_table(m, k_range, alpha_range)
+            if unknown(*key)}
+
+
+@pytest.mark.parametrize("case", ["hermite-odd", "zero-window", "forced-zero",
+                                  "window-ends-in-cone"])
+def test_condensation_table_determinants_only_for_unknown(tau_det_calls,
+                                                          hermite, case):
+    rng = random.Random(case)
+    k_range, alpha_range = (0, 9), (-2, 6)
+    m = {"hermite-odd": hermite,
+         "zero-window": MomentSequence.zero(),
+         "forced-zero": _forced_zero_window(rng, 3, 1),
+         "window-ends-in-cone": _rand_window(rng, -1, 14)}[case]
+    expected = _unknown(m, k_range, alpha_range)
+    table = condensation_table(m, k_range, alpha_range)
+    assert expected
+    assert dict(tau_det_calls) == dict.fromkeys(expected, 1)
+    assert table == tau_det_table(m, k_range, alpha_range)
