@@ -102,8 +102,6 @@ def _g_minus(k: int, l: int, alpha: int, beta: int,
             raise SupportError("the inverse shift field needs finite support")
 
     def bordered(kk: int, ll: int) -> LaurentPoly:
-        if ll < 0 or kk < ll:
-            return LaurentPoly.zero()
         return mop_bordered_poly(kk, ll, alpha, beta, seqs[0], seqs[-1])
 
     b = bordered(k, l)

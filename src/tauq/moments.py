@@ -18,16 +18,19 @@ import re
 from fractions import Fraction
 from math import comb, prod
 
-from .errors import MomentParseError, SupportError
+from .errors import MomentParseError, ResourceBoundError, SupportError
 from .rings import MomentPoly, as_rational
 
 NAMED_GENERATORS = ("catalan", "hermite")
 
 # Input bounds, checked before any work starts: the widest random window
-# (hi - lo + 1) and the largest |exponent| of a value string like "1e400".
-# Unbounded, a span of 10^8 runs for minutes and "1e10000000" parses for 12 s.
+# (hi - lo + 1), the largest |exponent| of a value string like "1e400" and
+# the largest named-moment index. Unbounded, a span of 10^8 runs for minutes,
+# "1e10000000" parses for 12 s and C_i hangs at i = 10^18. CPU time on 2 vCPU
+# (Python 3.11.7) at i = 10^5 / 2*10^5: C_i 0.76 / 2.7 s, hermite 1.13 / 5.6 s.
 MAX_RANDOM_SPAN = 10_000
 MAX_DECIMAL_EXPONENT = 1000
+MAX_NAMED_INDEX = 100_000
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 # MMIX linear congruential constants (Knuth); state advances modulo 2^64
@@ -80,6 +83,8 @@ class MomentSequence:
         if self.kind == "named":
             if i < 0:
                 return Fraction(0)
+            if i > MAX_NAMED_INDEX:
+                raise ResourceBoundError(f"{self.name} index {i} is above {MAX_NAMED_INDEX}")
             if self.name == "catalan":
                 return Fraction(comb(2 * i, i) // (i + 1))
             return _hermite_moment(i)

@@ -1,10 +1,10 @@
 """Moment bilinear forms and the polynomials the tau-functions generate.
 
 The form <z^a, z^b> = m_{offset+a+b} turns a moment sequence into a
-bilinear pairing on polynomials. Dividing the bordered Hankel determinant
-by tau_k gives the monic degree-k polynomial orthogonal to all lower
-powers; the two-family block version gives type-II multiple orthogonal
-polynomials sharing orthogonality conditions between the c and d forms.
+bilinear pairing on polynomials. The bordered determinant B_{k,l}
+(``mop_bordered_poly``) over its leading coefficient tau_{k,l} is the
+monic type-II multiple orthogonal polynomial of the c and d forms; B_{k,0}
+gives the monic polynomial orthogonal to all lower powers of one form.
 
 Norms and three-term recurrence coefficients are derived facts here, not
 inputs: tests gate the polynomials against a brute-force Gram-Schmidt
@@ -19,7 +19,6 @@ from .errors import DegenerateTauError
 from .moments import MomentSequence
 from .report import VerificationReport
 from .rings import LaurentPoly, bordered_cofactors
-from .tau_gl2 import tau_table
 from .tau_gl3 import block_hankel_rows
 
 
@@ -110,7 +109,8 @@ class MonicPolynomial:
         return f"MonicPolynomial({self.coeffs!r})"
 
 
-def _monic(bordered: LaurentPoly, degree: int, what: str, **indices):
+def _monic(bordered: LaurentPoly, degree: int,
+           what: str = "tau is zero; no monic orthogonal polynomial", **indices):
     """bordered / tau, where tau is its leading coefficient (at z^degree)."""
     tau = bordered.coeff(degree)
     if not tau:
@@ -123,24 +123,25 @@ def monic_op(k: int, alpha: int, m: MomentSequence) -> MonicPolynomial:
 
     Exists iff tau_k != 0 (the moment functional is quasi-definite at k).
     """
-    b = bordered_tau_poly(k, alpha, m) if k >= 0 else LaurentPoly.zero()
-    return _monic(b, k, "tau is zero; no monic orthogonal polynomial",
-                  k=k, alpha=alpha)
+    return _monic(bordered_tau_poly(k, alpha, m), k, k=k, alpha=alpha)
 
 
 def verify_orthogonality(m: MomentSequence, alpha: int, K: int) -> VerificationReport:
-    """<p_j, p_k> = 0 for j < k <= K, and <p_k, p_k> = tau_{k+1}/tau_k."""
+    """<p_j, p_k> = 0 for j < k <= K, and <p_k, p_k> = tau_{k+1}/tau_k, each
+    tau the leading coefficient of a B_k that p_k is built from (or B_{K+1})."""
     report = VerificationReport("orthogonality")
     form = HankelForm(m, alpha)
-    polys = [monic_op(k, alpha, m) for k in range(K + 1)]
-    tau = tau_table(m)
+    bordered, polys = [bordered_tau_poly(0, alpha, m)], []
+    for k in range(K + 1):  # a zero tau_k raises before B_{k+1} is built
+        polys.append(_monic(bordered[k], k, k=k, alpha=alpha))
+        bordered.append(bordered_tau_poly(k + 1, alpha, m))
     for k in range(K + 1):
         for j in range(k):
             v = form_eval(form, polys[j], polys[k])
             report.add_check({"j": j, "k": k, "alpha": alpha,
                               "identity": "orthogonal"}, v == 0, v, 0)
         norm = form_eval(form, polys[k], polys[k])
-        claim = tau(k + 1, alpha) / tau(k, alpha)
+        claim = bordered[k + 1].coeff(k + 1) / bordered[k].coeff(k)
         report.add_check({"k": k, "alpha": alpha, "identity": "norm"},
                          norm == claim, norm, claim)
     return report
@@ -183,9 +184,9 @@ def mop_bordered_poly(k: int, l: int, alpha: int, beta: int,
     (l d-columns, then k-l c-columns, last column 1, z, ..., z^k) with the
     E=0 sign. Its coefficients are the last-column cofactors of the
     (k+1) x k block body, all from one elimination. Degree-k polynomial
-    with leading coefficient tau_{k,l}."""
-    if k < 0 or l < 0 or k < l:
-        raise ValueError("need k >= l >= 0")
+    with leading coefficient tau_{k,l}; 0 outside 0 <= l <= k, as tau is."""
+    if l < 0 or k < l:
+        return LaurentPoly.zero()
     rows = block_hankel_rows(k + 1, k, l, alpha, beta, C, D)
     cofactors = bordered_cofactors(rows)
     if (l * (l + 1) // 2) % 2:
@@ -202,9 +203,8 @@ def bordered_tau_poly(k: int, alpha: int, m: MomentSequence) -> LaurentPoly:
 def mop_type2(k: int, l: int, alpha: int, beta: int,
               C: MomentSequence, D: MomentSequence) -> MonicPolynomial:
     """Monic type-II multiple orthogonal polynomial for the (C, D) pair."""
-    b = (mop_bordered_poly(k, l, alpha, beta, C, D) if 0 <= l <= k
-         else LaurentPoly.zero())  # tau_{k,l} = 0 for k < l
-    return _monic(b, k, "tau is zero; no monic polynomial",
+    return _monic(mop_bordered_poly(k, l, alpha, beta, C, D), k,
+                  "tau is zero; no monic polynomial",
                   k=k, l=l, alpha=alpha, beta=beta)
 
 

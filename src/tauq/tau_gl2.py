@@ -2,9 +2,9 @@
 condensation, and the bilinear recurrence check
 tau_k^(a) tau_{k-2}^(a+2) = tau_{k-1}^(a+2) tau_{k-1}^(a) - (tau_{k-1}^(a+1))^2.
 
-``tau_det`` computes one tau as a Hankel determinant. Verifiers read tau
-from one memoized table of such determinants per call (``tau_table``):
-they check the relation above, so they must not fill their table with it.
+``qsystem_sides`` writes the relation once; ``tau_det`` is one Hankel
+determinant. The relation's verifiers read tau from one memoized table of
+those per call (``tau_table``), never from the relation they check.
 
 ``condensation_table`` runs that relation as an algorithm (Dodgson's
 condensation, the Desnanot-Jacobi identity the Q-system is proved by) for
@@ -22,10 +22,10 @@ moment source (Fraction numerically, MomentPoly for formal sequences).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .moments import MomentSequence
 from .report import VerificationReport
+from .rings import _integer_rows
 from .tau_gl3 import TauTable, tau3_e0_det
 
 
@@ -41,12 +41,10 @@ def tau_table(m: MomentSequence) -> TauTable:
     return TauTable(tau_det, m)
 
 
-def condensation_numerator(k: int, alpha: int, tau):
-    """tau_{k-1}^(a+2) tau_{k-1}^(a) - (tau_{k-1}^(a+1))^2: the right-hand
-    side of the bilinear relation. tau is a callable (k, alpha) -> value
-    honoring the boundary conventions."""
-    return (tau(k - 1, alpha + 2) * tau(k - 1, alpha)
-            - tau(k - 1, alpha + 1) ** 2)
+def qsystem_sides(k: int, alpha: int, tau):
+    """(lhs, rhs) of the bilinear relation: ``relation_sides`` for GL2."""
+    return (tau(k, alpha) * tau(k - 2, alpha + 2),
+            tau(k - 1, alpha + 2) * tau(k - 1, alpha) - tau(k - 1, alpha + 1) ** 2)
 
 
 def condensation_table(m: MomentSequence, k_range: tuple[int, int],
@@ -83,9 +81,8 @@ def _condense_tile(m: MomentSequence, k_range: tuple[int, int],
             table[k, alpha] = Fraction(int(k == 0))
     if k_hi < 1:
         return
-    moments = [m.get(i) for i in range(alphas[0], alphas[-1] + 2 * k_hi - 1)]
-    scale = lcm(*[c.denominator for c in moments])
-    row = [c.numerator * (scale // c.denominator) for c in moments]
+    (row,), (scale,) = _integer_rows(
+        [[m.get(i) for i in range(alphas[0], alphas[-1] + 2 * k_hi - 1)]])
     prev, power = [1] * (len(row) + 2), scale  # rows 0 and 1
     for k in range(1, k_hi + 1):
         if k > 1:
@@ -101,8 +98,8 @@ def _condense_tile(m: MomentSequence, k_range: tuple[int, int],
 
 def qsystem_residual(k: int, alpha: int, tau):
     """R(k, alpha): the bilinear relation rearranged to one side."""
-    return (tau(k, alpha) * tau(k - 2, alpha + 2)
-            - condensation_numerator(k, alpha, tau))
+    lhs, rhs = qsystem_sides(k, alpha, tau)
+    return lhs - rhs
 
 
 def verify_qsystem(m: MomentSequence, k_max: int,
@@ -118,7 +115,6 @@ def verify_qsystem(m: MomentSequence, k_max: int,
     tau = tau_table(m)
     for k in range(0, k_max + 1):
         for alpha in range(a_lo, a_hi + 1):
-            lhs = tau(k, alpha) * tau(k - 2, alpha + 2)
-            rhs = condensation_numerator(k, alpha, tau)
+            lhs, rhs = qsystem_sides(k, alpha, tau)
             report.add_check({"k": k, "alpha": alpha}, lhs == rhs, lhs, rhs)
     return report

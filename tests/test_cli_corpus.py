@@ -1,0 +1,95 @@
+"""A seeded corpus of polynomial and verifier runs, pinned by one SHA-256.
+
+The corpus runs ``opgen``, ``recurrence``, ``verify orthogonality``,
+``mop``, ``verify mop`` and ``verify qsystem`` on named families, windows
+with a negative ``lo`` and windows where 30-60% of the values are zero,
+with k and l ranges that mostly start at -1. The digest covers the argv,
+exit code, stdout and stderr of every run, in order. It was recorded
+before ``mop_bordered_poly`` took over the rule that B_{k,l} vanishes
+outside 0 <= l <= k and before ``verify orthogonality`` read its taus from
+the bordered polynomials; any change to what these subcommands print
+changes it.
+"""
+import contextlib
+import hashlib
+import io
+import json
+import random
+from fractions import Fraction
+
+from tauq.cli import main
+
+SEED, PER_COMMAND = 16, 60
+PINNED = "8266891d2f3ac5db7aca04ab35b974cab80f668415fab577a6bea8b0c0e57374"
+
+
+def _source(rng: random.Random) -> str:
+    """A named family one time in four, otherwise a window of 4-12 small
+    rationals at lo in -4..2, with none, 30%, 45% or 60% of them zero."""
+    if rng.random() < 0.25:
+        return json.dumps({"kind": "named",
+                           "name": rng.choice(["catalan", "hermite"])})
+    zeros = rng.choice([0.0, 0.3, 0.45, 0.6])
+    values = ["0" if rng.random() < zeros
+              else str(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+              for _ in range(rng.randint(4, 12))]
+    return json.dumps({"kind": "window", "lo": rng.randint(-4, 2),
+                       "values": values})
+
+
+def _range(rng: random.Random, lo_choices, hi: int) -> str:
+    return f"{rng.choice(lo_choices)}..{hi}"
+
+
+def _argv(rng: random.Random, command: str) -> list[str]:
+    fmt = ["--format", rng.choice(["json", "pretty", "pretty"])]
+    if command in ("opgen", "recurrence"):
+        return [command, "--moments", _source(rng),
+                "--count", str(rng.randint(0, 6)),
+                "--alpha", str(rng.randint(-2, 3)), *fmt]
+    if command == "orthogonality":
+        a = rng.randint(-2, 2)
+        return ["verify", "orthogonality", "--moments", _source(rng),
+                "--alpha", f"{a}..{a + rng.randint(0, 2)}",
+                "--count", str(rng.randint(0, 5)), *fmt]
+    if command == "qsystem":
+        a = rng.randint(-2, 2)
+        return ["verify", "qsystem", "--moments", _source(rng),
+                "--k", _range(rng, (-1, -1, 0, 1), rng.randint(1, 6)),
+                "--alpha", f"{a}..{a + rng.randint(0, 2)}", *fmt]
+    ks = ["--k", _range(rng, (-1, -1, -1, 0, 1), rng.randint(1, 4)),
+          "--l", _range(rng, (-1, -1, 0, 1), rng.randint(0, 3))]
+    families = ["--moments-c", _source(rng), "--moments-d", _source(rng)]
+    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+    if command == "mop":
+        return ["mop", *families, *ks, "--alpha", str(a), "--beta", str(b),
+                *fmt]
+    return ["verify", "mop", *families, *ks,
+            "--alpha", f"{a}..{a + rng.randint(0, 1)}",
+            "--beta", f"{b}..{b + rng.randint(0, 1)}", *fmt]
+
+
+def corpus() -> list[list[str]]:
+    rng = random.Random(SEED)
+    return [_argv(rng, command)
+            for command in ("opgen", "recurrence", "orthogonality",
+                            "mop", "verify-mop", "qsystem")
+            for _ in range(PER_COMMAND)]
+
+
+def corpus_digest(argvs) -> str:
+    digest = hashlib.sha256()
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        for part in (json.dumps(argv), str(code), out.getvalue(),
+                     err.getvalue()):
+            digest.update(part.encode() + b"\0")
+    return digest.hexdigest()
+
+
+def test_corpus_output_is_pinned():
+    argvs = corpus()
+    assert len(argvs) >= 300
+    assert corpus_digest(argvs) == PINNED

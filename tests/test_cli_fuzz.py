@@ -5,7 +5,8 @@ window, named, random, malformed or missing moment sources. Whatever the
 input, it returns 0, 1, 2 or 3 and raises nothing. Exit 2, and exit 3
 without a report on stdout, leave exactly one JSON record on stderr;
 exits 0 and 1 leave stderr empty. Numeric ``tau gl2`` runs at orders up
-to 48 on windows up to 100 values long also stay under a CPU-time ceiling.
+to 48 on windows up to 100 values long, and named families at an index of
+10^18, also stay under a CPU-time ceiling.
 """
 import contextlib
 import io
@@ -13,6 +14,7 @@ import json
 import random
 import time
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -167,3 +169,24 @@ def test_numeric_tau_gl2_cpu_ceiling(argv):
     spent = time.process_time() - start
     assert spent < CPU_CEILING_S, (spent, argv)
     assert (code, err.getvalue()) == (0, ""), argv
+
+
+@pytest.mark.parametrize("name", ["catalan", "hermite"])
+@pytest.mark.parametrize("words", [("opgen", "--count", "2"),
+                                   ("tau", "gl2", "--k", "2"),
+                                   ("verify", "orthogonality", "--count", "2")],
+                         ids=["opgen", "tau-gl2", "orthogonality"])
+def test_named_family_at_huge_alpha_is_resource_bound(words, name):
+    # math.comb at this index would not finish: the moment index bound
+    # refuses it before any arithmetic
+    argv = [*words, "--moments", json.dumps({"kind": "named", "name": name}),
+            "--alpha", str(10 ** 18)]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.process_time()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.process_time() - start < CPU_CEILING_S
+    assert (code, out.getvalue()) == (2, "")
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ResourceBoundError"

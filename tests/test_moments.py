@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import tauq.moments
 from tauq import (
     MomentParseError,
     MomentPoly,
     MomentSequence,
+    ResourceBoundError,
     SupportError,
     build_moments,
     serialize,
@@ -190,3 +192,15 @@ def test_decimal_exponent_within_bound():
                        "values": ["1e1000", "-25E-1000", "7/2"]})
     assert m.get(0) == 10 ** MAX_DECIMAL_EXPONENT
     assert m.get(1) == Fraction(-25, 10 ** 1000)
+
+
+@pytest.mark.parametrize("name", ["catalan", "hermite"])
+def test_named_index_bound(monkeypatch, name):
+    # the bound is checked before comb or prod, so 10**18 raises at once
+    m = MomentSequence.named(name)
+    monkeypatch.setattr(tauq.moments, "MAX_NAMED_INDEX", 10)
+    assert m.get(10) == {"catalan": 16796, "hermite": Fraction(945, 32)}[name]
+    assert m.get(-10 ** 18) == 0
+    for i in (11, 10 ** 18):
+        with pytest.raises(ResourceBoundError):
+            m.get(i)

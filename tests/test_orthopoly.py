@@ -182,10 +182,11 @@ def test_mop_collapses_to_single_family(catalan, linear_window):
 
 
 def test_mop_validation_and_degeneracy(catalan, linear_window):
-    with pytest.raises(ValueError):
-        mop_bordered_poly(1, 2, 0, 0, catalan, linear_window)
-    with pytest.raises(ValueError):
-        mop_bordered_poly(1, -1, 0, 0, catalan, linear_window)
+    # B_{k,l} is 0 outside the cone 0 <= l <= k, as tau_{k,l} is at E = 0
+    for k, l in ((1, 2), (1, -1), (-1, 0)):
+        assert mop_bordered_poly(k, l, 0, 0, catalan, linear_window) == \
+            LaurentPoly.zero()
+        assert tau3_e0_det(k, l, 0, 0, catalan, linear_window) == 0
     with pytest.raises(DegenerateTauError):
         mop_type2(3, 3, 0, 0, catalan, linear_window)
 

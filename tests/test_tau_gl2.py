@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tauq.tau_gl2
+import tauq.tau_gl3
 from tauq import (
     MomentPoly,
     MomentSequence,
@@ -238,14 +239,31 @@ def tau_det_calls(monkeypatch):
 @pytest.mark.parametrize("verify", [
     lambda m: verify_qsystem(m, 5, (-1, 2)),
     lambda m: verify_zero_curvature(m, (0, 3), (-1, 1)),
-    lambda m: verify_orthogonality(m, 0, 5),
     lambda m: induction_replay(m, 5, (-1, 2)),
-], ids=["qsystem", "zero-curvature", "orthogonality", "induction-replay"])
+], ids=["qsystem", "zero-curvature", "induction-replay"])
 @pytest.mark.parametrize("source", ["catalan", "hermite"])
 def test_verifier_computes_each_tau_once(tau_det_calls, request, source, verify):
     report = verify(request.getfixturevalue(source))
     assert report.total and tau_det_calls
     assert max(tau_det_calls.values()) == 1
+
+
+@pytest.mark.parametrize("source", ["catalan", "hermite"])
+def test_orthogonality_takes_no_tau_determinant(tau_det_calls, monkeypatch,
+                                                request, source):
+    # every tau it claims is the leading coefficient of a bordered
+    # polynomial it has already built for p_k
+    tau3_calls = Counter()
+    real = tauq.tau_gl3.tau3_det
+
+    def counting(*args):
+        tau3_calls[args[:4]] += 1
+        return real(*args)
+
+    monkeypatch.setattr(tauq.tau_gl3, "tau3_det", counting)
+    report = verify_orthogonality(request.getfixturevalue(source), 0, 5)
+    assert (report.total, report.failures) == (15 + 6, 0)
+    assert not tau_det_calls and not tau3_calls
 
 
 def test_fill_grid_determinants_only_below_row_two(tau_det_calls, catalan):
