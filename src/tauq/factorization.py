@@ -259,7 +259,9 @@ def verify_zero_curvature(m: MomentSequence, k_range: tuple[int, int],
     zero tau denominator are recorded as skipped, not failed. All
     instances share one tau table."""
     report = VerificationReport("zero-curvature")
-    tau = tau_table(m)
+    # (k, a) reads up to tau_{k+2} at a - 1 and a, tau_{k+1} at a + 1
+    (k_lo, k_hi), a_hi = k_range, alpha_range[1]
+    tau = tau_table(m, lambda a: (k_lo - 1, k_hi + 2 - (a > a_hi)))
     for k in range(k_range[0], k_range[1] + 1):
         for a in range(alpha_range[0], alpha_range[1] + 1):
             report.extend(zero_curvature_check(k, a, m, tau))
@@ -278,7 +280,8 @@ def induction_replay(m: MomentSequence, k_max: int,
     the step is recorded as skipped (the identity cannot propagate there).
     """
     report = VerificationReport("induction-replay")
-    tau = tau_table(m)
+    top = max(k_max, 1)  # the taus of verify_qsystem; the base reads k = 1
+    tau = tau_table(m, lambda a: (-2, top - (a > alpha_range[1])))
     for a in range(alpha_range[0], alpha_range[1] + 1):
         for k in (0, 1):
             r = qsystem_residual(k, a, tau)

@@ -6,6 +6,10 @@ bilinear pairing on polynomials. The bordered determinant B_{k,l}
 monic type-II multiple orthogonal polynomial of the c and d forms; B_{k,0}
 gives the monic polynomial orthogonal to all lower powers of one form.
 
+For numeric moments ``mop_bordered_column`` takes every degree at one (l,
+alpha, beta) from one no-swap elimination, O(K^3) where one per degree
+costs O(K^4); degrees past a zero leading minor are built one at a time.
+
 Norms and three-term recurrence coefficients are derived facts here, not
 inputs: tests gate the polynomials against a brute-force Gram-Schmidt
 oracle, and the coefficients by rebuilding the polynomials from them.
@@ -14,12 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import DegenerateTauError
 from .moments import MomentSequence
 from .report import VerificationReport
-from .rings import LaurentPoly, bordered_cofactors
-from .tau_gl3 import block_hankel_rows
+from .rings import LaurentPoly, _integer_rows, _numeric, bordered_cofactors
+from .tau_gl3 import block_hankel_rows, leading_blocks
 
 
 @dataclass(frozen=True)
@@ -49,13 +54,21 @@ def _poly_coeffs(f) -> dict[int, Fraction]:
 
 
 def form_eval(form: HankelForm, f, g):
-    """<f, g> by coefficient extraction: sum f_a g_b m_{offset+a+b}."""
+    """<f, g> by coefficient extraction: sum f_a g_b m_{offset+a+b}, on
+    Python ints with one Fraction at the end when everything is numeric."""
     fa, gb = _poly_coeffs(f), _poly_coeffs(g)
-    total = Fraction(0)
-    for a, ca in fa.items():
-        for b, cb in gb.items():
-            total += ca * cb * form.moment(a + b)
-    return total
+    if not fa or not gb:
+        return Fraction(0)
+    lo = min(fa) + min(gb)
+    rows = [list(fa.values()), list(gb.values()),
+            [form.moment(n) for n in range(lo, max(fa) + max(gb) + 1)]]
+    if not _numeric(rows):
+        return sum((ca * cb * rows[2][a + b - lo] for a, ca in fa.items()
+                    for b, cb in gb.items()), Fraction(0))
+    (fs, gs, ms), scales = _integer_rows(rows)
+    total = sum(x * sum(y * ms[a + b - lo] for b, y in zip(gb, gs))
+                for a, x in zip(fa, fs))
+    return Fraction(total, prod(scales))
 
 
 class MonicPolynomial:
@@ -118,12 +131,15 @@ def _monic(bordered: LaurentPoly, degree: int,
     return MonicPolynomial.from_laurent(bordered.scale(Fraction(1) / tau))
 
 
-def monic_op(k: int, alpha: int, m: MomentSequence) -> MonicPolynomial:
-    """Monic degree-k orthogonal polynomial: bordered determinant / tau_k.
+def monic_op(k: int, alpha: int, m: MomentSequence,
+             bordered=None) -> MonicPolynomial:
+    """Monic degree-k orthogonal polynomial: bordered determinant / tau_k,
+    with B_k = bordered(k) (a mop_bordered_column at alpha) when given.
 
     Exists iff tau_k != 0 (the moment functional is quasi-definite at k).
     """
-    return _monic(bordered_tau_poly(k, alpha, m), k, k=k, alpha=alpha)
+    b = bordered(k) if bordered else bordered_tau_poly(k, alpha, m)
+    return _monic(b, k, k=k, alpha=alpha)
 
 
 def verify_orthogonality(m: MomentSequence, alpha: int, K: int) -> VerificationReport:
@@ -131,10 +147,11 @@ def verify_orthogonality(m: MomentSequence, alpha: int, K: int) -> VerificationR
     tau the leading coefficient of a B_k that p_k is built from (or B_{K+1})."""
     report = VerificationReport("orthogonality")
     form = HankelForm(m, alpha)
-    bordered, polys = [bordered_tau_poly(0, alpha, m)], []
+    column = mop_bordered_column(K + 1, 0, alpha, 0, m, m)
+    bordered, polys = [column(0)], []
     for k in range(K + 1):  # a zero tau_k raises before B_{k+1} is built
         polys.append(_monic(bordered[k], k, k=k, alpha=alpha))
-        bordered.append(bordered_tau_poly(k + 1, alpha, m))
+        bordered.append(column(k + 1))
     for k in range(K + 1):
         for j in range(k):
             v = form_eval(form, polys[j], polys[k])
@@ -153,7 +170,8 @@ def recurrence_coeffs(m: MomentSequence, alpha: int, K: int) -> list[tuple]:
     p_k, comparing the z^k and z^{k-1} coefficients gives a_k = s_k - s_{k+1}
     and b_k = t_k - t_{k+1} - a_k s_k (so b_0 = 0). Reconstructing from
     these must reproduce monic_op exactly (tested, not assumed)."""
-    polys = [monic_op(k, alpha, m) for k in range(K + 1)]
+    column = mop_bordered_column(K, 0, alpha, 0, m, m)
+    polys = [monic_op(k, alpha, m, column) for k in range(K + 1)]
     s = [p.coeff(k - 1) for k, p in enumerate(polys)]
     t = [p.coeff(k - 2) for k, p in enumerate(polys)]
     out = []
@@ -194,6 +212,23 @@ def mop_bordered_poly(k: int, l: int, alpha: int, beta: int,
     return LaurentPoly(dict(enumerate(cofactors)))
 
 
+def mop_bordered_column(k_max: int, l: int, alpha: int, beta: int,
+                        C: MomentSequence, D: MomentSequence):
+    """k -> B_{k,l} (``mop_bordered_poly``) at one (l, alpha, beta), the
+    numeric degrees l..k_max from leading_blocks. Any other degree is one
+    mop_bordered_poly call when asked for, so a caller that stops at a
+    zero tau reads and raises as it would one degree at a time."""
+    polys = [] if not 0 <= l <= k_max or C.is_formal or D.is_formal else [
+        LaurentPoly(dict(enumerate(cofactors))) for cofactors in
+        leading_blocks(k_max, l, alpha, beta, C, D, bordered=True)]
+
+    def bordered(k: int) -> LaurentPoly:
+        if 0 <= k - l < len(polys):
+            return polys[k - l]
+        return mop_bordered_poly(k, l, alpha, beta, C, D)
+    return bordered
+
+
 def bordered_tau_poly(k: int, alpha: int, m: MomentSequence) -> LaurentPoly:
     """z^k S+ tau_k: the one-family bordered Hankel determinant (no
     d-columns). Dividing by tau_k gives the monic orthogonal polynomial."""
@@ -201,10 +236,12 @@ def bordered_tau_poly(k: int, alpha: int, m: MomentSequence) -> LaurentPoly:
 
 
 def mop_type2(k: int, l: int, alpha: int, beta: int,
-              C: MomentSequence, D: MomentSequence) -> MonicPolynomial:
-    """Monic type-II multiple orthogonal polynomial for the (C, D) pair."""
-    return _monic(mop_bordered_poly(k, l, alpha, beta, C, D), k,
-                  "tau is zero; no monic polynomial",
+              C: MomentSequence, D: MomentSequence,
+              bordered=None) -> MonicPolynomial:
+    """Monic type-II multiple orthogonal polynomial for the (C, D) pair,
+    from B_{k,l} = bordered(k) (a mop_bordered_column) when given."""
+    b = bordered(k) if bordered else mop_bordered_poly(k, l, alpha, beta, C, D)
+    return _monic(b, k, "tau is zero; no monic polynomial",
                   k=k, l=l, alpha=alpha, beta=beta)
 
 

@@ -521,19 +521,23 @@ def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:
     return out, scales
 
 
-def _eliminate(m: list[list[int]], steps: int) -> int:
+def _eliminate(m: list[list[int]], steps: int, swaps: bool = True) -> int:
     """Run ``steps`` Bareiss steps in place on integer rows, dividing
     exactly by the previous pivot. After t steps, entry (i, j) with
     i, j >= t is the determinant of the leading t x t block bordered by
-    row i and column j (Sylvester's identity).
+    row i and column j (Sylvester's identity), so until a row swap the
+    pivot m[t][t] is the leading (t+1) x (t+1) minor.
 
-    Returns the sign of the row swaps, or 0 when a pivot column has no
-    nonzero entry on or below the diagonal (then every minor that the
-    remaining steps would produce is 0).
+    Returns the sign of the row swaps, or 0 when the run stops early: at a
+    pivot column with no nonzero entry on or below the diagonal (then
+    every minor that the remaining steps would produce is 0), or, without
+    ``swaps``, at the first zero pivot.
     """
     sign, prev = 1, 1
     for t in range(steps):
         if not m[t][t]:
+            if not swaps:
+                return 0
             for r in range(t + 1, len(m)):
                 if m[r][t]:
                     m[t], m[r] = m[r], m[t]
@@ -549,6 +553,30 @@ def _eliminate(m: list[list[int]], steps: int) -> int:
                            for x, y in zip(row[t + 1:], tail)]
         prev = pivot
     return sign
+
+
+def leading_minors(rows, bordered: bool = False) -> list:
+    """The leading minors of orders 0, 1, ... of a square numeric matrix,
+    from one Bareiss run without row swaps. With ``bordered``, rows is an
+    (n+1) x n body A, the run is over [A | I], and entry t is row t's
+    identity block: bordered_cofactors of A's leading (t+1) x t block, up
+    to t = n. Both stop at the first zero pivot, which only the minors
+    include."""
+    n = len(rows[0]) if rows else 0
+    m, scales = _integer_rows(rows)
+    if bordered:
+        for r, row in enumerate(m):
+            row.extend(int(c == r) for c in range(n + 1))
+    _eliminate(m, n, swaps=False)
+    out, total = [] if bordered else [Fraction(1)], 1
+    for t, (row, scale) in enumerate(zip(m, scales)):
+        total *= scale
+        out.append([Fraction(v * s, total) for v, s in
+                    zip(row[n:n + t + 1], scales)] if bordered
+                   else Fraction(row[t], total))
+        if t == n or not row[t]:
+            break
+    return out
 
 
 def det_bareiss(rows: list[list[Fraction]]) -> Fraction:

@@ -43,7 +43,7 @@ from math import factorial, lcm
 from .errors import ResourceBoundError, SupportError
 from .moments import MomentSequence
 from .report import VerificationReport
-from .rings import det
+from .rings import det, leading_minors
 
 SUMMAND_WORK_BOUND = 5
 
@@ -263,21 +263,61 @@ def tau3_e0_det(k: int, l: int, alpha: int, beta: int,
     return tau3_det(k, l, alpha, beta, C, D)
 
 
+def leading_blocks(k_max: int, l: int, alpha: int, beta: int,
+                   C: MomentSequence, D: MomentSequence,
+                   bordered: bool = False) -> list:
+    """tau_{k,l} (E = 0), or with ``bordered`` the coefficients of B_{k,l},
+    for k = l, l+1, ...: ``leading_minors`` of the numeric order-k_max
+    matrix or body, whose leading blocks are those of k = l..k_max. Empty
+    when a moment cannot be read."""
+    try:
+        rows = block_hankel_rows(k_max + bordered, k_max, l, alpha, beta, C, D)
+    except ResourceBoundError:
+        return []
+    out = leading_minors(rows, bordered)[l:]
+    if (l * (l + 1) // 2) % 2:
+        out = [[-c for c in x] if bordered else -x for x in out]
+    return out
+
+
+def tau3_column(k_range: tuple[int, int], l: int, alpha: int, beta: int,
+                C: MomentSequence, D: MomentSequence) -> dict:
+    """k -> tau_{k,l} (E = 0) at one numeric (l, alpha, beta): tau3_det's
+    boundary entries below k = max(l, 1), then leading_blocks up to k_hi.
+    The entries it leaves out are for tau3_det to take one at a time."""
+    k_lo, k_hi = k_range
+    out = {k: tau3_det(k, l, alpha, beta, C, D)
+           for k in range(k_lo, min(max(l, 1), k_hi + 1))}
+    if 0 <= l <= k_hi:
+        out.update(enumerate(leading_blocks(k_hi, l, alpha, beta, C, D), l))
+    return out
+
+
 class TauTable:
-    """Memo of tau values keyed by index tuple. Each entry is computed once,
-    as fn(*key, *args), and read back by get(*key) or by calling the table,
-    so a table goes wherever a tau callable is expected."""
+    """Memo of tau values keyed by index tuple (k, *col). Each entry is
+    computed once, as fn(*key, *args), and read back by get(*key) or by
+    calling the table, so a table goes wherever a tau callable is expected.
+    With ``column``, the first miss in a col first stores column(*col), a
+    dict k -> tau; only the keys it leaves out go to fn."""
 
-    __slots__ = ("fn", "args", "values")
+    __slots__ = ("fn", "args", "column", "filled", "values")
 
-    def __init__(self, fn, *args):
-        self.fn, self.args = fn, args
+    def __init__(self, fn, *args, column=None):
+        self.fn, self.args, self.column = fn, args, column
+        self.filled: set[tuple] = set()
         self.values: dict[tuple, object] = {}
 
     def get(self, *key):
-        if key not in self.values:
-            self.values[key] = self.fn(*key, *self.args)
-        return self.values[key]
+        values = self.values
+        if key not in values:
+            col = key[1:]
+            if self.column is not None and col not in self.filled:
+                self.filled.add(col)
+                for k, v in self.column(*col).items():
+                    values[(k, *col)] = v
+            if key not in values:
+                values[key] = self.fn(*key, *self.args)
+        return values[key]
 
     __call__ = get
 

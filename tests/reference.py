@@ -5,7 +5,8 @@ Test oracles only: the symmetrized residue formula for tau_k^(alpha)
 Gram-Schmidt under the Hankel form. The library takes both answers from
 determinants; the tests require the two routes to agree. Also the numeric
 tau table one determinant per entry, which the condensation table must
-equal.
+equal, and two seeded windows: a random one and one with a chosen zero
+Hankel minor.
 """
 from __future__ import annotations
 
@@ -87,3 +88,28 @@ def tau_det_table(m: MomentSequence, k_range: tuple[int, int],
     return {(k, a): tau_det(k, a, m)
             for k in range(k_range[0], k_range[1] + 1)
             for a in range(alpha_range[0], alpha_range[1] + 1)}
+
+
+def seeded_window(rng, lo, hi, num=999, den=99, zeros=0.0):
+    """Seeded window on [lo, hi]: +-a/b with a <= num, b <= den, each value
+    zero with probability ``zeros``."""
+    return MomentSequence.window(lo, [
+        Fraction(0) if rng.random() < zeros
+        else Fraction(rng.randint(-num, num), rng.randint(1, den))
+        for _ in range(hi - lo + 1)])
+
+
+def forced_zero_window(rng, k, alpha):
+    """A seeded window on [alpha - 4, alpha + 2k + 8] with tau_k^(alpha) = 0:
+    c_{alpha+2k-2} enters that determinant only in its last diagonal
+    entry, with cofactor tau_{k-1}^(alpha), so one value of it zeroes it."""
+    while True:
+        m = seeded_window(rng, alpha - 4, alpha + 2 * k + 8)
+        cofactor = tau_det(k - 1, alpha, m)
+        if cofactor:
+            break
+    j = alpha + 2 * k - 2 - m.lo
+    m.values[j] = Fraction(0)
+    m.values[j] = -tau_det(k, alpha, m) / cofactor
+    assert tau_det(k, alpha, m) == 0
+    return m

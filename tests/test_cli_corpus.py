@@ -1,4 +1,5 @@
-"""A seeded corpus of polynomial and verifier runs, pinned by one SHA-256.
+"""Seeded corpora of polynomial, tau-table and verifier runs, each pinned
+by one SHA-256.
 
 The corpus runs ``opgen``, ``recurrence``, ``verify orthogonality``,
 ``mop``, ``verify mop`` and ``verify qsystem`` on named families, windows
@@ -9,18 +10,31 @@ before ``mop_bordered_poly`` took over the rule that B_{k,l} vanishes
 outside 0 <= l <= k and before ``verify orthogonality`` read its taus from
 the bordered polynomials; any change to what these subcommands print
 changes it.
+
+The second corpus runs numeric ``tau gl3`` without an e-family and
+``verify zero-curvature`` on the same kinds of sources. The third runs
+``opgen``, ``recurrence``, ``verify qsystem``, ``verify zero-curvature``,
+``verify orthogonality`` and ``mop`` on catalan and hermite with the
+named-index bound lowered, so that some runs read past it. Those two were
+recorded before the subcommands read their taus and polynomials a whole
+column at a time from one elimination.
 """
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 from fractions import Fraction
 
+import tauq.moments
 from tauq.cli import main
 
 SEED, PER_COMMAND = 16, 60
 PINNED = "8266891d2f3ac5db7aca04ab35b974cab80f668415fab577a6bea8b0c0e57374"
+TAU_SEED, TAU_PER_COMMAND = 17, 70
+TAU_PINNED = "6c9eb77666ea21ec08847d95e48b5e561cd38e6e4c3a45f620651e6f4325c714"
+BOUNDED_PINNED = "75871320e7ef57a61ae8a9787faeb11709884504e30e6bc6fa2c3c65e2436c79"
 
 
 def _source(rng: random.Random) -> str:
@@ -93,3 +107,70 @@ def test_corpus_output_is_pinned():
     argvs = corpus()
     assert len(argvs) >= 300
     assert corpus_digest(argvs) == PINNED
+
+
+def _tau_argv(rng: random.Random, command: str) -> list[str]:
+    a, b = rng.randint(-3, 2), rng.randint(-2, 2)
+    alphas = ["--alpha", f"{a}..{a + rng.randint(0, 2)}"]
+    if command == "zero-curvature":
+        return ["verify", "zero-curvature", "--moments", _source(rng),
+                "--k", _range(rng, (-1, -1, 0, 1), rng.randint(1, 4)),
+                *alphas, "--format", rng.choice(["json", "pretty"])]
+    return ["tau", "gl3", "--moments-c", _source(rng),
+            "--moments-d", _source(rng),
+            "--k", _range(rng, (-1, -1, 0, 1), rng.randint(1, 6)),
+            "--l", _range(rng, (-1, -1, 0, 1), rng.randint(0, 3)),
+            *alphas, "--beta", f"{b}..{b + rng.randint(0, 1)}",
+            "--format", rng.choice(["json", "csv", "pretty"])]
+
+
+def tau_corpus() -> list[list[str]]:
+    rng = random.Random(TAU_SEED)
+    return [_tau_argv(rng, command)
+            for command in ("tau-gl3", "zero-curvature")
+            for _ in range(TAU_PER_COMMAND)]
+
+
+def test_tau_corpus_output_is_pinned():
+    argvs = tau_corpus()
+    assert len(argvs) >= 120
+    assert corpus_digest(argvs) == TAU_PINNED
+
+
+def bounded_corpus() -> list[tuple[int, list[str]]]:
+    """(MAX_NAMED_INDEX, argv) pairs whose named-moment reads reach the
+    bound in some runs and not in others, with and without a zero tau
+    before it."""
+    out = []
+    for bound, name, a in itertools.product((8, 13), ("catalan", "hermite"),
+                                            (-2, -1, 0, 1, 2)):
+        m = json.dumps({"kind": "named", "name": name})
+        other = json.dumps({"kind": "named", "name": "catalan"
+                            if name == "hermite" else "hermite"})
+        for n in (3, 5, 7):
+            out += [(bound, ["opgen", "--moments", m, "--count", str(n),
+                             "--alpha", str(a)]),
+                    (bound, ["recurrence", "--moments", m, "--count", str(n),
+                             "--alpha", str(a)]),
+                    (bound, ["verify", "qsystem", "--moments", m,
+                             "--k", f"0..{n + 1}", "--alpha", f"{a}..{a + 1}"]),
+                    (bound, ["verify", "zero-curvature", "--moments", m,
+                             "--k", f"-1..{n - 2}", "--alpha", f"{a}..{a + 1}",
+                             "--format", "json"]),
+                    (bound, ["verify", "orthogonality", "--moments", m,
+                             "--count", str(n), "--alpha", f"{a}..{a + 1}"]),
+                    (bound, ["mop", "--moments-c", m, "--moments-d", other,
+                             "--k", f"0..{n}", "--l", "0..2",
+                             "--alpha", str(a), "--beta", str(a % 2)])]
+    return out
+
+
+def test_bounded_corpus_output_is_pinned(monkeypatch):
+    # recorded before any of these read a whole column of taus or
+    # polynomials at once: reading past the bound must fail, or not, as
+    # one entry at a time does
+    digest = hashlib.sha256()
+    for bound, argv in bounded_corpus():
+        monkeypatch.setattr(tauq.moments, "MAX_NAMED_INDEX", bound)
+        digest.update(corpus_digest([argv]).encode())
+    assert digest.hexdigest() == BOUNDED_PINNED

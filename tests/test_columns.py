@@ -1,0 +1,165 @@
+"""One no-swap elimination per column against one determinant per entry.
+
+``tau3_column``, ``tau_table`` and ``mop_bordered_column`` read every
+tau_{k,l} and B_{k,l} at one (l, alpha, beta) from a single Bareiss run;
+``tau_det``, ``tau3_det``, ``mop_bordered_poly`` and ``monic_op`` without
+a column take one elimination each. They must agree everywhere,
+including past a zero leading minor, where the column routes hand the
+remaining entries to the per-entry ones.
+"""
+import random
+from fractions import Fraction
+
+import pytest
+
+from tauq import (DegenerateTauError, HankelForm, LaurentPoly, MomentPoly,
+                  MomentSequence, form_eval, monic_op, mop_bordered_poly,
+                  tau3_det, tau_det)
+from tauq.orthopoly import mop_bordered_column
+from tauq.rings import bordered_cofactors, det, leading_minors
+from tauq.tau_gl2 import tau_table
+from tauq.tau_gl3 import block_hankel_rows, leading_blocks, tau3_column
+
+from reference import forced_zero_window, seeded_window
+
+
+def _sources():
+    """(id, sequence, alphas, K): negative lo, 30-60% zeros, a forced zero
+    minor at each k = 1..8, hermite (every other pivot zero at odd alpha)
+    and catalan up to K = 24."""
+    rng = random.Random(17)
+    out = [(f"neg-lo-{i}", seeded_window(rng, -5 + i, 12, num=9, den=5),
+            range(-3, 3), 8) for i in range(3)]
+    out += [(f"zeros-{z}", seeded_window(rng, -3, 14, num=5, den=3,
+                                         zeros=z / 100), range(-2, 4), 8)
+            for z in (30, 45, 60)]
+    out += [(f"forced-{k}", forced_zero_window(rng, k, 1), range(0, 3), k + 3)
+            for k in range(1, 9)]
+    out += [("hermite", MomentSequence.named("hermite"), range(-2, 6), 12),
+            ("catalan", MomentSequence.named("catalan"), range(-2, 3), 24)]
+    return out
+
+
+SOURCES = _sources()
+SOURCE_IDS = [s[0] for s in SOURCES]
+
+
+def _first_zero(minor, K: int):
+    """The smallest order k in 1..K with minor(k) = 0, or None."""
+    return next((k for k in range(1, K + 1) if not minor(k)), None)
+
+
+def test_leading_minors_are_leading_determinants():
+    rng = random.Random(3)
+    for n in range(1, 8):
+        for zeros in (0.0, 0.4, 0.7):
+            rows = [[Fraction(0) if rng.random() < zeros
+                     else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                     for _ in range(n)] for _ in range(n + 1)]
+            minors = [det([r[:k] for r in rows[:k]]) for k in range(n + 1)]
+            blocks = [bordered_cofactors([r[:t] for r in rows[:t + 1]])
+                      for t in range(n + 1)]
+            z = _first_zero(minors.__getitem__, n)
+            # the minors up to the first zero one; the bordered rows up to
+            # the last block whose own minor is nonzero
+            assert leading_minors(rows[:n]) == (minors if z is None
+                                                else minors[:z + 1])
+            assert leading_minors(rows, bordered=True) == blocks[:z]
+
+
+def test_leading_minors_edges():
+    assert leading_minors([]) == [1]
+    assert leading_minors([[]], bordered=True) == [[1]]
+    assert leading_minors([[0, 1], [1, 0]]) == [1, 0]
+    assert leading_minors([[0], [1]], bordered=True) == [[1]]
+
+
+@pytest.mark.parametrize("name, m, alphas, K", SOURCES, ids=SOURCE_IDS)
+def test_tau_columns_match_tau_det(name, m, alphas, K):
+    for a in alphas:
+        col = tau3_column((-2, K), 0, a, 0, m, m)
+        z = _first_zero(lambda k: tau_det(k, a, m), K)
+        assert sorted(col) == list(range(-2, (z or K) + 1))
+        assert col == {k: tau_det(k, a, m) for k in col}
+    table = tau_table(m, lambda a: (-2, K))
+    assert all(table(k, a) == tau_det(k, a, m)
+               for a in alphas for k in range(-2, K + 2))
+
+
+@pytest.mark.parametrize("name, m, alphas, K", SOURCES, ids=SOURCE_IDS)
+def test_polynomial_columns_match_per_degree(name, m, alphas, K):
+    K = min(K, 14)
+    for a in alphas:
+        z = _first_zero(lambda k: tau_det(k, a, m), K)
+        blocks = leading_blocks(K, 0, a, 0, m, m, bordered=True)
+        assert len(blocks) == (z or K + 1)
+        bordered = mop_bordered_column(K, 0, a, 0, m, m)
+        for k in range(-1, K + 2):
+            assert bordered(k) == mop_bordered_poly(k, 0, a, 0, m, m)
+        for k in range(K + 1):
+            try:
+                want = monic_op(k, a, m)
+            except DegenerateTauError as exc:
+                with pytest.raises(DegenerateTauError) as got:
+                    monic_op(k, a, m, bordered)
+                assert got.value.record() == exc.record()
+            else:
+                assert monic_op(k, a, m, bordered) == want
+
+
+@pytest.mark.parametrize("l", range(4))
+@pytest.mark.parametrize("beta", [-1, 0, 1])
+@pytest.mark.parametrize("zeros", [0.0, 0.3, 0.6])
+def test_gl3_columns_match_per_entry(l, beta, zeros):
+    rng = random.Random(f"{l} {beta} {zeros}")
+    C = seeded_window(rng, -3, 12, num=6, den=4, zeros=zeros)
+    D = seeded_window(rng, -2, 13, num=6, den=4, zeros=zeros)
+    K = 7
+    for a in range(-2, 3):
+        rows = block_hankel_rows(K, K, l, a, beta, C, D)
+        z = _first_zero(lambda k: det([r[:k] for r in rows[:k]]), K)
+        first = max(l, 1)
+        covered = range(first, (z or K) + 1) if (z or K) >= l else []
+        col = tau3_column((-1, K), l, a, beta, C, D)
+        assert sorted(col) == [*range(-1, first), *covered]
+        assert col == {k: tau3_det(k, l, a, beta, C, D) for k in col}
+        blocks = leading_blocks(K, l, a, beta, C, D, bordered=True)
+        assert len(blocks) == max(0, (z or K + 1) - l)
+        bordered = mop_bordered_column(K, l, a, beta, C, D)
+        for k in range(-1, K + 2):
+            assert bordered(k) == mop_bordered_poly(k, l, a, beta, C, D)
+
+
+def _fraction_form_eval(form, fa: dict, gb: dict):
+    total = Fraction(0)
+    for a, ca in fa.items():
+        for b, cb in gb.items():
+            total += ca * cb * form.moment(a + b)
+    return total
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_integer_form_eval_matches_fraction_sum(seed):
+    rng = random.Random(seed)
+    m = seeded_window(rng, rng.randint(-6, 0), 14, num=50, den=12,
+                      zeros=rng.choice([0.0, 0.4]))
+    for offset in (-4, -1, 0, 3):
+        form = HankelForm(m, offset)
+        for _ in range(5):
+            fa, gb = ({e: Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                       for e in rng.sample(range(12), rng.randint(0, 6))}
+                      for _ in range(2))
+            f, g = LaurentPoly(fa), LaurentPoly(gb)
+            got = form_eval(form, f, g)
+            assert type(got) is Fraction
+            assert got == _fraction_form_eval(form, f.coeffs, g.coeffs)
+
+
+def test_form_eval_over_moment_symbols():
+    form = HankelForm(MomentSequence.formal("c"), -1)
+    f = LaurentPoly({0: Fraction(1, 2), 2: Fraction(3)})
+    g = LaurentPoly({1: Fraction(-2)})
+    want = _fraction_form_eval(form, f.coeffs, g.coeffs)
+    assert isinstance(want, MomentPoly)
+    assert form_eval(form, f, g) == want
+    assert form_eval(form, f, 0) == 0

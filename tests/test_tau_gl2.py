@@ -7,6 +7,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tauq.factorization
 import tauq.tau_gl2
 import tauq.tau_gl3
 from tauq import (
@@ -17,13 +18,15 @@ from tauq import (
     condensation_table,
     induction_replay,
     qsystem_residual,
+    tau3_det,
     tau_det,
     verify_orthogonality,
     verify_qsystem,
     verify_zero_curvature,
 )
 
-from reference import tau_det_table, tau_residue
+from reference import (forced_zero_window, seeded_window, tau_det_table,
+                       tau_residue)
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -115,15 +118,6 @@ def test_fill_grid_rejects_formal_and_empty_range(formal_c, catalan):
         condensation_table(catalan, (2, 1), (0, 0))
 
 
-def _rand_window(rng, lo, hi, num=999, den=99, zeros=0.0):
-    """Seeded window on [lo, hi]: +-a/b with a <= num, b <= den, each value
-    zero with probability ``zeros``."""
-    return MomentSequence.window(lo, [
-        Fraction(0) if rng.random() < zeros
-        else Fraction(rng.randint(-num, num), rng.randint(1, den))
-        for _ in range(hi - lo + 1)])
-
-
 @pytest.mark.parametrize("zeros", [0.0, 0.5], ids=["dense", "zero-heavy"])
 @pytest.mark.parametrize("seed", range(20))
 def test_condensation_table_random_windows(seed, zeros):
@@ -137,32 +131,16 @@ def test_condensation_table_random_windows(seed, zeros):
     a_hi = a_lo + rng.randint(0, 12)
     lo = a_lo + rng.randint(-3, 3)
     hi = max(lo, a_hi + 2 * k_hi - 2 + rng.randint(-8, 2))
-    m = _rand_window(rng, lo, hi, zeros=zeros)
+    m = seeded_window(rng, lo, hi, zeros=zeros)
     assert condensation_table(m, (k_lo, k_hi), (a_lo, a_hi)) == \
         tau_det_table(m, (k_lo, k_hi), (a_lo, a_hi))
-
-
-def _forced_zero_window(rng, k, alpha):
-    """A seeded window on [alpha - 4, alpha + 2k + 8] with tau_k^(alpha) = 0:
-    c_{alpha+2k-2} enters that determinant only in its last diagonal
-    entry, with cofactor tau_{k-1}^(alpha), so one value of it zeroes it."""
-    while True:
-        m = _rand_window(rng, alpha - 4, alpha + 2 * k + 8)
-        cofactor = tau_det(k - 1, alpha, m)
-        if cofactor:
-            break
-    j = alpha + 2 * k - 2 - m.lo
-    m.values[j] = Fraction(0)
-    m.values[j] = -tau_det(k, alpha, m) / cofactor
-    assert tau_det(k, alpha, m) == 0
-    return m
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_condensation_table_forced_zero_minor(k):
     # tau_k^(2) = 0 divides tau_{k+2}^(0), and every entry above that
     # reads tau_{k+2}^(0) is unknown too
-    m = _forced_zero_window(random.Random(k), k, 2)
+    m = forced_zero_window(random.Random(k), k, 2)
     assert condensation_table(m, (0, k + 4), (-3, 4)) == \
         tau_det_table(m, (0, k + 4), (-3, 4))
 
@@ -236,16 +214,50 @@ def tau_det_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("verify", [
+VERIFIERS = pytest.mark.parametrize("verify", [
     lambda m: verify_qsystem(m, 5, (-1, 2)),
     lambda m: verify_zero_curvature(m, (0, 3), (-1, 1)),
     lambda m: induction_replay(m, 5, (-1, 2)),
 ], ids=["qsystem", "zero-curvature", "induction-replay"])
+
+
+def _past_zero_minor(monkeypatch, verify, m) -> set:
+    """The (k, alpha) a verifier reads that lie past a zero tau_j^(alpha),
+    1 <= j < k, in their column. The reads come from a run whose table
+    takes every entry from tau3_det, which tau_det_calls does not count."""
+    table = TauTable(lambda k, a, m: tau3_det(k, 0, a, 0, m, m), m)
+    with monkeypatch.context() as patch:
+        for module in (tauq.tau_gl2, tauq.factorization):
+            patch.setattr(module, "tau_table", lambda m, orders=None: table)
+        verify(m)
+    return {(k, a) for k, a in table.values
+            if any(not table(j, a) for j in range(1, k))}
+
+
+@VERIFIERS
 @pytest.mark.parametrize("source", ["catalan", "hermite"])
-def test_verifier_computes_each_tau_once(tau_det_calls, request, source, verify):
-    report = verify(request.getfixturevalue(source))
-    assert report.total and tau_det_calls
-    assert max(tau_det_calls.values()) == 1
+def test_verifier_computes_each_tau_once(tau_det_calls, monkeypatch, request,
+                                         source, verify):
+    m = request.getfixturevalue(source)
+    expected = _past_zero_minor(monkeypatch, verify, m)
+    report = verify(m)
+    assert report.total
+    assert sum(tau_det_calls.values()) == len(expected)
+    assert max(tau_det_calls.values(), default=1) == 1
+
+
+@VERIFIERS
+@pytest.mark.parametrize("case", ["neg-lo", "zero-heavy", "forced-zero"])
+def test_verifier_determinants_only_past_zero_minor(tau_det_calls,
+                                                    monkeypatch, case, verify):
+    # every other tau comes from one elimination per alpha
+    rng = random.Random(case)
+    m = {"neg-lo": seeded_window(rng, -3, 12, num=9, den=5),
+         "zero-heavy": seeded_window(rng, -2, 14, num=5, den=3, zeros=0.5),
+         "forced-zero": forced_zero_window(rng, 3, 0)}[case]
+    expected = _past_zero_minor(monkeypatch, verify, m)
+    assert verify(m).total
+    assert dict(tau_det_calls) == dict.fromkeys(expected, 1)
 
 
 @pytest.mark.parametrize("source", ["catalan", "hermite"])
@@ -294,8 +306,8 @@ def test_condensation_table_determinants_only_for_unknown(tau_det_calls,
     k_range, alpha_range = (0, 9), (-2, 6)
     m = {"hermite-odd": hermite,
          "zero-window": MomentSequence.zero(),
-         "forced-zero": _forced_zero_window(rng, 3, 1),
-         "window-ends-in-cone": _rand_window(rng, -1, 14)}[case]
+         "forced-zero": forced_zero_window(rng, 3, 1),
+         "window-ends-in-cone": seeded_window(rng, -1, 14)}[case]
     expected = _unknown(m, k_range, alpha_range)
     table = condensation_table(m, k_range, alpha_range)
     assert expected
