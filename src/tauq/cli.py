@@ -25,11 +25,11 @@ from .errors import (DegenerateTauError, MomentParseError, OutputClosedError,
                      ResourceBoundError, TauqError, UsageError)
 from .factorization import verify_zero_curvature
 from .moments import MomentSequence, build_moments
-from .orthopoly import (monic_op, mop_bordered_column, mop_type2,
+from .orthopoly import (bordered_table, monic_op, mop_type2,
                         recurrence_coeffs, verify_mop, verify_orthogonality)
 from .report import VerificationReport
 from .tau_gl2 import condensation_table, tau_det, verify_qsystem
-from .tau_gl3 import TauTable, tau3_column, tau3_det, verify_gl3_relations
+from .tau_gl3 import TauTable, leading_blocks, tau3_det, verify_gl3_relations
 
 # Largest determinant order a --mode symbolic run may compute. An order-n
 # determinant takes n 2^(n-1) products of ever longer polynomials: on a
@@ -222,13 +222,11 @@ def cmd_tau_gl2(args) -> int:
 
 def cmd_tau_gl3(args) -> int:
     C, D, E = _gl3_sources(args)
-    fields = ("k", "l", "alpha", "beta")
-    if E is not None or C.is_formal:
-        return _tau_table(args, fields,
-                          lambda k, l, a, b: tau3_det(k, l, a, b, C, D, E))
-    # one elimination per (l, alpha, beta) column of the table
-    column = functools.partial(tau3_column, parse_range(args.k, "k"), C=C, D=D)
-    return _tau_table(args, fields, TauTable(tau3_det, C, D, column=column))
+    # with E = 0, one elimination per (l, alpha, beta) column of the table
+    column = None if E is not None else functools.partial(
+        leading_blocks, parse_range(args.k, "k"), C=C, D=D)
+    return _tau_table(args, ("k", "l", "alpha", "beta"),
+                      TauTable(tau3_det, C, D, E, column=column))
 
 
 def cmd_verify_qsystem(args) -> int:
@@ -299,8 +297,8 @@ def cmd_verify_mop(args) -> int:
 def cmd_opgen(args) -> int:
     m = load_moments(args.moments, "moments")
     alpha = single_value(args.alpha, "alpha")
-    column = mop_bordered_column(args.count, 0, alpha, 0, m, m)
-    entries = [_poly_entry(monic_op(k, alpha, m, column), k=k)
+    table = bordered_table(args.count, m, m)
+    entries = [_poly_entry(monic_op(k, alpha, m, table), k=k)
                for k in range(1, args.count + 1)]
     emit_polys(entries, args.format, "p")
     return 0
@@ -314,14 +312,10 @@ def cmd_mop(args) -> int:
     l_range = parse_range(args.l, "l")
     alpha = single_value(args.alpha, "alpha")
     beta = single_value(args.beta, "beta")
-    k_hi, l_lo = k_range[1], max(0, l_range[0])
-    columns = {l: mop_bordered_column(k_hi, l, alpha, beta, C, D)
-               for l in range(l_lo, min(k_hi, l_range[1]) + 1)}
-    entries = []
-    for k in range(max(0, k_range[0]), k_hi + 1):
-        for l in range(l_lo, min(k, l_range[1]) + 1):
-            entries.append(_poly_entry(
-                mop_type2(k, l, alpha, beta, C, D, columns[l]), k=k, l=l))
+    table = bordered_table(k_range[1], C, D)
+    entries = [_poly_entry(mop_type2(k, l, alpha, beta, C, D, table), k=k, l=l)
+               for k in range(max(0, k_range[0]), k_range[1] + 1)
+               for l in range(max(0, l_range[0]), min(k, l_range[1]) + 1)]
     emit_polys(entries, args.format, "p")
     return 0
 

@@ -21,7 +21,8 @@ gives the bordered minors back:
     Sc- tau_{k,l}   = Q[B_{k-1,l}; C, alpha-beta+k-l-1]     (k > l; tau_{k,k} at k = l)
     Sd- tau_{k,l}   = (-1)^k Q[B_{k-1,l-1}; D, alpha+l-1]   (l >= 1; tau_{k,0} at l = 0)
 
-So a factor costs a few bordered determinants and series contractions.
+A wave factor reads them from one ``bordered_table``: one elimination
+per (l, alpha, beta) column, then series contractions.
 ``evaluate_shifted`` pushes a formal tau polynomial through the fields
 monomial by monomial (k! terms); it is the independent reference route the
 tests compare against.
@@ -34,7 +35,7 @@ from .errors import DegenerateTauError, SupportError
 from .moments import MomentSequence
 # bordered_tau_poly is unused here, but bench/tracing.py wraps it under
 # this module's name (and tests/test_bench_names.py checks that it exists)
-from .orthopoly import bordered_tau_poly, mop_bordered_poly  # noqa: F401
+from .orthopoly import bordered_table, bordered_tau_poly  # noqa: F401
 from .report import VerificationReport
 from .rings import LaurentMatrix, LaurentPoly, MomentPoly, RingFraction
 from .tau_gl2 import TauTable, qsystem_residual, tau_table
@@ -91,26 +92,23 @@ def _g_minus(k: int, l: int, alpha: int, beta: int,
              seqs: tuple[MomentSequence, ...], indices: dict) -> LaurentMatrix:
     """The (n+1) x (n+1) lower wave factor divided by tau_{k,l}, for the n
     pull-back families seqs: (m,) with l = beta = 0 (so C = D = m), or
-    (C, D). Column j comes from B_{k,l}, B_{k-1,l} and (-1)^k B_{k-1,l-1};
-    row 0 takes each over z^k, row i contracts each with family i's sigma
-    series over z. The diagonal entry of row i is one index lower and has
-    no 1/z, or is tau itself when the family has no columns to pull back
-    (c when k = l, d when l = 0). In the d row the sign twist cancels
-    the (-1)^k that Sd- carries."""
+    (C, D). Column j comes from B_{k,l}, B_{k-1,l} and (-1)^k B_{k-1,l-1}
+    of one bordered_table; row 0 takes each over z^k, row i contracts each
+    with family i's sigma series over z. The diagonal entry of row i is
+    one index lower and has no 1/z, or is tau itself when the family has
+    no columns to pull back (c when k = l, d when l = 0). In the d row the
+    sign twist cancels the (-1)^k that Sd- carries."""
     for seq in seqs:
         if not seq.is_finite:
             raise SupportError("the inverse shift field needs finite support")
-
-    def bordered(kk: int, ll: int) -> LaurentPoly:
-        return mop_bordered_poly(kk, ll, alpha, beta, seqs[0], seqs[-1])
-
-    b = bordered(k, l)
+    B = bordered_table(k, seqs[0], seqs[-1])
+    b = B(k, l, alpha, beta)
     tau = b.coeff(k)
     if not tau:
         raise DegenerateTauError("tau is zero", **indices)
     n = len(seqs)
-    cols = [b, bordered(k - 1, l),
-            bordered(k - 1, l - 1).scale(Fraction((-1) ** k))][:n + 1]
+    cols = [b, B(k - 1, l, alpha, beta),
+            B(k - 1, l - 1, alpha, beta).scale(Fraction((-1) ** k))][:n + 1]
     # (family, sigma offset, has columns to pull back)
     families = zip(seqs, (alpha - beta + k - l, alpha + l), (k > l, l > 0))
     rows = [[col.shift(-k) for col in cols]]

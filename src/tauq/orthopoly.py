@@ -6,9 +6,10 @@ bilinear pairing on polynomials. The bordered determinant B_{k,l}
 monic type-II multiple orthogonal polynomial of the c and d forms; B_{k,0}
 gives the monic polynomial orthogonal to all lower powers of one form.
 
-For numeric moments ``mop_bordered_column`` takes every degree at one (l,
-alpha, beta) from one no-swap elimination, O(K^3) where one per degree
-costs O(K^4); degrees past a zero leading minor are built one at a time.
+``bordered_table`` memoizes B_{k,l} keyed (k, l, alpha, beta) and takes a
+numeric (l, alpha, beta) column's degrees from one no-swap elimination
+(``leading_blocks``), O(K^3) where one per degree costs O(K^4); degrees
+past a zero leading minor are built one at a time.
 
 Norms and three-term recurrence coefficients are derived facts here, not
 inputs: tests gate the polynomials against a brute-force Gram-Schmidt
@@ -18,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import prod
 
 from .errors import DegenerateTauError
 from .moments import MomentSequence
 from .report import VerificationReport
 from .rings import LaurentPoly, _integer_rows, _numeric, bordered_cofactors
-from .tau_gl3 import block_hankel_rows, leading_blocks
+from .tau_gl3 import TauTable, block_hankel_rows, leading_blocks
 
 
 @dataclass(frozen=True)
@@ -134,11 +136,11 @@ def _monic(bordered: LaurentPoly, degree: int,
 def monic_op(k: int, alpha: int, m: MomentSequence,
              bordered=None) -> MonicPolynomial:
     """Monic degree-k orthogonal polynomial: bordered determinant / tau_k,
-    with B_k = bordered(k) (a mop_bordered_column at alpha) when given.
+    with B_k read from ``bordered`` (a bordered_table of m) when given.
 
     Exists iff tau_k != 0 (the moment functional is quasi-definite at k).
     """
-    b = bordered(k) if bordered else bordered_tau_poly(k, alpha, m)
+    b = bordered(k, 0, alpha, 0) if bordered else bordered_tau_poly(k, alpha, m)
     return _monic(b, k, k=k, alpha=alpha)
 
 
@@ -147,11 +149,11 @@ def verify_orthogonality(m: MomentSequence, alpha: int, K: int) -> VerificationR
     tau the leading coefficient of a B_k that p_k is built from (or B_{K+1})."""
     report = VerificationReport("orthogonality")
     form = HankelForm(m, alpha)
-    column = mop_bordered_column(K + 1, 0, alpha, 0, m, m)
-    bordered, polys = [column(0)], []
+    table = bordered_table(K + 1, m, m)
+    bordered, polys = [table(0, 0, alpha, 0)], []
     for k in range(K + 1):  # a zero tau_k raises before B_{k+1} is built
         polys.append(_monic(bordered[k], k, k=k, alpha=alpha))
-        bordered.append(column(k + 1))
+        bordered.append(table(k + 1, 0, alpha, 0))
     for k in range(K + 1):
         for j in range(k):
             v = form_eval(form, polys[j], polys[k])
@@ -170,8 +172,8 @@ def recurrence_coeffs(m: MomentSequence, alpha: int, K: int) -> list[tuple]:
     p_k, comparing the z^k and z^{k-1} coefficients gives a_k = s_k - s_{k+1}
     and b_k = t_k - t_{k+1} - a_k s_k (so b_0 = 0). Reconstructing from
     these must reproduce monic_op exactly (tested, not assumed)."""
-    column = mop_bordered_column(K, 0, alpha, 0, m, m)
-    polys = [monic_op(k, alpha, m, column) for k in range(K + 1)]
+    table = bordered_table(K, m, m)
+    polys = [monic_op(k, alpha, m, table) for k in range(K + 1)]
     s = [p.coeff(k - 1) for k, p in enumerate(polys)]
     t = [p.coeff(k - 2) for k, p in enumerate(polys)]
     out = []
@@ -212,21 +214,15 @@ def mop_bordered_poly(k: int, l: int, alpha: int, beta: int,
     return LaurentPoly(dict(enumerate(cofactors)))
 
 
-def mop_bordered_column(k_max: int, l: int, alpha: int, beta: int,
-                        C: MomentSequence, D: MomentSequence):
-    """k -> B_{k,l} (``mop_bordered_poly``) at one (l, alpha, beta), the
-    numeric degrees l..k_max from leading_blocks. Any other degree is one
-    mop_bordered_poly call when asked for, so a caller that stops at a
-    zero tau reads and raises as it would one degree at a time."""
-    polys = [] if not 0 <= l <= k_max or C.is_formal or D.is_formal else [
-        LaurentPoly(dict(enumerate(cofactors))) for cofactors in
-        leading_blocks(k_max, l, alpha, beta, C, D, bordered=True)]
-
-    def bordered(k: int) -> LaurentPoly:
-        if 0 <= k - l < len(polys):
-            return polys[k - l]
-        return mop_bordered_poly(k, l, alpha, beta, C, D)
-    return bordered
+def bordered_table(k_max: int, C: MomentSequence,
+                   D: MomentSequence) -> TauTable:
+    """A memo of B_{k,l} (``mop_bordered_poly``) keyed (k, l, alpha, beta):
+    each (l, alpha, beta) column's degrees -1..k_max come from
+    leading_blocks, and every degree it leaves out is one mop_bordered_poly
+    call when asked for, so a caller that stops at a zero tau reads and
+    raises as it would one degree at a time."""
+    return TauTable(mop_bordered_poly, C, D, column=partial(
+        leading_blocks, (-1, k_max), C=C, D=D, bordered=True))
 
 
 def bordered_tau_poly(k: int, alpha: int, m: MomentSequence) -> LaurentPoly:
@@ -239,8 +235,9 @@ def mop_type2(k: int, l: int, alpha: int, beta: int,
               C: MomentSequence, D: MomentSequence,
               bordered=None) -> MonicPolynomial:
     """Monic type-II multiple orthogonal polynomial for the (C, D) pair,
-    from B_{k,l} = bordered(k) (a mop_bordered_column) when given."""
-    b = bordered(k) if bordered else mop_bordered_poly(k, l, alpha, beta, C, D)
+    with B_{k,l} read from ``bordered`` (a bordered_table) when given."""
+    b = (bordered(k, l, alpha, beta) if bordered
+         else mop_bordered_poly(k, l, alpha, beta, C, D))
     return _monic(b, k, "tau is zero; no monic polynomial",
                   k=k, l=l, alpha=alpha, beta=beta)
 

@@ -5,9 +5,9 @@ tau_k^(a) tau_{k-2}^(a+2) = tau_{k-1}^(a+2) tau_{k-1}^(a) - (tau_{k-1}^(a+1))^2.
 ``qsystem_sides`` writes the relation once; ``tau_det`` is one Hankel
 determinant. The relation's verifiers read tau from one memoized table per
 call (``tau_table``), never from the relation they check. A numeric table
-takes an alpha's tau_1..tau_K as the leading minors of one no-swap
-elimination, O(K^3) where one tau_det per entry costs O(K^4); only the
-entries past a zero minor are one tau_det each.
+takes an alpha's tau_1..tau_K from ``leading_blocks``, the leading minors
+of one no-swap elimination, O(K^3) where one tau_det per entry costs
+O(K^4); only the entries past a zero minor are one tau_det each.
 
 ``condensation_table`` runs that relation as an algorithm (Dodgson's
 condensation, the Desnanot-Jacobi identity the Q-system is proved by) for
@@ -29,7 +29,7 @@ from fractions import Fraction
 from .moments import MomentSequence
 from .report import VerificationReport
 from .rings import _integer_rows
-from .tau_gl3 import TauTable, tau3_column, tau3_e0_det
+from .tau_gl3 import TauTable, leading_blocks, tau3_e0_det
 
 
 def tau_det(k: int, alpha: int, m: MomentSequence):
@@ -40,12 +40,10 @@ def tau_det(k: int, alpha: int, m: MomentSequence):
 
 def tau_table(m: MomentSequence, orders=None) -> TauTable:
     """A memo of tau_k^(alpha) over m. Given orders(alpha), the lowest and
-    highest k its caller reads at alpha, a numeric table fills each alpha
-    by tau3_column; every other entry is one tau_det call."""
-    if orders is None or m.is_formal:
-        return TauTable(tau_det, m)
-    return TauTable(tau_det, m,
-                    column=lambda a: tau3_column(orders(a), 0, a, 0, m, m))
+    highest k its caller reads at alpha, each alpha is first filled by
+    leading_blocks; every entry it leaves out is one tau_det call."""
+    return TauTable(tau_det, m, column=None if orders is None else
+                    lambda a: leading_blocks(orders(a), 0, a, 0, m, m))
 
 
 def qsystem_sides(k: int, alpha: int, tau):

@@ -20,6 +20,12 @@ Cauchy-Vandermonde determinant, as in the Cauchy two-matrix model
 form is verified against the residue formula on seeded grids in the
 tests; it is not proven here.
 
+With E = 0 the matrices of k = l..K at one (l, alpha, beta) are the
+leading blocks of the order-K one: ``leading_blocks`` reads every tau_{k,l}
+or B_{k,l} of that numeric column from one no-swap elimination, and
+``TauTable`` memoizes both, leaving the rest to tau3_det (or B's
+``orthopoly.mop_bordered_poly``) one entry at a time.
+
 The reference the closed form is tested against is the general residue
 formula (``tau3_residue``). It sums, over kernel splittings (n_c, n_d, n_e)
 with n_c + n_d = k and n_e + n_d = l, iterated residues of
@@ -38,12 +44,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial, lcm
 
 from .errors import ResourceBoundError, SupportError
 from .moments import MomentSequence
 from .report import VerificationReport
-from .rings import det, leading_minors
+from .rings import LaurentPoly, det, leading_minors
 
 SUMMAND_WORK_BOUND = 5
 
@@ -263,42 +270,42 @@ def tau3_e0_det(k: int, l: int, alpha: int, beta: int,
     return tau3_det(k, l, alpha, beta, C, D)
 
 
-def leading_blocks(k_max: int, l: int, alpha: int, beta: int,
+def leading_blocks(k_range: tuple[int, int], l: int, alpha: int, beta: int,
                    C: MomentSequence, D: MomentSequence,
-                   bordered: bool = False) -> list:
-    """tau_{k,l} (E = 0), or with ``bordered`` the coefficients of B_{k,l},
-    for k = l, l+1, ...: ``leading_minors`` of the numeric order-k_max
-    matrix or body, whose leading blocks are those of k = l..k_max. Empty
-    when a moment cannot be read."""
-    try:
-        rows = block_hankel_rows(k_max + bordered, k_max, l, alpha, beta, C, D)
-    except ResourceBoundError:
-        return []
-    out = leading_minors(rows, bordered)[l:]
-    if (l * (l + 1) // 2) % 2:
-        out = [[-c for c in x] if bordered else -x for x in out]
-    return out
-
-
-def tau3_column(k_range: tuple[int, int], l: int, alpha: int, beta: int,
-                C: MomentSequence, D: MomentSequence) -> dict:
-    """k -> tau_{k,l} (E = 0) at one numeric (l, alpha, beta): tau3_det's
-    boundary entries below k = max(l, 1), then leading_blocks up to k_hi.
-    The entries it leaves out are for tau3_det to take one at a time."""
+                   bordered: bool = False) -> dict:
+    """The numeric E = 0 column at one (l, alpha, beta): k -> tau_{k,l},
+    or with ``bordered`` k -> B_{k,l}, for the k that take no determinant
+    of their own: the boundary zeros of k_range (l < 0 or k < l), then
+    k = l, l+1, ... up to k_hi or the first zero minor, from
+    ``leading_minors`` of the order-k_hi matrix or body. Empty for formal
+    families, boundary entries only when a moment cannot be read."""
+    if C.is_formal or D.is_formal:
+        return {}
     k_lo, k_hi = k_range
-    out = {k: tau3_det(k, l, alpha, beta, C, D)
-           for k in range(k_lo, min(max(l, 1), k_hi + 1))}
-    if 0 <= l <= k_hi:
-        out.update(enumerate(leading_blocks(k_hi, l, alpha, beta, C, D), l))
+    zero = LaurentPoly.zero() if bordered else Fraction(0)
+    out = {k: zero for k in range(k_lo, k_hi + 1) if l < 0 or k < l}
+    if not 0 <= l <= k_hi:
+        return out
+    try:
+        rows = block_hankel_rows(k_hi + bordered, k_hi, l, alpha, beta, C, D)
+    except ResourceBoundError:
+        return out
+    odd = (l * (l + 1) // 2) % 2
+    for k, x in enumerate(leading_minors(rows, bordered)[l:], l):
+        if bordered:
+            out[k] = LaurentPoly(dict(enumerate([-c for c in x] if odd else x)))
+        else:
+            out[k] = -x if odd else x
     return out
 
 
 class TauTable:
-    """Memo of tau values keyed by index tuple (k, *col). Each entry is
-    computed once, as fn(*key, *args), and read back by get(*key) or by
-    calling the table, so a table goes wherever a tau callable is expected.
-    With ``column``, the first miss in a col first stores column(*col), a
-    dict k -> tau; only the keys it leaves out go to fn."""
+    """Memo of taus or bordered polynomials keyed by index tuple (k, *col).
+    Each entry is computed once, as fn(*key, *args), and read back by
+    get(*key) or by calling the table, so a table goes wherever a tau
+    callable is expected. With ``column``, the first miss in a col first
+    stores column(*col), a dict k -> value; only the keys it leaves out go
+    to fn."""
 
     __slots__ = ("fn", "args", "column", "filled", "values")
 
@@ -358,11 +365,15 @@ def verify_gl3_relations(C: MomentSequence, D: MomentSequence,
 
     Out-of-range tau values follow the k < 0 / l < 0 -> 0 convention, so
     the relations can be checked at the edges; they reach one step past
-    the ranges. Every tau is one tau3_det determinant, read from one
-    table. No instance is skipped: the relations have no denominators.
+    the ranges. Every tau is read from one table, which with E = None
+    fills each (l, alpha, beta) column over k = -1..k_max+1 by
+    leading_blocks; the entries left out are one tau3_det each. No
+    instance is skipped: the relations have no denominators.
     """
     report = VerificationReport("gl3-relations")
-    tau = TauTable(tau3_det, C, D, E)
+    column = None if E is not None else partial(
+        leading_blocks, (-1, k_max + 1), C=C, D=D)
+    tau = TauTable(tau3_det, C, D, E, column=column)
     for relation in (1, 2, 3, 4):
         for k in range(0, k_max + 1):
             for l in range(0, l_max + 1):

@@ -18,6 +18,14 @@ The second corpus runs numeric ``tau gl3`` without an e-family and
 named-index bound lowered, so that some runs read past it. Those two were
 recorded before the subcommands read their taus and polynomials a whole
 column at a time from one elimination.
+
+The fourth runs ``verify gl3`` without an e-family on the same kinds of
+sources, ``mop --l 0..2`` on windows whose l = 1 column has a zero
+leading minor, both again with the named-index bound lowered, and
+prints ``window_matrix_gl2``/``window_matrix_gl3`` (or the
+``DegenerateTauError`` record) on seeded windows with 30% zeros. It was
+recorded while ``verify gl3`` and the wave factors still took one
+determinant per tau and per bordered polynomial.
 """
 import contextlib
 import hashlib
@@ -28,13 +36,18 @@ import random
 from fractions import Fraction
 
 import tauq.moments
+from tauq import DegenerateTauError, window_matrix_gl2, window_matrix_gl3
 from tauq.cli import main
+
+from reference import seeded_window
 
 SEED, PER_COMMAND = 16, 60
 PINNED = "8266891d2f3ac5db7aca04ab35b974cab80f668415fab577a6bea8b0c0e57374"
 TAU_SEED, TAU_PER_COMMAND = 17, 70
 TAU_PINNED = "6c9eb77666ea21ec08847d95e48b5e561cd38e6e4c3a45f620651e6f4325c714"
 BOUNDED_PINNED = "75871320e7ef57a61ae8a9787faeb11709884504e30e6bc6fa2c3c65e2436c79"
+COLUMN_SEED, COLUMN_PER_COMMAND = 18, 130
+COLUMN_PINNED = "bbe5ac15d314a6387fd520aeb92101e6d6b20de8bd080a4f0c5b307af47fdbc8"
 
 
 def _source(rng: random.Random) -> str:
@@ -174,3 +187,105 @@ def test_bounded_corpus_output_is_pinned(monkeypatch):
         monkeypatch.setattr(tauq.moments, "MAX_NAMED_INDEX", bound)
         digest.update(corpus_digest([argv]).encode())
     assert digest.hexdigest() == BOUNDED_PINNED
+
+
+def _gl3_verify_argv(rng: random.Random) -> list[str]:
+    a, b = rng.randint(-3, 2), rng.randint(-2, 2)
+    return ["verify", "gl3", "--moments-c", _source(rng),
+            "--moments-d", _source(rng),
+            "--k", _range(rng, (-1, -1, 0, 1), rng.randint(0, 3)),
+            "--l", _range(rng, (-1, -1, 0, 1), rng.randint(0, 3)),
+            "--alpha", f"{a}..{a + rng.randint(0, 1)}",
+            "--beta", f"{b}..{b + rng.randint(0, 1)}",
+            "--format", rng.choice(["json", "pretty"])]
+
+
+def _window_json(lo: int, values) -> str:
+    return json.dumps({"kind": "window", "lo": lo,
+                       "values": [str(v) for v in values]})
+
+
+def _mop_zero_minor_argv(rng: random.Random) -> list[str]:
+    """``mop --l 0..2`` where the l = 1 column's leading minor of order 1
+    (d_alpha = 0) or of order 2 (d_alpha c_{alpha-beta+1} = d_{alpha+1}
+    c_{alpha-beta}) is zero, with k ranges that start below, at or past
+    it."""
+    a, b = rng.randint(-2, 2), rng.randint(-1, 1)
+    c = seeded_window(rng, a - b - 2, a - b + 11, num=7, den=3)
+    d = seeded_window(rng, a - 2, a + 11, num=7, den=3)
+    if rng.random() < 0.5 or not d.get(a):
+        d.values[2] = Fraction(0)
+    else:
+        c.values[3] = d.get(a + 1) * c.get(a - b) / d.get(a)
+    k_lo = rng.randint(0, 3)
+    return ["mop", "--moments-c", _window_json(c.lo, c.values),
+            "--moments-d", _window_json(d.lo, d.values),
+            "--k", f"{k_lo}..{k_lo + rng.randint(0, 3)}", "--l", "0..2",
+            "--alpha", str(a), "--beta", str(b),
+            "--format", rng.choice(["json", "pretty"])]
+
+
+def column_corpus() -> list[list[str]]:
+    rng = random.Random(COLUMN_SEED)
+    return ([_gl3_verify_argv(rng) for _ in range(COLUMN_PER_COMMAND)]
+            + [_mop_zero_minor_argv(rng) for _ in range(40)])
+
+
+def bounded_column_corpus() -> list[tuple[int, list[str]]]:
+    """(MAX_NAMED_INDEX, argv) pairs of ``verify gl3`` and ``mop`` on
+    catalan and hermite, whose reads reach the bound in some runs."""
+    out = []
+    for bound, name, a in itertools.product((8, 13), ("catalan", "hermite"),
+                                            (-1, 0, 1, 3)):
+        m = json.dumps({"kind": "named", "name": name})
+        other = json.dumps({"kind": "named", "name": "catalan"
+                            if name == "hermite" else "hermite"})
+        for n in (2, 4):
+            out += [(bound, ["verify", "gl3", "--moments-c", m,
+                             "--moments-d", other, "--k", f"0..{n}",
+                             "--l", "-1..2", "--alpha", f"{a}..{a + 1}",
+                             "--beta", "0..1", "--format", "json"]),
+                    (bound, ["mop", "--moments-c", other, "--moments-d", m,
+                             "--k", f"0..{n + 1}", "--l", "0..2",
+                             "--alpha", str(a), "--beta", str(a % 2)])]
+    return out
+
+
+def _printed(window) -> str:
+    try:
+        matrix = window()
+    except DegenerateTauError as exc:
+        return json.dumps(exc.record())
+    return json.dumps([[str(e) for e in row] for row in matrix.entries])
+
+
+def window_corpus() -> list[str]:
+    """window_matrix_gl2 and window_matrix_gl3, as printed, on seeded
+    windows with 30% zeros."""
+    rng = random.Random(COLUMN_SEED)
+    out = []
+    for _ in range(50):
+        m = seeded_window(rng, rng.randint(-3, 1), 10, num=6, den=3, zeros=0.3)
+        k, a = rng.randint(0, 4), rng.randint(-2, 2)
+        out.append(_printed(lambda: window_matrix_gl2(k, a, m)))
+        C, D = (seeded_window(rng, rng.randint(-3, 1), 10, num=6, den=3,
+                              zeros=0.3) for _ in range(2))
+        k, l = rng.randint(0, 4), rng.randint(0, 3)
+        a, b = rng.randint(-2, 2), rng.randint(-1, 1)
+        out.append(_printed(lambda: window_matrix_gl3(k, l, a, b, C, D)))
+    return out
+
+
+def test_column_corpus_output_is_pinned(monkeypatch):
+    argvs = column_corpus()
+    assert sum(argv[:2] == ["verify", "gl3"] for argv in argvs) >= 120
+    digest = hashlib.sha256(corpus_digest(argvs).encode())
+    for bound, argv in bounded_column_corpus():
+        monkeypatch.setattr(tauq.moments, "MAX_NAMED_INDEX", bound)
+        digest.update(corpus_digest([argv]).encode())
+    monkeypatch.undo()
+    windows = window_corpus()
+    assert len(windows) >= 80
+    for printed in windows:
+        digest.update(printed.encode() + b"\0")
+    assert digest.hexdigest() == COLUMN_PINNED

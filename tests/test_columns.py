@@ -1,24 +1,25 @@
 """One no-swap elimination per column against one determinant per entry.
 
-``tau3_column``, ``tau_table`` and ``mop_bordered_column`` read every
-tau_{k,l} and B_{k,l} at one (l, alpha, beta) from a single Bareiss run;
-``tau_det``, ``tau3_det``, ``mop_bordered_poly`` and ``monic_op`` without
-a column take one elimination each. They must agree everywhere,
-including past a zero leading minor, where the column routes hand the
-remaining entries to the per-entry ones.
+``leading_blocks`` reads every tau_{k,l} or B_{k,l} at one (l, alpha,
+beta) from a single Bareiss run, and ``tau_table`` and ``bordered_table``
+memoize it; ``tau_det``, ``tau3_det``, ``mop_bordered_poly`` and
+``monic_op`` without a table take one elimination each. They must agree
+everywhere, including past a zero leading minor, where the column leaves
+the remaining entries to the per-entry routes.
 """
 import random
 from fractions import Fraction
 
 import pytest
 
+import tauq.moments
 from tauq import (DegenerateTauError, HankelForm, LaurentPoly, MomentPoly,
                   MomentSequence, form_eval, monic_op, mop_bordered_poly,
                   tau3_det, tau_det)
-from tauq.orthopoly import mop_bordered_column
+from tauq.orthopoly import bordered_table
 from tauq.rings import bordered_cofactors, det, leading_minors
 from tauq.tau_gl2 import tau_table
-from tauq.tau_gl3 import block_hankel_rows, leading_blocks, tau3_column
+from tauq.tau_gl3 import block_hankel_rows, leading_blocks
 
 from reference import forced_zero_window, seeded_window
 
@@ -77,7 +78,7 @@ def test_leading_minors_edges():
 @pytest.mark.parametrize("name, m, alphas, K", SOURCES, ids=SOURCE_IDS)
 def test_tau_columns_match_tau_det(name, m, alphas, K):
     for a in alphas:
-        col = tau3_column((-2, K), 0, a, 0, m, m)
+        col = leading_blocks((-2, K), 0, a, 0, m, m)
         z = _first_zero(lambda k: tau_det(k, a, m), K)
         assert sorted(col) == list(range(-2, (z or K) + 1))
         assert col == {k: tau_det(k, a, m) for k in col}
@@ -91,11 +92,11 @@ def test_polynomial_columns_match_per_degree(name, m, alphas, K):
     K = min(K, 14)
     for a in alphas:
         z = _first_zero(lambda k: tau_det(k, a, m), K)
-        blocks = leading_blocks(K, 0, a, 0, m, m, bordered=True)
-        assert len(blocks) == (z or K + 1)
-        bordered = mop_bordered_column(K, 0, a, 0, m, m)
+        blocks = leading_blocks((-1, K), 0, a, 0, m, m, bordered=True)
+        assert sorted(blocks) == list(range(-1, z or K + 1))
+        bordered = bordered_table(K, m, m)
         for k in range(-1, K + 2):
-            assert bordered(k) == mop_bordered_poly(k, 0, a, 0, m, m)
+            assert bordered(k, 0, a, 0) == mop_bordered_poly(k, 0, a, 0, m, m)
         for k in range(K + 1):
             try:
                 want = monic_op(k, a, m)
@@ -118,16 +119,49 @@ def test_gl3_columns_match_per_entry(l, beta, zeros):
     for a in range(-2, 3):
         rows = block_hankel_rows(K, K, l, a, beta, C, D)
         z = _first_zero(lambda k: det([r[:k] for r in rows[:k]]), K)
-        first = max(l, 1)
-        covered = range(first, (z or K) + 1) if (z or K) >= l else []
-        col = tau3_column((-1, K), l, a, beta, C, D)
-        assert sorted(col) == [*range(-1, first), *covered]
+        col = leading_blocks((-1, K), l, a, beta, C, D)
+        assert sorted(col) == [*range(-1, l), *range(l, (z or K) + 1)]
         assert col == {k: tau3_det(k, l, a, beta, C, D) for k in col}
-        blocks = leading_blocks(K, l, a, beta, C, D, bordered=True)
-        assert len(blocks) == max(0, (z or K + 1) - l)
-        bordered = mop_bordered_column(K, l, a, beta, C, D)
+        blocks = leading_blocks((-1, K), l, a, beta, C, D, bordered=True)
+        assert sorted(blocks) == [*range(-1, l), *range(l, z or K + 1)]
+        assert blocks == {k: mop_bordered_poly(k, l, a, beta, C, D)
+                          for k in blocks}
+        bordered = bordered_table(K, C, D)
         for k in range(-1, K + 2):
-            assert bordered(k) == mop_bordered_poly(k, l, a, beta, C, D)
+            assert (bordered(k, l, a, beta)
+                    == mop_bordered_poly(k, l, a, beta, C, D))
+
+
+@pytest.mark.parametrize("bordered", [False, True])
+def test_leading_blocks_edges(monkeypatch, formal_c, formal_d, bordered):
+    rng = random.Random(29)
+    C, D = (seeded_window(rng, -2, 9, num=5, den=3) for _ in range(2))
+    per_entry = mop_bordered_poly if bordered else tau3_det
+    zero = LaurentPoly.zero() if bordered else Fraction(0)
+
+    def column(k_range, l, m1=C, m2=D):
+        return leading_blocks(k_range, l, 1, 0, m1, m2, bordered)
+
+    # k_hi = 0: the boundary entries and, at l = 0, tau_{0,0} or B_{0,0}
+    for l in (-1, 0, 1):
+        col = column((-2, 0), l)
+        assert sorted(col) == [-2, -1, 0]
+        assert col == {k: per_entry(k, l, 1, 0, C, D) for k in col}
+    # l > k_hi and l < 0: every entry of the range is a boundary zero
+    for l in (-3, -1, 4, 6):
+        assert column((-1, 3), l) == dict.fromkeys(range(-1, 4), zero)
+    # formal families: an empty column, every entry is per-entry work
+    assert column((-1, 3), 1, formal_c, formal_d) == {}
+    assert column((-1, 3), 0, C, formal_d) == {}
+    # a moment past the named-index bound: boundary entries only
+    monkeypatch.setattr(tauq.moments, "MAX_NAMED_INDEX", 6)
+    catalan = MomentSequence.named("catalan")
+    for l in (0, 2):
+        assert column((-1, 5), l, catalan, catalan) == dict.fromkeys(
+            range(-1, l), zero)
+    col = column((-1, 3), 1, catalan, D)  # every read below the bound
+    assert sorted(col) == [-1, 0, 1, 2, 3]
+    assert col == {k: per_entry(k, 1, 1, 0, catalan, D) for k in col}
 
 
 def _fraction_form_eval(form, fa: dict, gb: dict):

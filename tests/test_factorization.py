@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 from functools import reduce
 
 import pytest
 
+import tauq.factorization
+import tauq.orthopoly
 from tauq import (
     DegenerateTauError,
     LaurentMatrix,
@@ -28,8 +31,12 @@ from tauq import (
     zero_curvature_check,
 )
 
+from tauq.rings import det
+from tauq.tau_gl3 import block_hankel_rows
+
 from formal_shift import (ShiftEndomorphism, apply_shift, formal_g_minus_gl2,
                           formal_g_minus_gl3)
+from reference import seeded_window
 
 SP = ShiftEndomorphism("c", 1)
 SM = ShiftEndomorphism("c", -1)
@@ -351,3 +358,36 @@ def test_gl2_is_the_one_family_slice_of_gl3(rand_window, catalan):
     assert _leading_block(g_minus_gl2, -1, 0, m) == \
         _leading_block(g_minus_gl3, -1, 0, 0, 0, m, m) == \
         (DegenerateTauError, "tau is zero", {"k": -1, "alpha": 0})
+
+
+def _leading_minors_nonzero(k, l, a, b, C, D) -> bool:
+    rows = block_hankel_rows(k, k, l, a, b, C, D)
+    return all(det([r[:j] for r in rows[:j]]) for j in range(1, k + 1))
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_windows_take_no_bordered_determinant_of_their_own(monkeypatch, seed):
+    # on nondegenerate windows every B_{k,l}, B_{k-1,l} and B_{k-1,l-1}
+    # comes from the leading blocks of one elimination per column
+    calls = []
+    real = tauq.orthopoly.mop_bordered_poly
+
+    def counting(*args):
+        calls.append(args[:4])
+        return real(*args)
+
+    # any call counts, through the table's fallback or a module's own import
+    for module in (tauq.orthopoly, tauq.factorization):
+        monkeypatch.setattr(module, "mop_bordered_poly", counting, raising=False)
+    rng = random.Random(seed)
+    C, D = (seeded_window(rng, -4, 12, num=9, den=5) for _ in range(2))
+    for k in range(5):
+        for a in (-1, 0, 1):
+            assert _leading_minors_nonzero(k, 0, a, 0, C, C)
+            window_matrix_gl2(k, a, C)
+            for l in range(k + 1):
+                b = rng.randint(-1, 1)
+                assert all(_leading_minors_nonzero(k, ll, a, b, C, D)
+                           for ll in (max(l - 1, 0), l))
+                window_matrix_gl3(k, l, a, b, C, D)
+    assert not calls

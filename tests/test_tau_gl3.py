@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,10 @@ from tauq import (
     verify_gl3_relations,
 )
 from tauq.cli import main
+from tauq.rings import det
 from tauq.tau_gl3 import block_hankel_rows, relation_sides
+
+from reference import seeded_window
 
 ZERO = MomentSequence.zero()
 
@@ -297,3 +302,78 @@ def test_verify_relations_detects_violation(catalan, linear_window):
         return v + 1 if (k, l, a, b) == (1, 1, 1, 0) else v
     lhs, rhs = relation_sides(1, 1, 1, 0, 0, t)
     assert lhs != rhs
+
+
+@pytest.fixture
+def tau3_det_calls(monkeypatch):
+    """Counts tau3_det calls per (k, l, alpha, beta) made through
+    tau_gl3's binding, the one verify_gl3_relations' table falls back to."""
+    calls = Counter()
+    real = tauq.tau_gl3.tau3_det
+
+    def counting(*args):
+        calls[args[:4]] += 1
+        return real(*args)
+
+    monkeypatch.setattr(tauq.tau_gl3, "tau3_det", counting)
+    return calls
+
+
+def _relation_reads(k_max, l_max, alphas, betas) -> set:
+    """Every (k, l, alpha, beta) the four relations read on the ranges."""
+    keys = set()
+
+    def record(*key):
+        keys.add(key)
+        return 0
+
+    for relation, k, l, a, b in itertools.product(
+            (1, 2, 3, 4), range(k_max + 1), range(l_max + 1),
+            range(alphas[0], alphas[1] + 1), range(betas[0], betas[1] + 1)):
+        relation_sides(relation, k, l, a, b, record)
+    return keys
+
+
+def _past_zero_minor(key, k_hi, C, D) -> bool:
+    """Whether tau_{k,l} at (alpha, beta) lies past a zero leading minor
+    of order 1 <= j < k of the order-k_hi block-Hankel matrix of its
+    (l, alpha, beta) column (entries with l < 0 or k < l are boundary
+    values)."""
+    k, l, a, b = key
+    if l < 0 or k < l:
+        return False
+    rows = block_hankel_rows(k_hi, k_hi, l, a, b, C, D)
+    return any(not det([r[:j] for r in rows[:j]]) for j in range(1, k))
+
+
+@pytest.mark.parametrize("case", ["neg-lo", "zero-heavy", "forced-zero"])
+def test_gl3_verifier_determinants_only_past_zero_minor(tau3_det_calls, case):
+    # every other tau comes from one elimination per (l, alpha, beta)
+    rng = random.Random(case)
+    C, D = (seeded_window(rng, -4, 9, num=9, den=5,
+                          zeros=0.5 if case == "zero-heavy" else 0.0)
+            for _ in range(2))
+    if case == "forced-zero":
+        C.values[C.lo + 5] = D.values[-D.lo] = Fraction(0)  # c_1, d_0
+    k_max, l_max, alphas, betas = 4, 3, (-1, 1), (-1, 0)
+    report = verify_gl3_relations(C, D, None, k_max, l_max, alphas, betas)
+    assert report.total and not report.failures
+    expected = {key for key in _relation_reads(k_max, l_max, alphas, betas)
+                if _past_zero_minor(key, k_max + 1, C, D)}
+    assert expected or case == "neg-lo"
+    assert dict(tau3_det_calls) == dict.fromkeys(expected, 1)
+
+
+def test_gl3_verifier_one_determinant_per_tau_with_e_or_formal(
+        tau3_det_calls, formal_c, formal_d):
+    rng = random.Random(5)
+    C, D, E = (seeded_window(rng, -2, 6, num=5, den=3) for _ in range(3))
+    report = verify_gl3_relations(C, D, E, 2, 1, (0, 1), (0, 0))
+    assert report.total and not report.failures
+    assert dict(tau3_det_calls) == dict.fromkeys(
+        _relation_reads(2, 1, (0, 1), (0, 0)), 1)
+    tau3_det_calls.clear()
+    report = verify_gl3_relations(formal_c, formal_d, None, 1, 1, (0, 0), (0, 0))
+    assert report.total and not report.failures
+    assert dict(tau3_det_calls) == dict.fromkeys(
+        _relation_reads(1, 1, (0, 0), (0, 0)), 1)
