@@ -282,12 +282,13 @@ def cmd_verify_mop(args) -> int:
     a_range = parse_range(args.alpha, "alpha")
     b_range = parse_range(args.beta, "beta")
     report = VerificationReport("mop-orthogonality")
+    table = bordered_table(k_range[1], C, D)
     for k in range(max(0, k_range[0]), k_range[1] + 1):
         for l in range(max(0, l_range[0]), min(k, l_range[1]) + 1):
             for a in range(a_range[0], a_range[1] + 1):
                 for b in range(b_range[0], b_range[1] + 1):
                     try:
-                        report.extend(verify_mop(k, l, a, b, C, D))
+                        report.extend(verify_mop(k, l, a, b, C, D, table))
                     except DegenerateTauError as exc:
                         report.add_skip({"k": k, "l": l, "alpha": a, "beta": b},
                                         str(exc))

@@ -9,7 +9,15 @@ gives the monic polynomial orthogonal to all lower powers of one form.
 ``bordered_table`` memoizes B_{k,l} keyed (k, l, alpha, beta) and takes a
 numeric (l, alpha, beta) column's degrees from one no-swap elimination
 (``leading_blocks``), O(K^3) where one per degree costs O(K^4); degrees
-past a zero leading minor are built one at a time.
+past a zero leading minor are built one at a time. ``opgen``,
+``recurrence``, ``mop``, ``verify mop`` and ``verify orthogonality`` each
+read their polynomials from one table.
+
+The verifiers pair each polynomial f with the powers z^n in one integer
+pass (``form_pairings``: f and the moments it meets scaled to integers
+once); ``verify_orthogonality`` then takes each <p_j, p_k> as an integer
+dot product of p_j's scaled coefficients with p_k's pairings.
+``form_eval`` stays the plain one-pair reference.
 
 Norms and three-term recurrence coefficients are derived facts here, not
 inputs: tests gate the polynomials against a brute-force Gram-Schmidt
@@ -21,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import prod
+from operator import mul
 
 from .errors import DegenerateTauError
 from .moments import MomentSequence
@@ -71,6 +80,22 @@ def form_eval(form: HankelForm, f, g):
     total = sum(x * sum(y * ms[a + b - lo] for b, y in zip(gb, gs))
                 for a, x in zip(fa, fs))
     return Fraction(total, prod(scales))
+
+
+def form_pairings(form: HankelForm, f, count: int) -> tuple[list[int], int]:
+    """<f, z^n> for n < count as integer numerators over one denominator:
+    f and the moments it meets, m_{offset+a} for min(f) <= a < deg f +
+    count, are each scaled to integers once, so a caller makes one
+    Fraction per value, or pairs another polynomial g by an integer dot
+    product with g's scaled coefficients first. Numeric moments only."""
+    fa = _poly_coeffs(f)
+    if not fa or not count:
+        return [0] * count, 1
+    lo, hi = min(fa), max(fa)
+    (fs, ms), (fscale, mscale) = _integer_rows(
+        [[fa.get(a, 0) for a in range(lo, hi + 1)],
+         [form.moment(n) for n in range(lo, hi + count)]])
+    return [sum(map(mul, fs, ms[n:])) for n in range(count)], fscale * mscale
 
 
 class MonicPolynomial:
@@ -146,7 +171,9 @@ def monic_op(k: int, alpha: int, m: MomentSequence,
 
 def verify_orthogonality(m: MomentSequence, alpha: int, K: int) -> VerificationReport:
     """<p_j, p_k> = 0 for j < k <= K, and <p_k, p_k> = tau_{k+1}/tau_k, each
-    tau the leading coefficient of a B_k that p_k is built from (or B_{K+1})."""
+    tau the leading coefficient of a B_k that p_k is built from (or B_{K+1}).
+    Each <p_j, p_k> is p_j's scaled coefficients dotted with p_k's
+    ``form_pairings``."""
     report = VerificationReport("orthogonality")
     form = HankelForm(m, alpha)
     table = bordered_table(K + 1, m, m)
@@ -154,15 +181,17 @@ def verify_orthogonality(m: MomentSequence, alpha: int, K: int) -> VerificationR
     for k in range(K + 1):  # a zero tau_k raises before B_{k+1} is built
         polys.append(_monic(bordered[k], k, k=k, alpha=alpha))
         bordered.append(table(k + 1, 0, alpha, 0))
+    coeffs, scales = _integer_rows([p.coeffs for p in polys])
     for k in range(K + 1):
-        for j in range(k):
-            v = form_eval(form, polys[j], polys[k])
+        pairings, den = form_pairings(form, polys[k], k + 1)
+        gram = [Fraction(sum(map(mul, c, pairings)), s * den)
+                for c, s in zip(coeffs[:k + 1], scales)]
+        for j, v in enumerate(gram[:k]):
             report.add_check({"j": j, "k": k, "alpha": alpha,
                               "identity": "orthogonal"}, v == 0, v, 0)
-        norm = form_eval(form, polys[k], polys[k])
         claim = bordered[k + 1].coeff(k + 1) / bordered[k].coeff(k)
         report.add_check({"k": k, "alpha": alpha, "identity": "norm"},
-                         norm == claim, norm, claim)
+                         gram[k] == claim, gram[k], claim)
     return report
 
 
@@ -243,19 +272,19 @@ def mop_type2(k: int, l: int, alpha: int, beta: int,
 
 
 def verify_mop(k: int, l: int, alpha: int, beta: int,
-               C: MomentSequence, D: MomentSequence) -> VerificationReport:
+               C: MomentSequence, D: MomentSequence,
+               bordered=None) -> VerificationReport:
     """Shared orthogonality: <p, z^n>_C = 0 for n < k-l (offset alpha-beta)
-    and <p, z^n>_D = 0 for n < l (offset alpha)."""
+    and <p, z^n>_D = 0 for n < l (offset alpha), each family's values from
+    one ``form_pairings``, with B_{k,l} read from ``bordered`` (a
+    bordered_table) when given."""
     report = VerificationReport("mop-orthogonality")
-    p = mop_type2(k, l, alpha, beta, C, D)
-    form_c = HankelForm(C, alpha - beta)
-    form_d = HankelForm(D, alpha)
-    for n in range(k - l):
-        v = form_eval(form_c, p, LaurentPoly.z_pow(n))
-        report.add_check({"k": k, "l": l, "alpha": alpha, "beta": beta,
-                          "family": "c", "n": n}, v == 0, v, 0)
-    for n in range(l):
-        v = form_eval(form_d, p, LaurentPoly.z_pow(n))
-        report.add_check({"k": k, "l": l, "alpha": alpha, "beta": beta,
-                          "family": "d", "n": n}, v == 0, v, 0)
+    p = mop_type2(k, l, alpha, beta, C, D, bordered)
+    for family, form, count in (("c", HankelForm(C, alpha - beta), k - l),
+                                ("d", HankelForm(D, alpha), l)):
+        pairings, den = form_pairings(form, p, count)
+        for n, num in enumerate(pairings):
+            v = Fraction(num, den)
+            report.add_check({"k": k, "l": l, "alpha": alpha, "beta": beta,
+                              "family": family, "n": n}, v == 0, v, 0)
     return report

@@ -521,12 +521,18 @@ def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:
     return out, scales
 
 
-def _eliminate(m: list[list[int]], steps: int, swaps: bool = True) -> int:
+def _eliminate(m: list[list[int]], steps: int, swaps: bool = True,
+               grow: bool = False) -> int:
     """Run ``steps`` Bareiss steps in place on integer rows, dividing
     exactly by the previous pivot. After t steps, entry (i, j) with
     i, j >= t is the determinant of the leading t x t block bordered by
     row i and column j (Sylvester's identity), so until a row swap the
     pivot m[t][t] is the leading (t+1) x (t+1) minor.
+
+    With ``grow`` (and no swaps), each row below the pivot row also gains
+    one entry per step, -a for its pivot-column entry a: the rows then
+    carry the run's identity block in triangular form (see
+    ``leading_minors``).
 
     Returns the sign of the row swaps, or 0 when the run stops early: at a
     pivot column with no nonzero entry on or below the diagonal (then
@@ -551,6 +557,8 @@ def _eliminate(m: list[list[int]], steps: int, swaps: bool = True) -> int:
             a = row[t]
             row[t + 1:] = [(x * pivot - a * y) // prev
                            for x, y in zip(row[t + 1:], tail)]
+            if grow:
+                row.append(-a)
         prev = pivot
     return sign
 
@@ -561,21 +569,24 @@ def leading_minors(rows, bordered: bool = False) -> list:
     (n+1) x n body A, the run is over [A | I], and entry t is row t's
     identity block: bordered_cofactors of A's leading (t+1) x t block, up
     to t = n. Both stop at the first zero pivot, which only the minors
-    include."""
+    include.
+
+    The identity block is never stored whole: after t steps row r's block
+    is zero outside columns 0..t-1 and its own column r, which holds the
+    last pivot. So each row starts with no identity columns and gains
+    column t at step t (``_eliminate``'s ``grow``)."""
     n = len(rows[0]) if rows else 0
     m, scales = _integer_rows(rows)
-    if bordered:
-        for r, row in enumerate(m):
-            row.extend(int(c == r) for c in range(n + 1))
-    _eliminate(m, n, swaps=False)
-    out, total = [] if bordered else [Fraction(1)], 1
+    _eliminate(m, n, swaps=False, grow=bordered)
+    out, total, prev = [] if bordered else [Fraction(1)], 1, 1
     for t, (row, scale) in enumerate(zip(m, scales)):
         total *= scale
         out.append([Fraction(v * s, total) for v, s in
-                    zip(row[n:n + t + 1], scales)] if bordered
+                    zip(row[n:] + [prev], scales)] if bordered
                    else Fraction(row[t], total))
         if t == n or not row[t]:
             break
+        prev = row[t]
     return out
 
 

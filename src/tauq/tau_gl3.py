@@ -316,15 +316,19 @@ class TauTable:
 
     def get(self, *key):
         values = self.values
-        if key not in values:
+        if key in values:
+            return values[key]
+        column = self.column
+        if column is not None:
             col = key[1:]
-            if self.column is not None and col not in self.filled:
+            if col not in self.filled:
                 self.filled.add(col)
-                for k, v in self.column(*col).items():
+                for k, v in column(*col).items():
                     values[(k, *col)] = v
-            if key not in values:
-                values[key] = self.fn(*key, *self.args)
-        return values[key]
+                if key in values:
+                    return values[key]
+        value = values[key] = self.fn(*key, *self.args)
+        return value
 
     __call__ = get
 

@@ -5,13 +5,14 @@ Test oracles only: the symmetrized residue formula for tau_k^(alpha)
 Gram-Schmidt under the Hankel form. The library takes both answers from
 determinants; the tests require the two routes to agree. Also the numeric
 tau table one determinant per entry, which the condensation table must
-equal, and two seeded windows: a random one and one with a chosen zero
-Hankel minor.
+equal, two seeded windows (a random one and one with a chosen zero
+Hankel minor), and the bordered leading blocks from a Bareiss run over
+the whole [A | I], which the triangular run must equal.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from tauq import (DegenerateTauError, HankelForm, LaurentPoly,
                   MomentSequence, MonicPolynomial, ResourceBoundError,
@@ -113,3 +114,28 @@ def forced_zero_window(rng, k, alpha):
     m.values[j] = -tau_det(k, alpha, m) / cofactor
     assert tau_det(k, alpha, m) == 0
     return m
+
+
+def bordered_blocks_full(rows) -> list:
+    """bordered_cofactors of the leading (t+1) x t blocks of an (n+1) x n
+    numeric body A, t = 0, 1, ..., from one no-swap Bareiss run over all
+    of [A | I_{n+1}]: after t steps row t's identity block holds block t's
+    cofactors times the row scales of the other rows. Stops after the
+    first t whose pivot is zero, or at t = n."""
+    n = len(rows[0]) if rows else 0
+    scales = [lcm(*[Fraction(x).denominator for x in row]) for row in rows]
+    m = [[int(Fraction(x) * s) for x in row] + [int(c == r) for c in range(n + 1)]
+         for r, (row, s) in enumerate(zip(rows, scales))]
+    out, total, prev = [], 1, 1
+    for t in range(n + 1):
+        total *= scales[t]
+        out.append([Fraction(v * s, total)
+                    for v, s in zip(m[t][n:n + t + 1], scales)])
+        pivot = m[t][t] if t < n else 0
+        if not pivot:
+            break
+        for row in m[t + 1:]:
+            a = row[t]
+            row[:] = [(x * pivot - a * y) // prev for x, y in zip(row, m[t])]
+        prev = pivot
+    return out

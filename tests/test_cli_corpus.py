@@ -26,6 +26,13 @@ prints ``window_matrix_gl2``/``window_matrix_gl3`` (or the
 ``DegenerateTauError`` record) on seeded windows with 30% zeros. It was
 recorded while ``verify gl3`` and the wave factors still took one
 determinant per tau and per bordered polynomial.
+
+The fifth runs ``verify mop`` and ``verify orthogonality`` on the same
+kinds of sources, on window pairs whose l = 1 column has a zero leading
+minor, on windows with a zero tau_k and on hermite at odd alpha, and
+again with the named-index bound lowered. It was recorded while ``verify
+mop`` built each polynomial by its own elimination and both verifiers
+paired polynomials one ``form_eval`` at a time.
 """
 import contextlib
 import hashlib
@@ -39,7 +46,7 @@ import tauq.moments
 from tauq import DegenerateTauError, window_matrix_gl2, window_matrix_gl3
 from tauq.cli import main
 
-from reference import seeded_window
+from reference import forced_zero_window, seeded_window
 
 SEED, PER_COMMAND = 16, 60
 PINNED = "8266891d2f3ac5db7aca04ab35b974cab80f668415fab577a6bea8b0c0e57374"
@@ -48,6 +55,8 @@ TAU_PINNED = "6c9eb77666ea21ec08847d95e48b5e561cd38e6e4c3a45f620651e6f4325c714"
 BOUNDED_PINNED = "75871320e7ef57a61ae8a9787faeb11709884504e30e6bc6fa2c3c65e2436c79"
 COLUMN_SEED, COLUMN_PER_COMMAND = 18, 130
 COLUMN_PINNED = "bbe5ac15d314a6387fd520aeb92101e6d6b20de8bd080a4f0c5b307af47fdbc8"
+PAIRING_SEED = 19
+PAIRING_PINNED = "5515ba45a961f97a8a761921253bb6f182d2bb9ca7cda0ebe89d5eea4cc6c47d"
 
 
 def _source(rng: random.Random) -> str:
@@ -205,11 +214,11 @@ def _window_json(lo: int, values) -> str:
                        "values": [str(v) for v in values]})
 
 
-def _mop_zero_minor_argv(rng: random.Random) -> list[str]:
-    """``mop --l 0..2`` where the l = 1 column's leading minor of order 1
+def _zero_minor_pair(rng: random.Random) -> tuple[list[str], int, int]:
+    """(--moments-c/--moments-d args, alpha, beta) for a window pair whose
+    l = 1 column at (alpha, beta) has a zero leading minor of order 1
     (d_alpha = 0) or of order 2 (d_alpha c_{alpha-beta+1} = d_{alpha+1}
-    c_{alpha-beta}) is zero, with k ranges that start below, at or past
-    it."""
+    c_{alpha-beta})."""
     a, b = rng.randint(-2, 2), rng.randint(-1, 1)
     c = seeded_window(rng, a - b - 2, a - b + 11, num=7, den=3)
     d = seeded_window(rng, a - 2, a + 11, num=7, den=3)
@@ -217,9 +226,16 @@ def _mop_zero_minor_argv(rng: random.Random) -> list[str]:
         d.values[2] = Fraction(0)
     else:
         c.values[3] = d.get(a + 1) * c.get(a - b) / d.get(a)
+    return (["--moments-c", _window_json(c.lo, c.values),
+             "--moments-d", _window_json(d.lo, d.values)], a, b)
+
+
+def _mop_zero_minor_argv(rng: random.Random) -> list[str]:
+    """``mop --l 0..2`` on a zero-minor pair, with k ranges that start
+    below, at or past the zero minor."""
+    families, a, b = _zero_minor_pair(rng)
     k_lo = rng.randint(0, 3)
-    return ["mop", "--moments-c", _window_json(c.lo, c.values),
-            "--moments-d", _window_json(d.lo, d.values),
+    return ["mop", *families,
             "--k", f"{k_lo}..{k_lo + rng.randint(0, 3)}", "--l", "0..2",
             "--alpha", str(a), "--beta", str(b),
             "--format", rng.choice(["json", "pretty"])]
@@ -289,3 +305,79 @@ def test_column_corpus_output_is_pinned(monkeypatch):
     for printed in windows:
         digest.update(printed.encode() + b"\0")
     assert digest.hexdigest() == COLUMN_PINNED
+
+
+def _verify_mop_argv(rng: random.Random) -> list[str]:
+    """``verify mop`` with k and l ranges mostly from -1, one time in three
+    on a zero-minor pair with alpha and beta ranges that hold it."""
+    if rng.random() < 1 / 3:
+        families, a, b = _zero_minor_pair(rng)
+        alphas = f"{a - rng.randint(0, 1)}..{a}"
+        betas = f"{b}..{b + rng.randint(0, 1)}"
+        ks = ["--k", f"{rng.randint(-1, 3)}..{rng.randint(3, 6)}",
+              "--l", f"{rng.choice((-1, 0, 1))}..2"]
+    else:
+        families = ["--moments-c", _source(rng), "--moments-d", _source(rng)]
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        alphas = f"{a}..{a + rng.randint(0, 1)}"
+        betas = f"{b}..{b + rng.randint(0, 1)}"
+        ks = ["--k", _range(rng, (-1, -1, 0, 1, 2), rng.randint(1, 5)),
+              "--l", _range(rng, (-1, -1, 0, 1), rng.randint(0, 3))]
+    return ["verify", "mop", *families, *ks, "--alpha", alphas,
+            "--beta", betas, "--format", rng.choice(["json", "pretty"])]
+
+
+def _verify_orthogonality_argv(rng: random.Random) -> list[str]:
+    """``verify orthogonality`` on hermite at an odd alpha, on a window
+    with a zero tau_k at its first alpha, or on any source."""
+    pick, a = rng.random(), rng.randint(-2, 2)
+    if pick < 0.25:
+        m, a = json.dumps({"kind": "named", "name": "hermite"}), 2 * a + 1
+    elif pick < 0.5:
+        w = forced_zero_window(rng, rng.randint(1, 4), a)
+        m = _window_json(w.lo, w.values)
+    else:
+        m = _source(rng)
+    return ["verify", "orthogonality", "--moments", m,
+            "--alpha", f"{a}..{a + rng.randint(0, 2)}",
+            "--count", str(rng.randint(0, 6)),
+            "--format", rng.choice(["json", "pretty"])]
+
+
+def pairing_corpus() -> list[list[str]]:
+    rng = random.Random(PAIRING_SEED)
+    return ([_verify_mop_argv(rng) for _ in range(150)]
+            + [_verify_orthogonality_argv(rng) for _ in range(100)])
+
+
+def bounded_pairing_corpus() -> list[tuple[int, list[str]]]:
+    """(MAX_NAMED_INDEX, argv) pairs of ``verify mop`` and ``verify
+    orthogonality`` on catalan and hermite, whose reads reach the bound in
+    some runs."""
+    out = []
+    for bound, name, a in itertools.product((8, 13), ("catalan", "hermite"),
+                                            (-1, 0, 1, 3)):
+        m = json.dumps({"kind": "named", "name": name})
+        other = json.dumps({"kind": "named", "name": "catalan"
+                            if name == "hermite" else "hermite"})
+        for n in (2, 4, 6):
+            out += [(bound, ["verify", "mop", "--moments-c", m,
+                             "--moments-d", other, "--k", f"-1..{n}",
+                             "--l", "-1..2", "--alpha", f"{a}..{a + 1}",
+                             "--beta", "0..1", "--format", "json"]),
+                    (bound, ["verify", "orthogonality", "--moments", m,
+                             "--count", str(n), "--alpha", f"{a}..{a + 1}",
+                             "--format", "json"])]
+    return out
+
+
+def test_pairing_corpus_output_is_pinned(monkeypatch):
+    argvs = pairing_corpus()
+    assert sum(argv[:2] == ["verify", "mop"] for argv in argvs) >= 120
+    assert sum(argv[:2] == ["verify", "orthogonality"]
+               for argv in argvs) >= 80
+    digest = hashlib.sha256(corpus_digest(argvs).encode())
+    for bound, argv in bounded_pairing_corpus():
+        monkeypatch.setattr(tauq.moments, "MAX_NAMED_INDEX", bound)
+        digest.update(corpus_digest([argv]).encode())
+    assert digest.hexdigest() == PAIRING_PINNED

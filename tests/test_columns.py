@@ -21,7 +21,7 @@ from tauq.rings import bordered_cofactors, det, leading_minors
 from tauq.tau_gl2 import tau_table
 from tauq.tau_gl3 import block_hankel_rows, leading_blocks
 
-from reference import forced_zero_window, seeded_window
+from reference import bordered_blocks_full, forced_zero_window, seeded_window
 
 
 def _sources():
@@ -66,6 +66,51 @@ def test_leading_minors_are_leading_determinants():
             assert leading_minors(rows[:n]) == (minors if z is None
                                                 else minors[:z + 1])
             assert leading_minors(rows, bordered=True) == blocks[:z]
+
+
+def _bodies():
+    """(n+1) x n bodies up to n = 14: seeded, 30-60% zeros, Hankel bodies
+    of 3-digit values, and bodies with a forced zero leading minor of
+    each order 1..n (its last diagonal entry has the order below as
+    cofactor, so one value of it zeroes the minor)."""
+    rng = random.Random(29)
+
+    def entry(zeros=0.0):
+        return (Fraction(0) if rng.random() < zeros
+                else Fraction(rng.randint(-99, 99), rng.randint(1, 9)))
+
+    out = []
+    for n in (1, 2, 5, 9, 14):
+        for zeros in (0.0, 0.3, 0.45, 0.6):
+            out.append([[entry(zeros) for _ in range(n)] for _ in range(n + 1)])
+        m = [Fraction(rng.randint(-999, 999), rng.randint(1, 99))
+             for _ in range(2 * n + 1)]
+        out.append([[m[i + j] for j in range(n)] for i in range(n + 1)])
+        for j in range(1, n + 1):
+            rows = [[entry() for _ in range(n)] for _ in range(n + 1)]
+            cofactor = det([r[:j - 1] for r in rows[:j - 1]])
+            if cofactor:
+                rows[j - 1][j - 1] = Fraction(0)
+                rows[j - 1][j - 1] = -det([r[:j] for r in rows[:j]]) / cofactor
+                assert not det([r[:j] for r in rows[:j]])
+                out.append(rows)
+    return out
+
+
+def test_triangular_bordered_run_matches_full_identity_run():
+    # the run keeps only the identity columns that can be nonzero; the
+    # reference eliminates every column of [A | I]
+    bodies = _bodies()
+    assert len(bodies) > 40
+    stopped = 0
+    for rows in bodies:
+        got = leading_minors(rows, bordered=True)
+        assert got == bordered_blocks_full(rows)
+        assert all(type(c) is Fraction for block in got for c in block)
+        assert got[:10] == [bordered_cofactors([r[:t] for r in rows[:t + 1]])
+                            for t in range(min(len(got), 10))]
+        stopped += len(got) < len(rows)
+    assert stopped > 10
 
 
 def test_leading_minors_edges():
