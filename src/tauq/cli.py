@@ -28,16 +28,17 @@ from .moments import MomentSequence, build_moments
 from .orthopoly import (bordered_table, monic_op, mop_type2,
                         recurrence_coeffs, verify_mop, verify_orthogonality)
 from .report import VerificationReport
-from .tau_gl2 import condensation_table, tau_det, verify_qsystem
+from .tau_gl2 import condensation_table, tau_table, verify_qsystem
 from .tau_gl3 import TauTable, leading_blocks, tau3_det, verify_gl3_relations
 
 # Largest determinant order a --mode symbolic run may compute. An order-n
 # determinant takes n 2^(n-1) products of ever longer polynomials: on a
-# 2-vCPU VM (Python 3.11.7) `tau gl2 --mode symbolic --k 0..9` takes 1.6 s
-# and prints 1 MB, while the order-10 tau alone takes 7 s and 4.8 MB.
+# 2-vCPU VM (Python 3.11.7, process CPU time) `tau gl2 --mode symbolic
+# --k 0..9` takes 0.5 s and prints 1 MB, while the order-10 tau alone
+# takes 2.9 s and 4.8 MB.
 SYMBOLIC_ORDER_BOUND = 9
 # Largest --k of symbolic zero-curvature: its cross-multiplied identities
-# multiply whole tau polynomials, and --k 0..3 already takes 11 s there.
+# multiply whole tau polynomials, and --k 0..3 already takes 10 s there.
 SYMBOLIC_ZERO_CURVATURE_K_BOUND = 3
 
 
@@ -213,10 +214,12 @@ def _tau_table(args, fields: tuple[str, ...], tau) -> int:
 
 def cmd_tau_gl2(args) -> int:
     m = _gl2_source(args)
+    k_range = parse_range(args.k, "k")
     if m.is_formal:
-        return _tau_table(args, ("k", "alpha"), lambda k, a: tau_det(k, a, m))
-    table = condensation_table(m, parse_range(args.k, "k"),
-                               parse_range(args.alpha, "alpha"))
+        # one Laplace run per alpha gives the whole k column
+        return _tau_table(args, ("k", "alpha"),
+                          tau_table(m, lambda a: k_range))
+    table = condensation_table(m, k_range, parse_range(args.alpha, "alpha"))
     return _tau_table(args, ("k", "alpha"), lambda k, a: table[k, a])
 
 

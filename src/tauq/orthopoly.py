@@ -6,12 +6,12 @@ bilinear pairing on polynomials. The bordered determinant B_{k,l}
 monic type-II multiple orthogonal polynomial of the c and d forms; B_{k,0}
 gives the monic polynomial orthogonal to all lower powers of one form.
 
-``bordered_table`` memoizes B_{k,l} keyed (k, l, alpha, beta) and takes a
-numeric (l, alpha, beta) column's degrees from one no-swap elimination
-(``leading_blocks``), O(K^3) where one per degree costs O(K^4); degrees
-past a zero leading minor are built one at a time. ``opgen``,
-``recurrence``, ``mop``, ``verify mop`` and ``verify orthogonality`` each
-read their polynomials from one table.
+``bordered_table`` memoizes B_{k,l} keyed (k, l, alpha, beta) and takes an
+(l, alpha, beta) column's degrees from one ``leading_blocks`` run: for
+numeric moments one no-swap elimination, O(K^3) where one per degree
+costs O(K^4), with the degrees past a zero leading minor built one at a
+time. ``opgen``, ``recurrence``, ``mop``, ``verify mop`` and ``verify
+orthogonality`` each read their polynomials from one table.
 
 The verifiers pair each polynomial f with the powers z^n in one integer
 pass (``form_pairings``: f and the moments it meets scaled to integers

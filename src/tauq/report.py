@@ -2,6 +2,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+
+from .rings import MomentPoly
+
+# the side types whose equal values have one printed form
+_CANONICAL = (int, Fraction, MomentPoly)
 
 
 @dataclass(frozen=True)
@@ -35,9 +41,17 @@ class VerificationReport:
     skipped: list[Skip] = field(default_factory=list)
 
     def add_check(self, instance: dict, passed: bool, lhs=None, rhs=None) -> None:
-        self.checks.append(Check(dict(instance), bool(passed),
-                                 None if lhs is None else str(lhs),
-                                 None if rhs is None else str(rhs)))
+        """Record one check; passed must be lhs == rhs. Equal ints,
+        Fractions or MomentPolys print the same, so a passing check of
+        two such sides of one type prints lhs once for both. Other sides
+        (a RingFraction is unreduced) are printed one by one."""
+        lhs_text = None if lhs is None else str(lhs)
+        if passed and type(lhs) is type(rhs) and type(lhs) in _CANONICAL:
+            rhs_text = lhs_text
+        else:
+            rhs_text = None if rhs is None else str(rhs)
+        self.checks.append(Check(dict(instance), bool(passed), lhs_text,
+                                 rhs_text))
 
     def add_skip(self, instance: dict, reason: str) -> None:
         self.skipped.append(Skip(dict(instance), reason))

@@ -11,6 +11,16 @@ Three coefficient domains are used throughout:
 ``LaurentPoly`` and ``LaurentMatrix`` are generic over any of these:
 coefficients only need +, *, unary -, ==, and truthiness (zero is falsy).
 All values are immutable after construction; every operation is pure.
+
+Determinants take one of two kernels. Numeric entries run Bareiss
+elimination on Python ints (``det_bareiss``, and without row swaps
+``leading_minors``, whose pivots are every leading minor at once).
+Entries that mix numbers and MomentPoly run the Laplace subset kernel
+(``_laplace``) on plain term dicts, building a MomentPoly only for the
+minors a caller reads; one run gives a matrix's determinant, every
+leading minor, or every bordered cofactor of each leading block. No other
+ring has a determinant kernel: ``LaurentMatrix.det`` (order 2 or 3) is a
+cofactor expansion.
 """
 from __future__ import annotations
 
@@ -190,19 +200,38 @@ class MomentPoly:
         return {s for mono, _ in self.items() for s in mono}
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         names = {code: str(_unpack(code))
-                 for code in set(chain.from_iterable(self.terms))}
+                 for code in set(chain.from_iterable(terms))}
         parts = []
-        for mono in sorted(self.terms):
-            factors = []
-            for code in dict.fromkeys(mono):
-                power = mono.count(code)
-                factors.append(names[code] if power == 1
-                               else f"{names[code]}^{power}")
-            body = "*".join(factors)
-            parts.append(_signed_term(self.terms[mono], body, first=not parts))
+        for mono in sorted(terms):
+            # a monomial is sorted, so each symbol is one run; the None
+            # after the last one closes its run
+            factors, run, power = [], None, 0
+            for code in (*mono, None):
+                if code == run:
+                    power += 1
+                    continue
+                if power:
+                    name = names[run]
+                    factors.append(name if power == 1 else f"{name}^{power}")
+                run, power = code, 1
+            coef = terms[mono]
+            neg = coef < 0
+            mag = -coef if neg else coef
+            if not factors:
+                term = str(mag)
+            elif mag == 1:
+                term = "*".join(factors)
+            else:
+                term = f"{mag} {'*'.join(factors)}"
+            if parts:
+                parts.append(" - " if neg else " + ")
+            elif neg:
+                parts.append("-")
+            parts.append(term)
         return "".join(parts)
 
     def __repr__(self) -> str:
@@ -489,7 +518,8 @@ class LaurentMatrix:
         return min(degs) if degs else None
 
     def det(self) -> LaurentPoly:
-        return det(self.entries)
+        """Cofactor expansion: n! entry products, six at n = 3."""
+        return det_cofactor(self.entries)
 
     def __str__(self) -> str:
         return "[" + ", ".join(
@@ -564,18 +594,29 @@ def _eliminate(m: list[list[int]], steps: int, swaps: bool = True,
 
 
 def leading_minors(rows, bordered: bool = False) -> list:
-    """The leading minors of orders 0, 1, ... of a square numeric matrix,
-    from one Bareiss run without row swaps. With ``bordered``, rows is an
-    (n+1) x n body A, the run is over [A | I], and entry t is row t's
-    identity block: bordered_cofactors of A's leading (t+1) x t block, up
-    to t = n. Both stop at the first zero pivot, which only the minors
-    include.
+    """The leading minors of orders 0, 1, ... of a square matrix. With
+    ``bordered``, rows is an (n+1) x n body A and entry t is
+    bordered_cofactors of A's leading (t+1) x t block, up to t = n.
 
-    The identity block is never stored whole: after t steps row r's block
-    is zero outside columns 0..t-1 and its own column r, which holds the
-    last pivot. So each row starts with no identity columns and gains
-    column t at step t (``_eliminate``'s ``grow``)."""
+    Numeric rows take one Bareiss run without row swaps, over [A | I]
+    when bordered: entry t is row t's identity block. Both stop at the
+    first zero pivot, which only the minors include. The identity block
+    is never stored whole: after t steps row r's block is zero outside
+    columns 0..t-1 and its own column r, which holds the last pivot. So
+    each row starts with no identity columns and gains column t at step t
+    (``_eliminate``'s ``grow``).
+
+    MomentPoly rows take one Laplace run and never stop early. Placing
+    the rows, the minor of order t is the mask (1 << t) - 1 after t rows;
+    placing the body's columns, block t's minors are the masks that miss
+    one of rows 0..t after t columns."""
     n = len(rows[0]) if rows else 0
+    if not _numeric(rows):
+        minors = _laplace(list(zip(*rows)) if bordered else rows,
+                          {t: _bordered_masks(t) if bordered
+                           else [(1 << t) - 1] for t in range(n + 1)})
+        return [_cofactor_signs(minors[t]) if bordered else minors[t][0]
+                for t in range(n + 1)]
     m, scales = _integer_rows(rows)
     _eliminate(m, n, swaps=False, grow=bordered)
     out, total, prev = [] if bordered else [Fraction(1)], 1, 1
@@ -626,7 +667,8 @@ def _det_cofactor_generic(rows, zero):
 
 def det_cofactor(rows):
     """Cofactor-expansion determinant over any commutative ring: n!
-    products, the reference the Laplace kernel is tested against."""
+    products. ``LaurentMatrix.det`` uses it, and the tests hold the
+    Laplace kernel to it."""
     if not rows:
         return Fraction(1)
     if any(len(row) != len(rows) for row in rows):
@@ -637,39 +679,70 @@ def det_cofactor(rows):
     return _det_cofactor_generic([list(r) for r in rows], zero)
 
 
-def _laplace(lines) -> dict:
-    """Laplace expansion by subsets over any commutative ring.
+def _terms(x) -> tuple:
+    """An entry of a symbolic determinant as (monomial, coefficient) pairs."""
+    if isinstance(x, MomentPoly):
+        return tuple(x.terms.items())
+    if isinstance(x, (int, Fraction)):
+        return (((), x),) if x else ()
+    raise TypeError("symbolic determinants take numbers and MomentPoly "
+                    f"entries, not {type(x).__name__}")
 
-    Places lines[0], lines[1], ... one at a time, each in a free column,
-    and keys the signed sum of the placements so far by the mask of used
-    columns. After every line is placed, the entry for a mask is the
-    determinant of the square matrix those columns cut from the lines.
-    Placing line t costs C(w, t) (w - t) ring products for lines of width
-    w, fewer than n 2^(n-1) in all for an n x n matrix.
+
+def _laplace(lines, reads: dict[int, list[int]]) -> dict[int, list[MomentPoly]]:
+    """Laplace expansion by subsets over MomentPoly terms.
+
+    Places lines[0], lines[1], ... one at a time, each in a free position,
+    and keys the signed sum of the placements so far, one term dict, by
+    the mask of used positions: after t lines the dict at a mask is the
+    determinant of the square matrix those positions cut from the first t
+    lines (1 at t = 0, mask 0). reads maps t to the masks read after t
+    lines; only those become MomentPoly. Every entry is read as terms
+    once, each product is added straight into its mask's dict, and zero
+    coefficients are dropped once per line. Placing line t costs
+    C(w, t-1) (w - t + 1) entry products for lines of width w, fewer than
+    n 2^(n-1) in all for an n x n matrix.
     """
-    partial = {1 << j: x for j, x in enumerate(lines[0])}
-    for line in lines[1:]:
-        nxt: dict = {}
+    partial = {0: {(): 1}}
+    out = {}
+
+    def read(t: int) -> None:
+        if t in reads:
+            out[t] = [MomentPoly(partial.get(mask)) for mask in reads[t]]
+
+    read(0)
+    for t, line in enumerate(lines, 1):
+        # each entry with its terms negated too: the sign of a placement
+        # is one transposition per used position right of it
+        entries = [(1 << j, j, terms, tuple((m, -c) for m, c in terms))
+                   for j, terms in enumerate(map(_terms, line)) if terms]
+        nxt: dict[int, dict] = {}
         for mask, acc in partial.items():
-            for j, x in enumerate(line):
-                bit = 1 << j
+            acc_terms = acc.items()
+            for bit, j, plus, minus in entries:
                 if mask & bit:
                     continue
-                term = acc * x
                 key = mask | bit
-                prev = nxt.get(key)
-                # one transposition per used column right of j
-                if (mask >> j).bit_count() & 1:
-                    nxt[key] = -term if prev is None else prev - term
-                else:
-                    nxt[key] = term if prev is None else prev + term
-        partial = nxt
-    return partial
+                target = nxt.get(key)
+                if target is None:
+                    target = nxt[key] = {}
+                get = target.get
+                for mb, cb in minus if (mask >> j).bit_count() & 1 else plus:
+                    for ma, ca in acc_terms:
+                        m = tuple(sorted(ma + mb))
+                        target[m] = get(m, 0) + ca * cb
+        partial = {}
+        for mask, acc in nxt.items():
+            acc = {m: c for m, c in acc.items() if c}
+            if acc:
+                partial[mask] = acc
+        read(t)
+    return out
 
 
 def det(rows):
     """Exact determinant: Bareiss for numeric entries, the Laplace subset
-    kernel otherwise."""
+    kernel for MomentPoly ones (TypeError for any other ring)."""
     if not rows:
         return Fraction(1)
     if _numeric(rows):
@@ -677,7 +750,7 @@ def det(rows):
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    return _laplace(rows)[(1 << n) - 1]
+    return _laplace(rows, {n: [(1 << n) - 1]})[n][0]
 
 
 def _numeric(rows) -> bool:
@@ -693,17 +766,16 @@ def bordered_cofactors(rows) -> list:
     Bareiss steps the last row's identity block holds every cofactor,
     times the swap sign and the row scales of the other rows. A pivot
     column with no nonzero entry means A has rank below k, so every
-    cofactor is 0. Other rings run the Laplace kernel over the k columns:
-    its masks that miss one of the k+1 rows hold every minor at once.
+    cofactor is 0. MomentPoly bodies run the Laplace kernel over the k
+    columns: its masks that miss one of the k+1 rows hold every minor at
+    once.
     """
     k = len(rows) - 1
     if k < 0 or any(len(row) != k for row in rows):
         raise ValueError("bordered body must be (k+1) x k")
     if not _numeric(rows):
-        by_rows = _laplace(list(zip(*rows)))
-        full = (1 << (k + 1)) - 1
-        minors = [by_rows[full ^ (1 << r)] for r in range(k + 1)]
-        return [-d if (r + k) % 2 else d for r, d in enumerate(minors)]
+        return _cofactor_signs(_laplace(list(zip(*rows)),
+                                        {k: _bordered_masks(k)})[k])
     m, scales = _integer_rows(rows)
     for r, row in enumerate(m):
         row.extend(int(c == r) for c in range(k + 1))
@@ -712,3 +784,15 @@ def bordered_cofactors(rows) -> list:
         return [Fraction(0)] * (k + 1)
     total = prod(scales)
     return [Fraction(sign * v * s, total) for v, s in zip(m[k][k:], scales)]
+
+
+def _bordered_masks(k: int) -> list[int]:
+    """The masks of rows 0..k that miss row r, for r = 0..k."""
+    full = (1 << (k + 1)) - 1
+    return [full ^ (1 << r) for r in range(k + 1)]
+
+
+def _cofactor_signs(minors: list) -> list:
+    """(-1)^(r+k) times minor r of the k+1 minors of a (k+1) x k body."""
+    k = len(minors) - 1
+    return [-d if (r + k) % 2 else d for r, d in enumerate(minors)]

@@ -4,10 +4,12 @@ tau_k^(a) tau_{k-2}^(a+2) = tau_{k-1}^(a+2) tau_{k-1}^(a) - (tau_{k-1}^(a+1))^2.
 
 ``qsystem_sides`` writes the relation once; ``tau_det`` is one Hankel
 determinant. The relation's verifiers read tau from one memoized table per
-call (``tau_table``), never from the relation they check. A numeric table
+call (``tau_table``), never from the relation they check. A table
 takes an alpha's tau_1..tau_K from ``leading_blocks``, the leading minors
-of one no-swap elimination, O(K^3) where one tau_det per entry costs
-O(K^4); only the entries past a zero minor are one tau_det each.
+of one run: for numeric moments a no-swap elimination, O(K^3) where one
+tau_det per entry costs O(K^4), and only the entries past a zero minor
+are one tau_det each; for formal ones a single Laplace run, the cost of
+tau_K alone.
 
 ``condensation_table`` runs that relation as an algorithm (Dodgson's
 condensation, the Desnanot-Jacobi identity the Q-system is proved by) for

@@ -22,9 +22,10 @@ tests; it is not proven here.
 
 With E = 0 the matrices of k = l..K at one (l, alpha, beta) are the
 leading blocks of the order-K one: ``leading_blocks`` reads every tau_{k,l}
-or B_{k,l} of that numeric column from one no-swap elimination, and
-``TauTable`` memoizes both, leaving the rest to tau3_det (or B's
-``orthopoly.mop_bordered_poly``) one entry at a time.
+or B_{k,l} of that column from one ``leading_minors`` run, a no-swap
+elimination for numeric moments and one Laplace run for formal ones.
+``TauTable`` memoizes both, leaving the entries past a numeric zero minor
+to tau3_det (or B's ``orthopoly.mop_bordered_poly``) one at a time.
 
 The reference the closed form is tested against is the general residue
 formula (``tau3_residue``). It sums, over kernel splittings (n_c, n_d, n_e)
@@ -273,16 +274,14 @@ def tau3_e0_det(k: int, l: int, alpha: int, beta: int,
 def leading_blocks(k_range: tuple[int, int], l: int, alpha: int, beta: int,
                    C: MomentSequence, D: MomentSequence,
                    bordered: bool = False) -> dict:
-    """The numeric E = 0 column at one (l, alpha, beta): k -> tau_{k,l},
-    or with ``bordered`` k -> B_{k,l}, for the k that take no determinant
-    of their own: the boundary zeros of k_range (l < 0 or k < l), then
-    k = l, l+1, ... up to k_hi or the first zero minor, from
-    ``leading_minors`` of the order-k_hi matrix or body. Empty for formal
-    families, boundary entries only when a moment cannot be read."""
-    if C.is_formal or D.is_formal:
-        return {}
+    """The E = 0 column at one (l, alpha, beta): k -> tau_{k,l}, or with
+    ``bordered`` k -> B_{k,l}, for the k that take no determinant of
+    their own: the boundary zeros of k_range (l < 0 or k < l), then
+    k = l, l+1, ... up to k_hi from ``leading_minors`` of the order-k_hi
+    matrix or body, which for numeric moments stops at the first zero
+    minor. Boundary entries only when a moment cannot be read."""
     k_lo, k_hi = k_range
-    zero = LaurentPoly.zero() if bordered else Fraction(0)
+    zero = LaurentPoly.zero() if bordered else C.ring_zero()
     out = {k: zero for k in range(k_lo, k_hi + 1) if l < 0 or k < l}
     if not 0 <= l <= k_hi:
         return out

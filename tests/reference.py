@@ -7,16 +7,20 @@ determinants; the tests require the two routes to agree. Also the numeric
 tau table one determinant per entry, which the condensation table must
 equal, two seeded windows (a random one and one with a chosen zero
 Hankel minor), and the bordered leading blocks from a Bareiss run over
-the whole [A | I], which the triangular run must equal.
+the whole [A | I], which the triangular run must equal. And the
+``MomentPoly`` renderer as it stood before it became one run-length pass,
+which the library's must match character for character.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import factorial, lcm
 
 from tauq import (DegenerateTauError, HankelForm, LaurentPoly,
                   MomentSequence, MonicPolynomial, ResourceBoundError,
                   form_eval, tau_det)
+from tauq.rings import _signed_term, _unpack
 
 RESIDUE_K_BOUND = 5
 
@@ -139,3 +143,23 @@ def bordered_blocks_full(rows) -> list:
             row[:] = [(x * pivot - a * y) // prev for x, y in zip(row, m[t])]
         prev = pivot
     return out
+
+
+def moment_poly_str(self) -> str:
+    """``MomentPoly.__str__`` before it built each monomial in one pass:
+    one ``count`` per distinct symbol, every coefficient through
+    ``_signed_term``."""
+    if not self.terms:
+        return "0"
+    names = {code: str(_unpack(code))
+             for code in set(chain.from_iterable(self.terms))}
+    parts = []
+    for mono in sorted(self.terms):
+        factors = []
+        for code in dict.fromkeys(mono):
+            power = mono.count(code)
+            factors.append(names[code] if power == 1
+                           else f"{names[code]}^{power}")
+        body = "*".join(factors)
+        parts.append(_signed_term(self.terms[mono], body, first=not parts))
+    return "".join(parts)

@@ -33,6 +33,13 @@ minor, on windows with a zero tau_k and on hermite at odd alpha, and
 again with the named-index bound lowered. It was recorded while ``verify
 mop`` built each polynomial by its own elimination and both verifiers
 paired polynomials one ``form_eval`` at a time.
+
+The sixth runs the symbolic subcommands: ``tau gl2`` and ``tau gl3`` in
+json, pretty and csv, and ``verify qsystem``, ``verify gl3`` and ``verify
+zero-curvature`` in json and pretty, over formal moments with k and l
+ranges that mostly start at -1 and alpha and beta in -2..2. It was
+recorded while every symbolic tau was its own determinant, built one
+``MomentPoly`` product at a time, and every check printed both sides.
 """
 import contextlib
 import hashlib
@@ -57,6 +64,8 @@ COLUMN_SEED, COLUMN_PER_COMMAND = 18, 130
 COLUMN_PINNED = "bbe5ac15d314a6387fd520aeb92101e6d6b20de8bd080a4f0c5b307af47fdbc8"
 PAIRING_SEED = 19
 PAIRING_PINNED = "5515ba45a961f97a8a761921253bb6f182d2bb9ca7cda0ebe89d5eea4cc6c47d"
+SYMBOLIC_SEED = 20
+SYMBOLIC_PINNED = "061b17c31ebc70725073f467502c6dec735457692733b3ec50e1509b35b1c82c"
 
 
 def _source(rng: random.Random) -> str:
@@ -381,3 +390,47 @@ def test_pairing_corpus_output_is_pinned(monkeypatch):
         monkeypatch.setattr(tauq.moments, "MAX_NAMED_INDEX", bound)
         digest.update(corpus_digest([argv]).encode())
     assert digest.hexdigest() == PAIRING_PINNED
+
+
+def _symbolic_argv(rng: random.Random, command: str) -> list[str]:
+    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+    alphas = ["--alpha", f"{a}..{a + rng.randint(0, 1)}"]
+    betas = ["--beta", f"{b}..{b + rng.randint(0, 1)}"]
+    if command == "tau-gl2":
+        return ["tau", "gl2", "--mode", "symbolic",
+                "--k", _range(rng, (-1, -1, 0, 1), rng.randint(1, 6)),
+                *alphas, "--format", rng.choice(["json", "pretty", "csv"])]
+    if command == "tau-gl3":
+        return ["tau", "gl3", "--mode", "symbolic",
+                "--k", _range(rng, (-1, -1, 0, 1), rng.randint(1, 5)),
+                "--l", _range(rng, (-1, -1, 0, 1), rng.randint(0, 3)),
+                *alphas, *betas,
+                "--format", rng.choice(["json", "pretty", "csv"])]
+    fmt = ["--format", rng.choice(["json", "pretty"])]
+    if command == "qsystem":
+        return ["verify", "qsystem", "--mode", "symbolic",
+                "--k", _range(rng, (-1, -1, 0, 1), rng.randint(1, 6)),
+                *alphas, *fmt]
+    if command == "gl3":
+        return ["verify", "gl3", "--mode", "symbolic",
+                "--k", _range(rng, (-1, -1, 0, 1), rng.randint(0, 3)),
+                "--l", _range(rng, (-1, -1, 0, 1), rng.randint(0, 2)),
+                "--alpha", str(a), "--beta", str(b), *fmt]
+    return ["verify", "zero-curvature", "--mode", "symbolic",
+            "--k", _range(rng, (-2, -1, -1, 0), rng.randint(-1, 1)),
+            "--alpha", str(a), *fmt]
+
+
+def symbolic_corpus() -> list[list[str]]:
+    rng = random.Random(SYMBOLIC_SEED)
+    return [_symbolic_argv(rng, command)
+            for command, count in (("tau-gl2", 80), ("tau-gl3", 80),
+                                   ("qsystem", 60), ("gl3", 50),
+                                   ("zero-curvature", 50))
+            for _ in range(count)]
+
+
+def test_symbolic_corpus_output_is_pinned():
+    argvs = symbolic_corpus()
+    assert len(argvs) >= 300
+    assert corpus_digest(argvs) == SYMBOLIC_PINNED

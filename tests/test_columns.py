@@ -195,9 +195,12 @@ def test_leading_blocks_edges(monkeypatch, formal_c, formal_d, bordered):
     # l > k_hi and l < 0: every entry of the range is a boundary zero
     for l in (-3, -1, 4, 6):
         assert column((-1, 3), l) == dict.fromkeys(range(-1, 4), zero)
-    # formal families: an empty column, every entry is per-entry work
-    assert column((-1, 3), 1, formal_c, formal_d) == {}
-    assert column((-1, 3), 0, C, formal_d) == {}
+    # formal and mixed families: the whole column, equal to per-entry work
+    for m1, m2, l in ((formal_c, formal_d, 1), (C, formal_d, 0),
+                      (C, formal_d, 1), (formal_c, D, 2)):
+        col = column((-1, 3), l, m1, m2)
+        assert sorted(col) == [-1, 0, 1, 2, 3]
+        assert col == {k: per_entry(k, l, 1, 0, m1, m2) for k in col}
     # a moment past the named-index bound: boundary entries only
     monkeypatch.setattr(tauq.moments, "MAX_NAMED_INDEX", 6)
     catalan = MomentSequence.named("catalan")

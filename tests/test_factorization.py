@@ -274,6 +274,20 @@ def test_zero_curvature_symbolic(formal_c):
         assert r.passes == 3 and not r.skipped
 
 
+def test_passing_ring_fraction_checks_print_both_sides(formal_c):
+    # RingFraction entries are unreduced, so equal matrices print apart:
+    # a passing WV=VW check keeps each side's own text
+    k, a = 1, 0
+    check, = [c for c in zero_curvature_check(k, a, formal_c).checks
+              if c.instance["identity"] == "WV=VW"]
+    v_k, w_k, _ = connection_matrices_gl2(k, a, formal_c)
+    w_prev = connection_matrices_gl2(k, a - 1, formal_c)[1]
+    v_next = connection_matrices_gl2(k + 1, a - 1, formal_c)[0]
+    assert check.passed
+    assert (check.lhs, check.rhs) == (str(w_prev @ v_k), str(v_next @ w_k))
+    assert check.lhs != check.rhs
+
+
 def test_induction_replay_structure(catalan):
     r = induction_replay(catalan, 4, (0, 0))
     assert (r.total, r.passes) == (8, 8)

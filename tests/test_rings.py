@@ -15,8 +15,11 @@ from tauq import (
     tau_det,
 )
 from tauq import rings
-from tauq.rings import as_rational, bordered_cofactors, det_cofactor
+from tauq.rings import (as_rational, bordered_cofactors, det_cofactor,
+                        leading_minors)
 from tauq.tau_gl3 import block_hankel_rows
+
+from reference import moment_poly_str
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 symbols = st.builds(MomentSymbol,
@@ -187,20 +190,28 @@ def test_det_engines_agree(n, data):
 
 @st.composite
 def sparse_polys(draw):
-    # zero in both rings, or up to two terms q * symbol with q in Q
+    # zero in both rings, or up to two terms q * symbol with q in Q, one
+    # time in four with a constant term or a second symbol
     if draw(st.integers(0, 3)) == 0:
         return draw(st.sampled_from([MomentPoly.zero(), Fraction(0)]))
-    p = MomentPoly.zero()
+    p = MomentPoly.const(draw(fracs)) if draw(st.integers(0, 3)) == 0 \
+        else MomentPoly.zero()
     for _ in range(draw(st.integers(1, 2))):
-        s = draw(symbols)
-        p = p + MomentPoly.const(draw(fracs)) * MomentPoly.symbol(s.family, s.index)
+        term = MomentPoly.const(draw(fracs))
+        for s in draw(st.lists(symbols, min_size=1, max_size=2)):
+            term = term * MomentPoly.symbol(s.family, s.index)
+        p = p + term
     return p
+
+
+# numbers (ints, Fractions, zeros) and MomentPoly entries in one row
+mixed_entries = st.one_of(entries, sparse_polys(), sparse_polys())
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 6), st.data())
 def test_laplace_det_matches_cofactor_on_moment_polys(n, data):
-    rows = [[data.draw(sparse_polys()) for _ in range(n)] for _ in range(n)]
+    rows = [[data.draw(mixed_entries) for _ in range(n)] for _ in range(n)]
     assert det(rows) == det_cofactor(rows)
 
 
@@ -256,10 +267,27 @@ def per_minor_cofactors(rows):
 
 
 @settings(deadline=None)
-@given(st.integers(0, 5), st.data())
-def test_bordered_cofactors_match_minors(k, data):
-    rows = [[data.draw(entries) for _ in range(k)] for _ in range(k + 1)]
+@given(st.integers(0, 5), st.booleans(), st.data())
+def test_bordered_cofactors_match_minors(k, symbolic, data):
+    pick = mixed_entries if symbolic else entries
+    rows = [[data.draw(pick) for _ in range(k)] for _ in range(k + 1)]
     assert bordered_cofactors(rows) == per_minor_cofactors(rows)
+
+
+@pytest.mark.parametrize("k_hi", range(7))
+def test_formal_leading_minors_match_cofactor(k_hi, formal_c, formal_d,
+                                              rand_window):
+    numeric_c = rand_window(31, -4, 16)
+    for C, D in ((formal_c, formal_d), (numeric_c, formal_d)):
+        for l in sorted({0, k_hi // 2, k_hi}):
+            rows = block_hankel_rows(k_hi, k_hi, l, 1, -1, C, D)
+            assert leading_minors(rows) == [
+                det_cofactor([r[:t] for r in rows[:t]])
+                for t in range(k_hi + 1)]
+            body = block_hankel_rows(k_hi + 1, k_hi, l, 1, -1, C, D)
+            assert leading_minors(body, bordered=True) == [
+                per_minor_cofactors([r[:t] for r in body[:t + 1]])
+                for t in range(k_hi + 1)]
 
 
 def test_bordered_cofactors_edge_cases():
@@ -302,6 +330,49 @@ def test_det_edge_cases():
     assert det([row, row[:]]) == 0
     c = [MomentPoly.symbol("c", i) for i in range(3)]
     assert det([[c[0], c[1]], [c[1], c[2]]]) == c[0] * c[2] - c[1] ** 2
+    # numbers and MomentPoly only: the Laplace kernel has no generic ring
+    z = LaurentPoly.z_pow(1)
+    with pytest.raises(TypeError, match="LaurentPoly"):
+        det([[z, c[0]], [c[1], z]])
+
+
+all_symbols = st.builds(MomentSymbol, st.sampled_from(["c", "d", "e"]),
+                        st.integers(-6, 6))
+coefficients = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9),
+                         st.fractions(min_value=-9, max_value=9,
+                                      max_denominator=8))
+
+
+@st.composite
+def printable_polys(draw):
+    # a constant term one time in two, then terms c * s_1^p_1 * ... with
+    # powers up to 4 over all three families and negative indices
+    p = MomentPoly.const(draw(coefficients)) if draw(st.booleans()) \
+        else MomentPoly.zero()
+    for _ in range(draw(st.integers(0, 5))):
+        term = MomentPoly.const(draw(coefficients))
+        for s in draw(st.lists(all_symbols, max_size=3)):
+            term = term * MomentPoly.symbol(s.family, s.index) ** \
+                draw(st.integers(1, 4))
+        p = p + term
+    return p
+
+
+@settings(max_examples=300)
+@given(printable_polys())
+def test_moment_poly_str_matches_reference(p):
+    assert str(p) == moment_poly_str(p)
+
+
+def test_moment_poly_str_edges():
+    c0, d1, e_2 = (MomentPoly.symbol(f, i) for f, i in
+                   (("c", 0), ("d", 1), ("e", -2)))
+    for p, text in [(MomentPoly.zero(), "0"), (MomentPoly.const(-1), "-1"),
+                    (MomentPoly.const(Fraction(-1, 2)), "-1/2"),
+                    (-c0, "-c_0"), (c0 ** 2 * d1 - 1, "-1 + c_0^2*d_1"),
+                    (Fraction(3, 4) * e_2 ** 3 * c0 - d1 * e_2,
+                     "3/4 c_0*e_-2^3 - d_1*e_-2")]:
+        assert str(p) == moment_poly_str(p) == text
 
 
 def test_matrix_identity_and_diagonal():
