@@ -29,7 +29,7 @@ from .orthopoly import (bordered_table, monic_op, mop_type2,
                         recurrence_coeffs, verify_mop, verify_orthogonality)
 from .report import VerificationReport
 from .tau_gl2 import condensation_table, tau_table, verify_qsystem
-from .tau_gl3 import TauTable, leading_blocks, tau3_det, verify_gl3_relations
+from .tau_gl3 import tau3_table, verify_gl3_relations
 
 # Largest determinant order a --mode symbolic run may compute. An order-n
 # determinant takes n 2^(n-1) products of ever longer polynomials: on a
@@ -38,7 +38,7 @@ from .tau_gl3 import TauTable, leading_blocks, tau3_det, verify_gl3_relations
 # takes 2.9 s and 4.8 MB.
 SYMBOLIC_ORDER_BOUND = 9
 # Largest --k of symbolic zero-curvature: its cross-multiplied identities
-# multiply whole tau polynomials, and --k 0..3 already takes 10 s there.
+# multiply whole tau polynomials, and --k 0..3 takes 7-11 s there.
 SYMBOLIC_ZERO_CURVATURE_K_BOUND = 3
 
 
@@ -73,6 +73,11 @@ def nonnegative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def _ranges(args, *names: str) -> list[tuple[int, int]]:
+    """parse_range of each named flag, in the order given."""
+    return [parse_range(getattr(args, name), name) for name in names]
 
 
 def single_value(text: str, name: str) -> int:
@@ -113,8 +118,7 @@ def _csv_table(fieldnames: list[str], rows: list[dict]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def emit_entries(entries: list[dict], fields: list[str], fmt: str,
-                 label: str) -> None:
+def emit_entries(entries: list[dict], fields: list[str], fmt: str) -> None:
     """Tau-table output; the only shape the csv format applies to."""
     if fmt == "json":
         _print_json({"entries": entries})
@@ -123,7 +127,7 @@ def emit_entries(entries: list[dict], fields: list[str], fmt: str,
     else:
         for e in entries:
             coords = ", ".join(f"{f}={e[f]}" for f in fields if f != "value")
-            print(f"{label}[{coords}] = {e['value']}")
+            print(f"tau[{coords}] = {e['value']}")
 
 
 def emit_report(report: VerificationReport, fmt: str) -> None:
@@ -150,15 +154,15 @@ def finish_report(report: VerificationReport, fmt: str) -> int:
     return 3 if report.total == 0 else 0
 
 
-def emit_polys(entries: list[dict], fmt: str, label: str) -> None:
+def emit_polys(entries: list[dict], fmt: str) -> None:
     """Polynomial output (opgen/mop); json or pretty."""
     if fmt == "json":
         _print_json({"entries": entries})
         return
     for e in entries:
         sub = ",".join(str(e[f]) for f in ("k", "l") if f in e)
-        print(f"{label}_{{{sub}}} = {e['text']}" if "," in sub
-              else f"{label}_{sub} = {e['text']}")
+        print(f"p_{{{sub}}} = {e['text']}" if "," in sub
+              else f"p_{sub} = {e['text']}")
 
 
 def _poly_entry(p, **indices) -> dict:
@@ -203,39 +207,35 @@ def _gl3_sources(args):
 def _tau_table(args, fields: tuple[str, ...], tau) -> int:
     """Print tau(*indices) over the product of the fields' ranges, in
     nested-loop order. The first field bounds a symbolic run's order."""
-    ranges = [parse_range(getattr(args, f), f) for f in fields]
+    ranges = _ranges(args, *fields)
     _check_symbolic(args, "determinant order", ranges[0][1], SYMBOLIC_ORDER_BOUND)
     entries = [{**dict(zip(fields, idx)), "value": str(tau(*idx))}
                for idx in itertools.product(
                    *(range(lo, hi + 1) for lo, hi in ranges))]
-    emit_entries(entries, [*fields, "value"], args.format, "tau")
+    emit_entries(entries, [*fields, "value"], args.format)
     return 0
 
 
 def cmd_tau_gl2(args) -> int:
     m = _gl2_source(args)
-    k_range = parse_range(args.k, "k")
+    k_range, a_range = _ranges(args, "k", "alpha")
     if m.is_formal:
         # one Laplace run per alpha gives the whole k column
         return _tau_table(args, ("k", "alpha"),
                           tau_table(m, lambda a: k_range))
-    table = condensation_table(m, k_range, parse_range(args.alpha, "alpha"))
+    table = condensation_table(m, k_range, a_range)
     return _tau_table(args, ("k", "alpha"), lambda k, a: table[k, a])
 
 
 def cmd_tau_gl3(args) -> int:
     C, D, E = _gl3_sources(args)
-    # with E = 0, one elimination per (l, alpha, beta) column of the table
-    column = None if E is not None else functools.partial(
-        leading_blocks, parse_range(args.k, "k"), C=C, D=D)
     return _tau_table(args, ("k", "l", "alpha", "beta"),
-                      TauTable(tau3_det, C, D, E, column=column))
+                      tau3_table(C, D, E, parse_range(args.k, "k")))
 
 
 def cmd_verify_qsystem(args) -> int:
     m = _gl2_source(args)
-    k_max = parse_range(args.k, "k")[1]
-    a_range = parse_range(args.alpha, "alpha")
+    (_, k_max), a_range = _ranges(args, "k", "alpha")
     _check_symbolic(args, "determinant order", k_max, SYMBOLIC_ORDER_BOUND)
     # the k range starts at the recurrence base regardless of the flag's lo
     return finish_report(verify_qsystem(m, k_max, a_range), args.format)
@@ -243,10 +243,8 @@ def cmd_verify_qsystem(args) -> int:
 
 def cmd_verify_gl3(args) -> int:
     C, D, E = _gl3_sources(args)
-    k_max = parse_range(args.k, "k")[1]
-    l_max = parse_range(args.l, "l")[1]
-    a_range = parse_range(args.alpha, "alpha")
-    b_range = parse_range(args.beta, "beta")
+    (_, k_max), (_, l_max), a_range, b_range = _ranges(
+        args, "k", "l", "alpha", "beta")
     # the relations reach tau_{k+1, l+1}
     _check_symbolic(args, "determinant order", k_max + 1, SYMBOLIC_ORDER_BOUND)
     report = verify_gl3_relations(C, D, E, k_max, l_max, a_range, b_range)
@@ -255,8 +253,7 @@ def cmd_verify_gl3(args) -> int:
 
 def cmd_verify_zero_curvature(args) -> int:
     m = _gl2_source(args)
-    k_range = parse_range(args.k, "k")
-    a_range = parse_range(args.alpha, "alpha")
+    k_range, a_range = _ranges(args, "k", "alpha")
     _check_symbolic(args, "zero-curvature --k", k_range[1],
                     SYMBOLIC_ZERO_CURVATURE_K_BOUND)
     report = verify_zero_curvature(m, k_range, a_range)
@@ -280,10 +277,8 @@ def cmd_verify_mop(args) -> int:
     if E is not None:
         raise UsageError("mop verification applies to the two-family case; "
                          "drop --moments-e")
-    k_range = parse_range(args.k, "k")
-    l_range = parse_range(args.l, "l")
-    a_range = parse_range(args.alpha, "alpha")
-    b_range = parse_range(args.beta, "beta")
+    k_range, l_range, a_range, b_range = _ranges(
+        args, "k", "l", "alpha", "beta")
     report = VerificationReport("mop-orthogonality")
     table = bordered_table(k_range[1], C, D)
     for k in range(max(0, k_range[0]), k_range[1] + 1):
@@ -304,7 +299,7 @@ def cmd_opgen(args) -> int:
     table = bordered_table(args.count, m, m)
     entries = [_poly_entry(monic_op(k, alpha, m, table), k=k)
                for k in range(1, args.count + 1)]
-    emit_polys(entries, args.format, "p")
+    emit_polys(entries, args.format)
     return 0
 
 
@@ -312,15 +307,14 @@ def cmd_mop(args) -> int:
     C, D, E = _gl3_sources(args)
     if E is not None:
         raise UsageError("type-II polynomials use two families; drop --moments-e")
-    k_range = parse_range(args.k, "k")
-    l_range = parse_range(args.l, "l")
+    k_range, l_range = _ranges(args, "k", "l")
     alpha = single_value(args.alpha, "alpha")
     beta = single_value(args.beta, "beta")
     table = bordered_table(k_range[1], C, D)
     entries = [_poly_entry(mop_type2(k, l, alpha, beta, C, D, table), k=k, l=l)
                for k in range(max(0, k_range[0]), k_range[1] + 1)
                for l in range(max(0, l_range[0]), min(k, l_range[1]) + 1)]
-    emit_polys(entries, args.format, "p")
+    emit_polys(entries, args.format)
     return 0
 
 

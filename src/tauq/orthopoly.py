@@ -10,8 +10,9 @@ gives the monic polynomial orthogonal to all lower powers of one form.
 (l, alpha, beta) column's degrees from one ``leading_blocks`` run: for
 numeric moments one no-swap elimination, O(K^3) where one per degree
 costs O(K^4), with the degrees past a zero leading minor built one at a
-time. ``opgen``, ``recurrence``, ``mop``, ``verify mop`` and ``verify
-orthogonality`` each read their polynomials from one table.
+time. ``monic_op`` and ``mop_type2`` read B_{k,l} from the table they are
+given, or from a fresh one; ``opgen``, ``recurrence``, ``mop`` and both
+verifiers pass one table for all their degrees.
 
 The verifiers pair each polynomial f with the powers z^n in one integer
 pass (``form_pairings``: f and the moments it meets scaled to integers
@@ -161,26 +162,25 @@ def _monic(bordered: LaurentPoly, degree: int,
 def monic_op(k: int, alpha: int, m: MomentSequence,
              bordered=None) -> MonicPolynomial:
     """Monic degree-k orthogonal polynomial: bordered determinant / tau_k,
-    with B_k read from ``bordered`` (a bordered_table of m) when given.
+    with B_k read from ``bordered``, a bordered_table of m (fresh if None).
 
     Exists iff tau_k != 0 (the moment functional is quasi-definite at k).
     """
-    b = bordered(k, 0, alpha, 0) if bordered else bordered_tau_poly(k, alpha, m)
+    b = (bordered or bordered_table(k, m, m))(k, 0, alpha, 0)
     return _monic(b, k, k=k, alpha=alpha)
 
 
 def verify_orthogonality(m: MomentSequence, alpha: int, K: int) -> VerificationReport:
-    """<p_j, p_k> = 0 for j < k <= K, and <p_k, p_k> = tau_{k+1}/tau_k, each
-    tau the leading coefficient of a B_k that p_k is built from (or B_{K+1}).
-    Each <p_j, p_k> is p_j's scaled coefficients dotted with p_k's
-    ``form_pairings``."""
+    """<p_j, p_k> = 0 for j < k <= K, and <p_k, p_k> = tau_{k+1}/tau_k, with
+    p_0..p_K from ``monic_op`` on one bordered_table and each tau the
+    leading coefficient of that table's B_k (or B_{K+1}). Each <p_j, p_k>
+    is p_j's scaled coefficients dotted with p_k's ``form_pairings``."""
     report = VerificationReport("orthogonality")
     form = HankelForm(m, alpha)
     table = bordered_table(K + 1, m, m)
-    bordered, polys = [table(0, 0, alpha, 0)], []
-    for k in range(K + 1):  # a zero tau_k raises before B_{k+1} is built
-        polys.append(_monic(bordered[k], k, k=k, alpha=alpha))
-        bordered.append(table(k + 1, 0, alpha, 0))
+    # a zero tau_k raises before B_{k+1} is read
+    polys = [monic_op(k, alpha, m, table) for k in range(K + 1)]
+    taus = [table(k, 0, alpha, 0).coeff(k) for k in range(K + 2)]
     coeffs, scales = _integer_rows([p.coeffs for p in polys])
     for k in range(K + 1):
         pairings, den = form_pairings(form, polys[k], k + 1)
@@ -189,7 +189,7 @@ def verify_orthogonality(m: MomentSequence, alpha: int, K: int) -> VerificationR
         for j, v in enumerate(gram[:k]):
             report.add_check({"j": j, "k": k, "alpha": alpha,
                               "identity": "orthogonal"}, v == 0, v, 0)
-        claim = bordered[k + 1].coeff(k + 1) / bordered[k].coeff(k)
+        claim = taus[k + 1] / taus[k]
         report.add_check({"k": k, "alpha": alpha, "identity": "norm"},
                          gram[k] == claim, gram[k], claim)
     return report
@@ -264,9 +264,8 @@ def mop_type2(k: int, l: int, alpha: int, beta: int,
               C: MomentSequence, D: MomentSequence,
               bordered=None) -> MonicPolynomial:
     """Monic type-II multiple orthogonal polynomial for the (C, D) pair,
-    with B_{k,l} read from ``bordered`` (a bordered_table) when given."""
-    b = (bordered(k, l, alpha, beta) if bordered
-         else mop_bordered_poly(k, l, alpha, beta, C, D))
+    with B_{k,l} read from ``bordered``, a bordered_table (fresh if None)."""
+    b = (bordered or bordered_table(k, C, D))(k, l, alpha, beta)
     return _monic(b, k, "tau is zero; no monic polynomial",
                   k=k, l=l, alpha=alpha, beta=beta)
 

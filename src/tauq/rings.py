@@ -162,8 +162,8 @@ class MomentPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        acc = MomentPoly.one()
-        for _ in range(n):
+        acc = self if n else MomentPoly.one()
+        for _ in range(n - 1):
             acc = acc * self
         return acc
 

@@ -24,8 +24,9 @@ With E = 0 the matrices of k = l..K at one (l, alpha, beta) are the
 leading blocks of the order-K one: ``leading_blocks`` reads every tau_{k,l}
 or B_{k,l} of that column from one ``leading_minors`` run, a no-swap
 elimination for numeric moments and one Laplace run for formal ones.
-``TauTable`` memoizes both, leaving the entries past a numeric zero minor
-to tau3_det (or B's ``orthopoly.mop_bordered_poly``) one at a time.
+``tau3_table`` and ``orthopoly.bordered_table`` memoize both in a
+``TauTable``, leaving the entries past a numeric zero minor to tau3_det
+(or B's ``mop_bordered_poly``) one at a time.
 
 The reference the closed form is tested against is the general residue
 formula (``tau3_residue``). It sums, over kernel splittings (n_c, n_d, n_e)
@@ -332,6 +333,15 @@ class TauTable:
     __call__ = get
 
 
+def tau3_table(C: MomentSequence, D: MomentSequence,
+               E: MomentSequence | None, k_range: tuple[int, int]) -> TauTable:
+    """A TauTable of tau3_det over (C, D, E); with E = None each (l, alpha,
+    beta) column over k_range comes from one leading_blocks run."""
+    column = None if E is not None else partial(
+        leading_blocks, k_range, C=C, D=D)
+    return TauTable(tau3_det, C, D, E, column=column)
+
+
 # The four difference relations, written exactly as stated: each entry is
 # (name, lhs, rhs) over a tau callable t(k, l, alpha, beta).
 
@@ -368,15 +378,11 @@ def verify_gl3_relations(C: MomentSequence, D: MomentSequence,
 
     Out-of-range tau values follow the k < 0 / l < 0 -> 0 convention, so
     the relations can be checked at the edges; they reach one step past
-    the ranges. Every tau is read from one table, which with E = None
-    fills each (l, alpha, beta) column over k = -1..k_max+1 by
-    leading_blocks; the entries left out are one tau3_det each. No
-    instance is skipped: the relations have no denominators.
+    the ranges. Every tau is read from one tau3_table over k = -1..k_max+1.
+    No instance is skipped: the relations have no denominators.
     """
     report = VerificationReport("gl3-relations")
-    column = None if E is not None else partial(
-        leading_blocks, (-1, k_max + 1), C=C, D=D)
-    tau = TauTable(tau3_det, C, D, E, column=column)
+    tau = tau3_table(C, D, E, (-1, k_max + 1))
     for relation in (1, 2, 3, 4):
         for k in range(0, k_max + 1):
             for l in range(0, l_max + 1):

@@ -2,10 +2,10 @@
 
 ``leading_blocks`` reads every tau_{k,l} or B_{k,l} at one (l, alpha,
 beta) from a single Bareiss run, and ``tau_table`` and ``bordered_table``
-memoize it; ``tau_det``, ``tau3_det``, ``mop_bordered_poly`` and
-``monic_op`` without a table take one elimination each. They must agree
-everywhere, including past a zero leading minor, where the column leaves
-the remaining entries to the per-entry routes.
+memoize it; ``tau_det``, ``tau3_det`` and ``mop_bordered_poly`` take one
+elimination per entry, and ``monic_op`` and ``mop_type2`` read only a
+table. They must agree everywhere, including past a zero leading minor,
+where the column leaves the remaining entries to the per-entry routes.
 """
 import random
 from fractions import Fraction
@@ -13,8 +13,10 @@ from fractions import Fraction
 import pytest
 
 import tauq.moments
+import tauq.orthopoly
 from tauq import (DegenerateTauError, HankelForm, LaurentPoly, MomentPoly,
-                  MomentSequence, form_eval, monic_op, mop_bordered_poly,
+                  MomentSequence, MonicPolynomial, bordered_tau_poly,
+                  form_eval, monic_op, mop_bordered_poly, mop_type2,
                   tau3_det, tau_det)
 from tauq.orthopoly import bordered_table
 from tauq.rings import bordered_cofactors, det, leading_minors
@@ -151,6 +153,76 @@ def test_polynomial_columns_match_per_degree(name, m, alphas, K):
                 assert got.value.record() == exc.record()
             else:
                 assert monic_op(k, a, m, bordered) == want
+
+
+def _minors_nonzero(k, l, a, b, C, D) -> bool:
+    rows = block_hankel_rows(k, k, l, a, b, C, D)
+    return all(det([r[:j] for r in rows[:j]]) for j in range(1, k + 1))
+
+
+def test_polynomials_without_a_table_take_no_bordered_determinant(monkeypatch):
+    # a fresh table reads every degree of a nondegenerate column from its
+    # one elimination, so the per-entry route never runs
+    calls = []
+    real = tauq.orthopoly.mop_bordered_poly
+
+    def counting(*args):
+        calls.append(args[:4])
+        return real(*args)
+
+    monkeypatch.setattr(tauq.orthopoly, "mop_bordered_poly", counting)
+    rng = random.Random(41)
+    for m, alphas in ((seeded_window(rng, -5, 12), range(-3, 2)),
+                      (MomentSequence.named("catalan"), range(0, 3))):
+        for a in alphas:
+            for k in range(7):
+                assert _minors_nonzero(k, 0, a, 0, m, m)
+                assert monic_op(k, a, m).degree == k
+    C, D = (seeded_window(rng, -4, 12) for _ in range(2))
+    for k in range(6):
+        for l in range(k + 1):
+            for a in (-1, 0, 1):
+                for b in (-1, 0, 1):
+                    assert _minors_nonzero(k, l, a, b, C, D)
+                    assert mop_type2(k, l, a, b, C, D).degree == k
+    assert not calls
+
+
+def _monic_of(read, b: LaurentPoly, degree: int, detail: str, **indices) -> bool:
+    """Whether read() is b over its z^degree coefficient, or raises the
+    DegenerateTauError record of a zero one; True for the latter."""
+    lead = b.coeff(degree)
+    if lead:
+        assert read() == MonicPolynomial.from_laurent(b.scale(1 / lead))
+        return False
+    with pytest.raises(DegenerateTauError) as got:
+        read()
+    assert got.value.record() == DegenerateTauError(detail, **indices).record()
+    return True
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_polynomials_past_a_zero_minor_match_per_entry(k):
+    # tau_k = 0 at alpha 1 stops the column there: the polynomials and
+    # zero-tau records past it equal the per-entry bordered determinant's
+    rng = random.Random(f"forced {k}")
+    C, D = forced_zero_window(rng, k, 1), forced_zero_window(rng, k, 1)
+    degenerate = 0
+    for a in (0, 1, 2):
+        for j in range(-1, k + 3):
+            degenerate += _monic_of(
+                lambda: monic_op(j, a, C), bordered_tau_poly(j, a, C), j,
+                "tau is zero; no monic orthogonal polynomial", k=j, alpha=a)
+    # l = 0 at beta = 0 is C's column and l = k D's; both stop at order k
+    for a, b in ((1, 0), (1, -1), (2, 1)):
+        for j in range(k + 3):
+            for l in range(min(j, k) + 2):
+                degenerate += _monic_of(
+                    lambda: mop_type2(j, l, a, b, C, D),
+                    mop_bordered_poly(j, l, a, b, C, D), j,
+                    "tau is zero; no monic polynomial",
+                    k=j, l=l, alpha=a, beta=b)
+    assert degenerate > 3
 
 
 @pytest.mark.parametrize("l", range(4))

@@ -27,11 +27,11 @@ symbols = st.builds(MomentSymbol,
 
 
 @st.composite
-def moment_polys(draw):
+def moment_polys(draw, syms=symbols):
     p = MomentPoly.zero()
     for _ in range(draw(st.integers(0, 3))):
         term = MomentPoly.const(draw(fracs))
-        for s in draw(st.lists(symbols, max_size=2)):
+        for s in draw(st.lists(syms, max_size=2)):
             term = term * MomentPoly.symbol(s.family, s.index)
         p = p + term
     return p
@@ -125,6 +125,32 @@ def test_moment_poly_evaluate_is_ring_hom(a, b, env):
         return env.get(sym, Fraction(1, 2))
     assert (a + b).evaluate(assign) == a.evaluate(assign) + b.evaluate(assign)
     assert (a * b).evaluate(assign) == a.evaluate(assign) * b.evaluate(assign)
+
+
+@given(moment_polys(st.builds(MomentSymbol, st.sampled_from(["c", "d", "e"]),
+                              st.integers(-4, 3))), st.integers(0, 3))
+def test_moment_poly_pow_is_repeated_product(p, n):
+    want = MomentPoly.one()
+    for _ in range(n):
+        want = want * p
+    assert p ** n == want
+
+
+def test_moment_poly_pow_takes_n_minus_one_products(monkeypatch):
+    calls = []
+    real = MomentPoly.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(MomentPoly, "__mul__", counting)
+    p = MomentPoly.symbol("e", -2) - MomentPoly.const(Fraction(1, 3))
+    assert p ** 2 == real(p, p)
+    assert len(calls) == 1
+    assert p ** 0 == MomentPoly.one() and p ** 1 == p and len(calls) == 1
+    with pytest.raises(ValueError):
+        p ** -1
 
 
 def test_ring_fraction_equality_and_arithmetic():

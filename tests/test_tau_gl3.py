@@ -23,7 +23,8 @@ from tauq import (
 )
 from tauq.cli import main
 from tauq.rings import det
-from tauq.tau_gl3 import block_hankel_rows, leading_blocks, relation_sides
+from tauq.tau_gl3 import (block_hankel_rows, leading_blocks, relation_sides,
+                          tau3_table)
 
 from reference import seeded_window
 
@@ -361,6 +362,12 @@ def test_gl3_verifier_determinants_only_past_zero_minor(tau3_det_calls, case):
     expected = {key for key in _relation_reads(k_max, l_max, alphas, betas)
                 if _past_zero_minor(key, k_max + 1, C, D)}
     assert expected or case == "neg-lo"
+    assert dict(tau3_det_calls) == dict.fromkeys(expected, 1)
+    # the table `tau gl3` reads takes the same determinants, and only those
+    tau3_det_calls.clear()
+    table = tau3_table(C, D, None, (-1, k_max + 1))
+    assert all(table(*key) == tau3_det(*key, C, D) for key in
+               sorted(_relation_reads(k_max, l_max, alphas, betas)))
     assert dict(tau3_det_calls) == dict.fromkeys(expected, 1)
 
 
