@@ -36,7 +36,7 @@ from .errors import DegenerateTauError
 from .moments import MomentSequence
 from .report import VerificationReport
 from .rings import LaurentPoly, _integer_rows, _numeric, bordered_cofactors
-from .tau_gl3 import TauTable, block_hankel_rows, leading_blocks
+from .tau_gl3 import TauTable, block_hankel_rows, block_sign_odd, leading_blocks
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,7 @@ def mop_bordered_poly(k: int, l: int, alpha: int, beta: int,
         return LaurentPoly.zero()
     rows = block_hankel_rows(k + 1, k, l, alpha, beta, C, D)
     cofactors = bordered_cofactors(rows)
-    if (l * (l + 1) // 2) % 2:
+    if block_sign_odd(k, l):
         cofactors = [-c for c in cofactors]
     return LaurentPoly(dict(enumerate(cofactors)))
 

@@ -2,31 +2,34 @@
 
 Every tau is one determinant, ``tau3_det``, which also holds the
 boundary conventions (0 for k < 0 or l < 0, 1 at k = l = 0, 0 for k < l
-when E = 0). It takes the ``block_hankel_rows`` layout (l d-columns, then
-k-l c-columns) with every d-entry replaced by
+when E = 0). ``block_hankel_rows`` builds its matrix in one layout around
+the Cauchy block
 
     M_ij = d_{alpha+i+j} - sum_{m>=0} c_{alpha-beta+i-m-1} e_{beta+j+m},
 
 the sum running over the m where both moments lie in their finite
-supports (no sum when E = 0). For k >= l the tau is
+supports (no sum when E = 0, which ``e_is_zero`` decides: no e-family,
+or a finite window with no nonzero value). For k >= l the tau is
 (-1)^{l(l+1)/2} det[M_ij (j < l) | c_{alpha-beta+i+j-l} (j >= l)],
 a k x k determinant; for k < l and E != 0 it is
-(-1)^{k(k+1)/2 + k(l-k)} det[M_ji (j < k) | e_{beta+i+j-k} (j >= k)],
-an l x l one, which is the same layout with E in the place of C.
-The kernel factor Delta(x) Delta(z) / prod (x_i - z_j) is a
-Cauchy-Vandermonde determinant, as in the Cauchy two-matrix model
+(-1)^{k(k+1)/2 + k(l-k)} times the l x l determinant of the k x l block
+M_ij over the l-k rows e_{beta+i+j-k} (j = k..l-1); ``block_sign_odd``
+holds both signs. The kernel factor Delta(x) Delta(z) / prod (x_i - z_j)
+is a Cauchy-Vandermonde determinant, as in the Cauchy two-matrix model
 (Bertola, Gekhtman and Szmigielski, *Cauchy biorthogonal polynomials*,
 2010), and Andreief's identity folds the sum into one determinant. The
 form is verified against the residue formula on seeded grids in the
 tests; it is not proven here.
 
-With E = 0 the matrices of k = l..K at one (l, alpha, beta) are the
-leading blocks of the order-K one: ``leading_blocks`` reads every tau_{k,l}
-or B_{k,l} of that column from one ``leading_minors`` run, a no-swap
+M_ij depends only on (i, j), so whether E is zero or not the k >= l
+matrices of k = l..K at one (l, alpha, beta) are the leading blocks of
+the order-K one: ``leading_blocks`` reads every tau_{k,l} of that column,
+or with E = 0 every B_{k,l}, from one ``leading_minors`` run, a no-swap
 elimination for numeric moments and one Laplace run for formal ones.
 ``tau3_table`` and ``orthopoly.bordered_table`` memoize both in a
-``TauTable``, leaving the entries past a numeric zero minor to tau3_det
-(or B's ``mop_bordered_poly``) one at a time.
+``TauTable``, leaving to tau3_det (or B's ``mop_bordered_poly``) one at a
+time the entries past a numeric zero minor and, with E != 0, the taus
+with 0 <= k < l.
 
 The reference the closed form is tested against is the general residue
 formula (``tau3_residue``). It sums, over kernel splittings (n_c, n_d, n_e)
@@ -48,6 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import factorial, lcm
+from operator import mul
 
 from .errors import ResourceBoundError, SupportError
 from .moments import MomentSequence
@@ -213,16 +217,48 @@ def tau3_residue(k: int, l: int, alpha: int, beta: int,
     return total
 
 
+def e_is_zero(E: MomentSequence | None) -> bool:
+    """The E = 0 rule: no e-family, or a finite window with no nonzero
+    value."""
+    return E is None or (E.is_finite and not any(E.values))
+
+
+def block_sign_odd(k: int, l: int) -> bool:
+    """Whether tau_{k,l} is minus the determinant of its block layout:
+    the parity of l(l+1)/2 for k >= l, of k(k+1)/2 + k(l-k) for k < l."""
+    flips = l * (l + 1) // 2 if k >= l else k * (k + 1) // 2 + k * (l - k)
+    return flips % 2 == 1
+
+
 def block_hankel_rows(n_rows: int, k: int, l: int, alpha: int, beta: int,
-                      C: MomentSequence, D: MomentSequence) -> list[list]:
-    """Rows 0 .. n_rows-1 of the k-column block-Hankel matrix, 0 <= l <= k:
-    l d-columns d_{alpha+i+j}, then k-l c-columns c_{alpha-beta+i+(j-l)}.
-    n_rows = k gives the tau matrix, n_rows = k+1 the body of the bordered
-    one. Each distinct moment is read once, and only from a family with
-    columns; every row is a fresh list, since tau3_det edits them in place."""
+                      C: MomentSequence, D: MomentSequence,
+                      E: MomentSequence | None = None) -> list[list]:
+    """Rows 0 .. n_rows-1 of the k-column block matrix, 0 <= l <= k: l
+    Cauchy columns M_ij (see the module docstring), then k-l c-columns
+    c_{alpha-beta+i+(j-l)}. n_rows = k gives the tau matrix, n_rows = k+1
+    the body of the bordered one. With E = 0 (``e_is_zero``) M_ij is
+    d_{alpha+i+j} and each distinct moment is read once, only from a
+    family with columns. With E != 0 every family must be a finite window
+    (SupportError, before any moment is read), as in the residue
+    reference. Every row is a fresh list."""
+    e_zero = e_is_zero(E)
+    if not (e_zero or (C.is_finite and D.is_finite and E.is_finite)):
+        raise SupportError("the c*e convolution in tau3_det needs finite-support sequences")
     d = [D.get(alpha + s) for s in range(n_rows + l - 1)] if l > 0 else []
     c = [C.get(alpha - beta + s) for s in range(n_rows + k - l - 1)] if k > l else []
-    return [d[i:i + l] + c[i:i + k - l] for i in range(n_rows)]
+    rows = [d[i:i + l] + c[i:i + k - l] for i in range(n_rows)]
+    if not e_zero:
+        c_hi = C.lo + len(C.values) - 1
+        for i, row in enumerate(rows):
+            top = alpha - beta + i - 1
+            for j in range(l):
+                # sum_{m>=0} c_{top-m} e_{beta+j+m}: from the first m with
+                # both in their windows, c read downwards and e upwards
+                m = max(0, top - c_hi, E.lo - beta - j)
+                if top - m >= C.lo:
+                    row[j] -= sum(map(mul, C.values[top - m - C.lo::-1],
+                                      E.values[beta + j + m - E.lo:]))
+    return rows
 
 
 def tau3_det(k: int, l: int, alpha: int, beta: int,
@@ -236,31 +272,12 @@ def tau3_det(k: int, l: int, alpha: int, beta: int,
         return C.ring_zero()
     if k == 0 and l == 0:
         return C.ring_one()
-    e_zero = E is None or (E.is_finite and E.support() is None)
-    if e_zero and k < l:
+    if k < l and e_is_zero(E):
         return C.ring_zero()
-    if not e_zero and not (C.is_finite and D.is_finite and E.is_finite):
-        raise SupportError("the c*e convolution in tau3_det needs "
-                           "finite-support sequences")
-    if k >= l:
-        rows = block_hankel_rows(k, k, l, alpha, beta, C, D)
-        flips = l * (l + 1) // 2
-    else:
-        rows = block_hankel_rows(l, l, k, alpha, alpha - beta, E, D)
-        flips = k * (k + 1) // 2 + k * (l - k)
-    c_sup = None if e_zero else C.support()
-    if c_sup is not None:
-        e_sup = E.support()
-        for i, row in enumerate(rows):
-            for j in range(min(k, l)):
-                # sum_{m>=0} c_{alpha-beta+p-m-1} e_{beta+q+m} over both supports
-                p, q = (i, j) if k >= l else (j, i)
-                top = alpha - beta + p - 1
-                row[j] -= sum(C.get(top - m) * E.get(beta + q + m) for m in range(
-                    max(0, top - c_sup[1], e_sup[0] - beta - q),
-                    min(top - c_sup[0], e_sup[1] - beta - q) + 1))
+    rows = block_hankel_rows(k, max(k, l), l, alpha, beta, C, D, E)
+    rows += [[E.get(beta + i + j - k) for i in range(l)] for j in range(k, l)]
     val = det(rows)
-    return -val if flips % 2 else val
+    return -val if block_sign_odd(k, l) else val
 
 
 def tau3_e0_det(k: int, l: int, alpha: int, beta: int,
@@ -274,23 +291,28 @@ def tau3_e0_det(k: int, l: int, alpha: int, beta: int,
 
 def leading_blocks(k_range: tuple[int, int], l: int, alpha: int, beta: int,
                    C: MomentSequence, D: MomentSequence,
-                   bordered: bool = False) -> dict:
-    """The E = 0 column at one (l, alpha, beta): k -> tau_{k,l}, or with
-    ``bordered`` k -> B_{k,l}, for the k that take no determinant of
-    their own: the boundary zeros of k_range (l < 0 or k < l), then
-    k = l, l+1, ... up to k_hi from ``leading_minors`` of the order-k_hi
-    matrix or body, which for numeric moments stops at the first zero
-    minor. Boundary entries only when a moment cannot be read."""
+                   bordered: bool = False,
+                   E: MomentSequence | None = None) -> dict:
+    """The column at one (l, alpha, beta): k -> tau_{k,l}, or with
+    ``bordered`` (E = 0 only) k -> B_{k,l}, for the k that take no
+    determinant of their own: the boundary zeros of k_range (k < 0,
+    l < 0, and k < l when E = 0), then k = l, l+1, ... up to k_hi from
+    ``leading_minors`` of the order-k_hi matrix or body, which for numeric
+    moments stops at the first zero minor. Boundary entries only when a
+    moment cannot be read or, with E != 0, a family is not a finite
+    window."""
     k_lo, k_hi = k_range
     zero = LaurentPoly.zero() if bordered else C.ring_zero()
-    out = {k: zero for k in range(k_lo, k_hi + 1) if l < 0 or k < l}
+    e_zero = e_is_zero(E)
+    out = {k: zero for k in range(k_lo, k_hi + 1)
+           if l < 0 or k < 0 or (e_zero and k < l)}
     if not 0 <= l <= k_hi:
         return out
     try:
-        rows = block_hankel_rows(k_hi + bordered, k_hi, l, alpha, beta, C, D)
-    except ResourceBoundError:
+        rows = block_hankel_rows(k_hi + bordered, k_hi, l, alpha, beta, C, D, E)
+    except (ResourceBoundError, SupportError):
         return out
-    odd = (l * (l + 1) // 2) % 2
+    odd = block_sign_odd(k_hi, l)
     for k, x in enumerate(leading_minors(rows, bordered)[l:], l):
         if bordered:
             out[k] = LaurentPoly(dict(enumerate([-c for c in x] if odd else x)))
@@ -335,11 +357,10 @@ class TauTable:
 
 def tau3_table(C: MomentSequence, D: MomentSequence,
                E: MomentSequence | None, k_range: tuple[int, int]) -> TauTable:
-    """A TauTable of tau3_det over (C, D, E); with E = None each (l, alpha,
-    beta) column over k_range comes from one leading_blocks run."""
-    column = None if E is not None else partial(
-        leading_blocks, k_range, C=C, D=D)
-    return TauTable(tau3_det, C, D, E, column=column)
+    """A TauTable of tau3_det over (C, D, E): each (l, alpha, beta) column
+    over k_range comes from one leading_blocks run."""
+    return TauTable(tau3_det, C, D, E, column=partial(
+        leading_blocks, k_range, C=C, D=D, E=E))
 
 
 # The four difference relations, written exactly as stated: each entry is

@@ -40,6 +40,15 @@ zero-curvature`` in json and pretty, over formal moments with k and l
 ranges that mostly start at -1 and alpha and beta in -2..2. It was
 recorded while every symbolic tau was its own determinant, built one
 ``MomentPoly`` product at a time, and every check printed both sides.
+
+The seventh runs ``tau gl3`` (json, pretty and csv) and ``verify gl3``
+(json and pretty) with an e-family: the same kinds of sources, so a
+named C or D beside a nonzero E is a ``SupportError`` record; windows
+whose first Cauchy entry or first c-moment is forced to zero, so a
+leading minor at k >= l vanishes; and all-zero e-windows beside named and
+window C and D. Its k and l ranges mostly start at -1 and often reach
+l > k. It was recorded while every tau with a nonzero E was its own
+determinant and an all-zero e-window took one determinant per tau.
 """
 import contextlib
 import hashlib
@@ -66,6 +75,8 @@ PAIRING_SEED = 19
 PAIRING_PINNED = "5515ba45a961f97a8a761921253bb6f182d2bb9ca7cda0ebe89d5eea4cc6c47d"
 SYMBOLIC_SEED = 20
 SYMBOLIC_PINNED = "061b17c31ebc70725073f467502c6dec735457692733b3ec50e1509b35b1c82c"
+E_SEED = 22
+E_PINNED = "324dc73ae9040d99cd24eccd782367b2c198d54be8e60a2f8ac0d53ca3a446a9"
 
 
 def _source(rng: random.Random) -> str:
@@ -434,3 +445,68 @@ def test_symbolic_corpus_output_is_pinned():
     argvs = symbolic_corpus()
     assert len(argvs) >= 300
     assert corpus_digest(argvs) == SYMBOLIC_PINNED
+
+
+def _zero_e_source(rng: random.Random) -> str:
+    """An identically-zero e-window: empty, or 1-6 zeros at lo in -3..2."""
+    return _window_json(rng.randint(-3, 2), ["0"] * rng.randint(0, 6))
+
+
+def _forced_zero_triple(rng: random.Random) -> tuple[list[str], int, int]:
+    """(--moments-c/-d/-e args, alpha, beta) for a window triple with a
+    zero leading minor of order 1 at (alpha, beta): either the first
+    Cauchy entry d_alpha - sum_m c_{alpha-beta-m-1} e_{beta+m}, which
+    every l >= 1 column starts with, or c_{alpha-beta}, which the l = 0
+    column starts with."""
+    a, b = rng.randint(-2, 2), rng.randint(-1, 1)
+    C = seeded_window(rng, a - b - 4, a - b + 8, num=7, den=3, zeros=0.3)
+    D = seeded_window(rng, a - 2, a + 10, num=7, den=3, zeros=0.3)
+    E = seeded_window(rng, b - 2, b + 8, num=7, den=3, zeros=0.3)
+    if rng.random() < 0.5:
+        D.values[a - D.lo] = sum(C.get(a - b - m - 1) * E.get(b + m)
+                                 for m in range(a - b - C.lo))
+    else:
+        C.values[a - b - C.lo] = Fraction(0)
+    return (["--moments-c", _window_json(C.lo, C.values),
+             "--moments-d", _window_json(D.lo, D.values),
+             "--moments-e", _window_json(E.lo, E.values)], a, b)
+
+
+def _e_argv(rng: random.Random, command: str, kind: str) -> list[str]:
+    """``tau gl3`` or ``verify gl3`` with --moments-e: on any sources, on a
+    forced-zero triple (alpha and beta ranges that hold it), or with an
+    all-zero e-window beside a named or window C and D."""
+    if kind == "forced":
+        families, a, b = _forced_zero_triple(rng)
+        alphas = f"{a - rng.randint(0, 1)}..{a}"
+    else:
+        e = _zero_e_source(rng) if kind == "zero-e" else _source(rng)
+        families = ["--moments-c", _source(rng), "--moments-d", _source(rng),
+                    "--moments-e", e]
+        a, b = rng.randint(-3, 2), rng.randint(-2, 2)
+        alphas = f"{a}..{a + rng.randint(0, 1)}"
+    spans = ["--alpha", alphas, "--beta", f"{b}..{b + rng.randint(0, 1)}"]
+    if command == "tau-gl3":
+        ks = ["--k", _range(rng, (-1, -1, 0, 1), rng.randint(1, 4)),
+              "--l", _range(rng, (-1, -1, 0), rng.randint(0, 4))]
+        return ["tau", "gl3", *families, *ks, *spans,
+                "--format", rng.choice(["json", "pretty", "csv"])]
+    ks = ["--k", _range(rng, (-1, 0, 1), rng.randint(1, 3)),
+          "--l", _range(rng, (-1, 0), rng.randint(0, 2))]
+    return ["verify", "gl3", *families, *ks, *spans,
+            "--format", rng.choice(["json", "pretty"])]
+
+
+def e_corpus() -> list[list[str]]:
+    rng = random.Random(E_SEED)
+    return [_e_argv(rng, command, kind)
+            for command in ("tau-gl3", "verify-gl3")
+            for kind, count in (("any", 70), ("forced", 40), ("zero-e", 30))
+            for _ in range(count)]
+
+
+def test_e_corpus_output_is_pinned():
+    argvs = e_corpus()
+    assert sum(argv[:2] == ["verify", "gl3"] for argv in argvs) >= 120
+    assert sum("--moments-e" in argv for argv in argvs) == len(argvs)
+    assert corpus_digest(argvs) == E_PINNED

@@ -335,15 +335,15 @@ def _relation_reads(k_max, l_max, alphas, betas) -> set:
     return keys
 
 
-def _past_zero_minor(key, k_hi, C, D) -> bool:
+def _past_zero_minor(key, k_hi, C, D, E=None) -> bool:
     """Whether tau_{k,l} at (alpha, beta) lies past a zero leading minor
-    of order 1 <= j < k of the order-k_hi block-Hankel matrix of its
-    (l, alpha, beta) column (entries with l < 0 or k < l are boundary
-    values)."""
+    of order 1 <= j < k of the order-k_hi block matrix of its
+    (l, alpha, beta) column (entries with l < 0 or k < l are not in a
+    column's minors)."""
     k, l, a, b = key
     if l < 0 or k < l:
         return False
-    rows = block_hankel_rows(k_hi, k_hi, l, a, b, C, D)
+    rows = block_hankel_rows(k_hi, k_hi, l, a, b, C, D, E)
     return any(not det([r[:j] for r in rows[:j]]) for j in range(1, k))
 
 
@@ -373,12 +373,16 @@ def test_gl3_verifier_determinants_only_past_zero_minor(tau3_det_calls, case):
 
 def test_gl3_verifier_one_determinant_per_tau_with_e_or_formal(
         tau3_det_calls, formal_c, formal_d):
+    # with E != 0 the columns hold k >= l (and k < 0); a tau with
+    # 0 <= k < l, or past a zero minor, is one determinant of its own
     rng = random.Random(5)
     C, D, E = (seeded_window(rng, -2, 6, num=5, den=3) for _ in range(3))
     report = verify_gl3_relations(C, D, E, 2, 1, (0, 1), (0, 0))
     assert report.total and not report.failures
-    assert dict(tau3_det_calls) == dict.fromkeys(
-        _relation_reads(2, 1, (0, 1), (0, 0)), 1)
+    expected = {key for key in _relation_reads(2, 1, (0, 1), (0, 0))
+                if 0 <= key[0] < key[1] or _past_zero_minor(key, 3, C, D, E)}
+    assert any(0 <= key[0] < key[1] for key in expected)
+    assert dict(tau3_det_calls) == dict.fromkeys(expected, 1)
     # formal columns come from one Laplace run each and never stop at a
     # zero minor, so over k = -1..k_max+1 they leave out no tau
     tau3_det_calls.clear()
@@ -389,3 +393,52 @@ def test_gl3_verifier_one_determinant_per_tau_with_e_or_formal(
                                                 formal_c, formal_d)}
     assert not left_out
     assert dict(tau3_det_calls) == dict.fromkeys(left_out, 1)
+
+
+def _e_triple(case: str):
+    """(C, D, E) windows with negative lo for the E != 0 column gates; with
+    "forced-zero" the first Cauchy entry M_00 at (alpha, beta) = (0, 0)
+    and c_1, the first entry of the l = 0 column at (1, 0), are zero."""
+    rng = random.Random(f"e-{case}")
+    zeros = 0.5 if case == "zero-heavy" else 0.0
+    C, D, E = (seeded_window(rng, -4, 8, num=9, den=5, zeros=zeros)
+               for _ in range(3))
+    if case == "forced-zero":
+        D.values[-D.lo] = sum(C.get(-m - 1) * E.get(m) for m in range(-C.lo))
+        C.values[1 - C.lo] = Fraction(0)
+        assert tau3_det(1, 1, 0, 0, C, D, E) == tau3_det(1, 0, 1, 0, C, D, E) == 0
+    return C, D, E
+
+
+@pytest.mark.parametrize("case", ["neg-lo", "zero-heavy", "forced-zero"])
+def test_e_table_matches_per_entry_det(tau3_det_calls, case):
+    # one elimination per (l, alpha, beta) column gives every tau with
+    # k >= l up to its first zero minor; the rest are tau3_det's own
+    C, D, E = _e_triple(case)
+    k_range = (-1, 5)
+    keys = list(itertools.product(range(-1, 6), range(-1, 5), (-1, 0, 1),
+                                  (-1, 0)))
+    table = tau3_table(C, D, E, k_range)
+    assert [table(*key) for key in keys] == [tau3_det(*key, C, D, E)
+                                             for key in keys]
+    expected = {key for key in keys
+                if 0 <= key[0] < key[1] or _past_zero_minor(key, 5, C, D, E)}
+    assert case != "forced-zero" or any(
+        _past_zero_minor(key, 5, C, D, E) for key in expected)
+    assert dict(tau3_det_calls) == dict.fromkeys(expected, 1)
+
+
+def test_all_zero_e_window_takes_the_e0_columns(tau3_det_calls):
+    # an all-zero e-window is E = 0: the same determinants as E = None
+    rng = random.Random(7)
+    C, D = (seeded_window(rng, -3, 8, num=7, den=3, zeros=0.4)
+            for _ in range(2))
+    args = (3, 2, (-1, 1), (-1, 0))
+    reports = []
+    for E in (None, MomentSequence.window(-2, [0, 0, 0]), ZERO):
+        tau3_det_calls.clear()
+        report = verify_gl3_relations(C, D, E, *args)
+        assert report.total and not report.failures
+        reports.append((report.total, dict(tau3_det_calls)))
+    assert reports[0][1]
+    assert reports[1] == reports[2] == reports[0]
