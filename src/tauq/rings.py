@@ -4,7 +4,9 @@ Three coefficient domains are used throughout:
 
 * ``Fraction`` for numeric work;
 * ``MomentPoly``, polynomials over the rationals in formal moment symbols
-  c_i, d_i, e_i, for symbolic identity proofs;
+  c_i, d_i, e_i, for symbolic identity proofs. Each keys its monomials
+  by packed exponent vectors on its own basis of symbols, so a product of
+  monomials is one int addition;
 * ``RingFraction``, quotients of MomentPoly with equality by
   cross-multiplication, for symbolic matrices whose entries are ratios.
 
@@ -16,17 +18,20 @@ Determinants take one of two kernels. Numeric entries run Bareiss
 elimination on Python ints (``det_bareiss``, and without row swaps
 ``leading_minors``, whose pivots are every leading minor at once).
 Entries that mix numbers and MomentPoly run the Laplace subset kernel
-(``_laplace``) on plain term dicts, building a MomentPoly only for the
-minors a caller reads; one run gives a matrix's determinant, every
-leading minor, or every bordered cofactor of each leading block. No other
-ring has a determinant kernel: ``LaurentMatrix.det`` (order 2 or 3) is a
-cofactor expansion.
+(``_laplace``) on plain term dicts keyed on one basis for the whole
+matrix, building a MomentPoly only for the minors a caller reads; one
+run gives a matrix's determinant, every leading minor, or every bordered
+cofactor of each leading block. No other ring has a determinant kernel:
+``LaurentMatrix.det`` (order 2 or 3) is a cofactor expansion.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain
+from functools import reduce
+from itertools import chain, compress
 from math import lcm, prod
+from operator import or_
 from typing import Iterable, NamedTuple
 
 from .errors import ResourceBoundError
@@ -59,10 +64,12 @@ class MomentSymbol(NamedTuple):
 _FAMILIES = ("c", "d", "e")
 _FAMILY_RANK = {f: r for r, f in enumerate(_FAMILIES)}
 # A symbol is packed into one int, rank(family) << 28 | (index + 2**27), so
-# packed monomials sort exactly as tuples of MomentSymbol do.
+# packed symbols sort exactly as MomentSymbol does.
 _INDEX_BOUND = 1 << 27
 _FAMILY_SHIFT = 28
 _INDEX_MASK = (1 << _FAMILY_SHIFT) - 1
+# bits per exponent field until a degree bound needs more
+_WIDTH = 8
 
 
 def _unpack(code: int) -> MomentSymbol:
@@ -76,19 +83,103 @@ def _clean(terms: dict) -> dict:
             for m, c in terms.items() if c}
 
 
+def _width_for(bound: int, width: int) -> int:
+    """width if its fields hold every exponent up to bound, else the least
+    multiple of 8 bits that does."""
+    return width if not bound >> width else -(-bound.bit_length() // 8) * 8
+
+
+def _exponents(key: int, n: int, width: int):
+    """The n fields of a key, slot 0 (the top field) first: bytes for
+    8-bit fields."""
+    if width == 8:
+        return key.to_bytes(n, "big")
+    mask = (1 << width) - 1
+    return [key >> (n - 1 - i) * width & mask for i in range(n)]
+
+
+def _fields(key: int, n: int, width: int) -> list[tuple[int, int]]:
+    """(slot, exponent) for each nonzero field of a key on n slots."""
+    e = _exponents(key, n, width)
+    return [(i, e[i]) for i in compress(range(n), e)]
+
+
+def _union(a: tuple, b: tuple) -> tuple:
+    """The sorted union of two bases, reusing either when it is the union."""
+    if not b or a == b:
+        return a
+    if not a:
+        return b
+    u = tuple(sorted({*a, *b}))
+    return a if len(u) == len(a) else b if len(u) == len(b) else u
+
+
+def _rekey(p: "MomentPoly", basis: tuple, width: int) -> dict:
+    """p's terms keyed on basis, which holds p's, with width-bit fields
+    (no narrower than p's). Slots that stay adjacent move as one masked
+    shift, so a basis that only gains symbols before p's costs nothing,
+    and one that gains them only after p's costs one shift per key."""
+    if not p.basis or p.width == width and (p.basis is basis
+                                            or p.basis == basis):
+        return p.terms
+    field = (1 << p.width) - 1
+    top, to_top = len(p.basis) - 1, len(basis) - 1
+    moves: list[list[int]] = []
+    for i, code in enumerate(p.basis):
+        at = (top - i) * p.width
+        shift = (to_top - bisect_left(basis, code)) * width - at
+        if moves and moves[-1][1] == shift:
+            moves[-1][0] |= field << at
+        else:
+            moves.append([field << at, shift])
+    if len(moves) == 1:
+        shift = moves[0][1]
+        return {key << shift: c for key, c in p.terms.items()} if shift \
+            else p.terms
+    return {sum((key & mask) << shift for mask, shift in moves): c
+            for key, c in p.terms.items()}
+
+
+def _align(p: "MomentPoly", q: "MomentPoly", bound: int):
+    """p's and q's terms on the union of their bases, with fields that
+    hold every exponent up to bound; and that basis and width."""
+    basis = _union(p.basis, q.basis)
+    width = _width_for(bound, max(p.width, q.width))
+    return _rekey(p, basis, width), _rekey(q, basis, width), basis, width
+
+
 class MomentPoly:
     """Polynomial over Q in moment symbols.
 
-    Terms map a monomial (sorted tuple of packed symbols, with repetition)
-    to a nonzero coefficient: an int when integral, else a Fraction.
-    Equality is structural. ``items`` reads the terms back with
-    MomentSymbol monomials.
+    ``basis`` is a sorted tuple of packed symbols (a superset of those
+    the terms use), and ``terms`` maps each monomial's key to its nonzero
+    coefficient, an int when integral, else a Fraction. A key is one int,
+    the packed exponent vector: one field of ``width`` bits (8 unless
+    widened) per basis symbol, slot 0 in the top field, so the key of a
+    product of monomials is the sum of their keys.
+
+    Sums never carry between fields: ``bound`` is an upper bound on the
+    total degree (a symbol 1, a product the sum, a sum the max), so it
+    bounds every exponent, and the fields always hold it. An operation
+    whose bound would not fit widens the fields of its result to the next
+    multiple of 8 bits that does. Two operands on different bases or
+    widths are first re-keyed onto the union basis at the wider width.
+    A constructor caller passes the bound of terms of positive degree.
+
+    Equality and hashing do not depend on the basis or the width, and
+    ``items``, ``symbols``, ``evaluate`` and ``str`` read the symbols
+    back: monomials print in the order of their sorted symbol tuples.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "basis", "width", "bound")
 
-    def __init__(self, terms: dict[tuple[int, ...], int | Fraction] | None = None):
+    def __init__(self, terms: dict[int, int | Fraction] | None = None,
+                 basis: tuple[int, ...] = (), width: int = _WIDTH,
+                 bound: int = 0):
         self.terms = _clean(terms) if terms else {}
+        self.basis = basis
+        self.width = width
+        self.bound = bound
 
     @classmethod
     def zero(cls) -> "MomentPoly":
@@ -96,11 +187,11 @@ class MomentPoly:
 
     @classmethod
     def one(cls) -> "MomentPoly":
-        return cls({(): 1})
+        return cls({0: 1})
 
     @classmethod
     def const(cls, c) -> "MomentPoly":
-        return cls({(): as_rational(c)})
+        return cls({0: as_rational(c)})
 
     @classmethod
     def symbol(cls, family: str, index: int) -> "MomentPoly":
@@ -110,8 +201,8 @@ class MomentPoly:
             raise ResourceBoundError(
                 f"moment index {index} is outside the symbolic range "
                 f"|index| < {_INDEX_BOUND}")
-        return cls({(_FAMILY_RANK[family] << _FAMILY_SHIFT
-                     | index + _INDEX_BOUND,): 1})
+        return cls({1: 1}, (_FAMILY_RANK[family] << _FAMILY_SHIFT
+                            | index + _INDEX_BOUND,), _WIDTH, 1)
 
     def _coerce(self, other) -> "MomentPoly | None":
         if isinstance(other, MomentPoly):
@@ -124,16 +215,19 @@ class MomentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
+        bound = max(self.bound, other.bound)
+        left, right, basis, width = _align(self, other, bound)
+        out = dict(left)
         get = out.get
-        for m, c in other.terms.items():
+        for m, c in right.items():
             out[m] = get(m, 0) + c
-        return MomentPoly(out)
+        return MomentPoly(out, basis, width, bound)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MomentPoly({m: -c for m, c in self.terms.items()})
+        return MomentPoly({m: -c for m, c in self.terms.items()},
+                          self.basis, self.width, self.bound)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -148,14 +242,16 @@ class MomentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple[int, ...], int | Fraction] = {}
+        bound = self.bound + other.bound
+        left, right, basis, width = _align(self, other, bound)
+        out: dict[int, int | Fraction] = {}
         get = out.get
-        right = other.terms.items()
-        for ma, ca in self.terms.items():
+        right = right.items()
+        for ma, ca in left.items():
             for mb, cb in right:
-                m = tuple(sorted(ma + mb))
+                m = ma + mb
                 out[m] = get(m, 0) + ca * cb
-        return MomentPoly(out)
+        return MomentPoly(out, basis, width, bound)
 
     __rmul__ = __mul__
 
@@ -171,18 +267,37 @@ class MomentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        if len(self.terms) != len(other.terms):
+            return False
+        left, right, _, _ = _align(self, other, 0)
+        return left == right
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(zip(self._monomials(), self.terms.values())))
 
     def __bool__(self):
         return bool(self.terms)
 
+    def _monomials(self, names=None) -> list[tuple]:
+        """Each key as a sorted tuple of its symbols, with repetition, in
+        terms order: packed codes, or names(code) for each code."""
+        n, width = len(self.basis), self.width
+        syms = self.basis if names is None else self._slot_names(names)
+        return [tuple(syms[i] for i, e in _fields(key, n, width)
+                      for _ in range(e)) for key in self.terms]
+
+    def _slot_names(self, name) -> list:
+        """name(code) for each slot that some term uses, None for the rest."""
+        # fields never overlap, so the OR of every key is nonzero in
+        # exactly the fields some term uses
+        used = _exponents(reduce(or_, self.terms, 0), len(self.basis),
+                          self.width)
+        return [name(code) if u else None
+                for code, u in zip(self.basis, used)]
+
     def items(self):
         """(monomial as a sorted tuple of MomentSymbol, coefficient) per term."""
-        for mono, coef in self.terms.items():
-            yield tuple(map(_unpack, mono)), coef
+        return zip(self._monomials(_unpack), self.terms.values())
 
     def evaluate(self, assign):
         """Substitute assign(symbol) for every symbol; plain Fraction result
@@ -197,28 +312,37 @@ class MomentPoly:
         return Fraction(0) if total is None else total
 
     def symbols(self) -> set[MomentSymbol]:
-        return {s for mono, _ in self.items() for s in mono}
+        return set(filter(None, self._slot_names(_unpack)))
 
     def __str__(self) -> str:
         terms = self.terms
         if not terms:
             return "0"
-        names = {code: str(_unpack(code))
-                 for code in set(chain.from_iterable(terms))}
+        basis, n, width = self.basis, len(self.basis), self.width
+        names = self._slot_names(lambda code: str(_unpack(code)))
+        # A monomial prints as its symbols in sorted order: its slot
+        # sequence, with repetition. Two sequences of one length first
+        # differ at the first slot whose exponents differ, and the larger
+        # exponent comes first; slot 0 is the top field, so that is
+        # descending key order. 2^width is 1 modulo 2^width - 1, so a key
+        # modulo that is the sum of its fields, its degree, while the
+        # bound stays below it.
+        ones = (1 << width) - 1
+        if self.bound < ones and len({key % ones for key in terms}) == 1:
+            order = sorted(terms.items(), reverse=True)
+        else:
+            order = sorted(terms.items(), key=lambda term: [
+                i for i, e in _fields(term[0], n, width) for _ in range(e)])
+        slots = range(n)
         parts = []
-        for mono in sorted(terms):
-            # a monomial is sorted, so each symbol is one run; the None
-            # after the last one closes its run
-            factors, run, power = [], None, 0
-            for code in (*mono, None):
-                if code == run:
-                    power += 1
-                    continue
-                if power:
-                    name = names[run]
-                    factors.append(name if power == 1 else f"{name}^{power}")
-                run, power = code, 1
-            coef = terms[mono]
+        for key, coef in order:
+            e = key.to_bytes(n, "big") if width == 8 \
+                else _exponents(key, n, width)
+            factors = []
+            for i in compress(slots, e):
+                power = e[i]
+                factors.append(names[i] if power == 1
+                               else f"{names[i]}^{power}")
             neg = coef < 0
             mag = -coef if neg else coef
             if not factors:
@@ -679,16 +803,6 @@ def det_cofactor(rows):
     return _det_cofactor_generic([list(r) for r in rows], zero)
 
 
-def _terms(x) -> tuple:
-    """An entry of a symbolic determinant as (monomial, coefficient) pairs."""
-    if isinstance(x, MomentPoly):
-        return tuple(x.terms.items())
-    if isinstance(x, (int, Fraction)):
-        return (((), x),) if x else ()
-    raise TypeError("symbolic determinants take numbers and MomentPoly "
-                    f"entries, not {type(x).__name__}")
-
-
 def _laplace(lines, reads: dict[int, list[int]]) -> dict[int, list[MomentPoly]]:
     """Laplace expansion by subsets over MomentPoly terms.
 
@@ -697,25 +811,49 @@ def _laplace(lines, reads: dict[int, list[int]]) -> dict[int, list[MomentPoly]]:
     the mask of used positions: after t lines the dict at a mask is the
     determinant of the square matrix those positions cut from the first t
     lines (1 at t = 0, mask 0). reads maps t to the masks read after t
-    lines; only those become MomentPoly. Every entry is read as terms
-    once, each product is added straight into its mask's dict, and zero
-    coefficients are dropped once per line. Placing line t costs
+    lines; only those become MomentPoly. Every entry is keyed once on the
+    union basis of the matrix, with fields wide enough for the sum over
+    lines of their largest entry degree, so each placement product is an
+    int addition; each product is added straight into its mask's dict,
+    and zero coefficients are dropped once per line. Placing line t costs
     C(w, t-1) (w - t + 1) entry products for lines of width w, fewer than
     n 2^(n-1) in all for an n x n matrix.
     """
-    partial = {0: {(): 1}}
+    polys = []
+    for x in chain.from_iterable(lines):
+        if isinstance(x, MomentPoly):
+            polys.append(x)
+        elif not isinstance(x, (int, Fraction)):
+            raise TypeError("symbolic determinants take numbers and "
+                            f"MomentPoly entries, not {type(x).__name__}")
+    basis = tuple(sorted({code for p in polys for code in p.basis}))
+    # a minor's degree is at most the sum over its lines of their largest
+    # entry degree
+    bounds = [max([x.bound for x in line if isinstance(x, MomentPoly)],
+                  default=0) for line in lines]
+    width = _width_for(sum(bounds), max([p.width for p in polys],
+                                        default=_WIDTH))
+
+    def terms(x) -> tuple:
+        if isinstance(x, MomentPoly):
+            return tuple(_rekey(x, basis, width).items())
+        return ((0, x),) if x else ()
+
+    partial = {0: {0: 1}}
     out = {}
+    bound = 0
 
     def read(t: int) -> None:
         if t in reads:
-            out[t] = [MomentPoly(partial.get(mask)) for mask in reads[t]]
+            out[t] = [MomentPoly(partial.get(mask), basis, width, bound)
+                      for mask in reads[t]]
 
     read(0)
     for t, line in enumerate(lines, 1):
         # each entry with its terms negated too: the sign of a placement
         # is one transposition per used position right of it
-        entries = [(1 << j, j, terms, tuple((m, -c) for m, c in terms))
-                   for j, terms in enumerate(map(_terms, line)) if terms]
+        entries = [(1 << j, j, plus, tuple((m, -c) for m, c in plus))
+                   for j, plus in enumerate(map(terms, line)) if plus]
         nxt: dict[int, dict] = {}
         for mask, acc in partial.items():
             acc_terms = acc.items()
@@ -729,13 +867,14 @@ def _laplace(lines, reads: dict[int, list[int]]) -> dict[int, list[MomentPoly]]:
                 get = target.get
                 for mb, cb in minus if (mask >> j).bit_count() & 1 else plus:
                     for ma, ca in acc_terms:
-                        m = tuple(sorted(ma + mb))
+                        m = ma + mb
                         target[m] = get(m, 0) + ca * cb
         partial = {}
         for mask, acc in nxt.items():
             acc = {m: c for m, c in acc.items() if c}
             if acc:
                 partial[mask] = acc
+        bound += bounds[t - 1]
         read(t)
     return out
 

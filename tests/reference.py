@@ -9,7 +9,9 @@ equal, two seeded windows (a random one and one with a chosen zero
 Hankel minor), and the bordered leading blocks from a Bareiss run over
 the whole [A | I], which the triangular run must equal. And the
 ``MomentPoly`` renderer as it stood before it became one run-length pass,
-which the library's must match character for character.
+which the library's must match character for character, and the
+sorted-tuple ``MomentPoly`` ring itself, which the packed-exponent one
+must match operation for operation.
 """
 from __future__ import annotations
 
@@ -18,9 +20,10 @@ from itertools import chain
 from math import factorial, lcm
 
 from tauq import (DegenerateTauError, HankelForm, LaurentPoly,
-                  MomentSequence, MonicPolynomial, ResourceBoundError,
-                  form_eval, tau_det)
-from tauq.rings import _signed_term, _unpack
+                  MomentSequence, MomentSymbol, MonicPolynomial,
+                  ResourceBoundError, form_eval, tau_det)
+from tauq.rings import (_FAMILIES, _FAMILY_RANK, _FAMILY_SHIFT, _INDEX_BOUND,
+                        _clean, _signed_term, _unpack, as_rational)
 
 RESIDUE_K_BOUND = 5
 
@@ -148,18 +151,182 @@ def bordered_blocks_full(rows) -> list:
 def moment_poly_str(self) -> str:
     """``MomentPoly.__str__`` before it built each monomial in one pass:
     one ``count`` per distinct symbol, every coefficient through
-    ``_signed_term``."""
-    if not self.terms:
+    ``_signed_term``. Reads only ``items()``, so it renders the library's
+    ring and the sorted-tuple one alike."""
+    terms = dict(self.items())
+    if not terms:
         return "0"
-    names = {code: str(_unpack(code))
-             for code in set(chain.from_iterable(self.terms))}
     parts = []
-    for mono in sorted(self.terms):
+    for mono in sorted(terms):
         factors = []
-        for code in dict.fromkeys(mono):
-            power = mono.count(code)
-            factors.append(names[code] if power == 1
-                           else f"{names[code]}^{power}")
+        for sym in dict.fromkeys(mono):
+            power = mono.count(sym)
+            factors.append(str(sym) if power == 1 else f"{sym}^{power}")
         body = "*".join(factors)
-        parts.append(_signed_term(self.terms[mono], body, first=not parts))
+        parts.append(_signed_term(terms[mono], body, first=not parts))
     return "".join(parts)
+
+
+# The moment-polynomial ring as it stood before its monomials were packed
+# exponent vectors: a monomial is a sorted tuple of packed symbols, with
+# repetition, and a product concatenates and sorts two of them.
+class MomentPoly:
+    """Polynomial over Q in moment symbols.
+
+    Terms map a monomial (sorted tuple of packed symbols, with repetition)
+    to a nonzero coefficient: an int when integral, else a Fraction.
+    Equality is structural. ``items`` reads the terms back with
+    MomentSymbol monomials.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[tuple[int, ...], int | Fraction] | None = None):
+        self.terms = _clean(terms) if terms else {}
+
+    @classmethod
+    def zero(cls) -> "MomentPoly":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "MomentPoly":
+        return cls({(): 1})
+
+    @classmethod
+    def const(cls, c) -> "MomentPoly":
+        return cls({(): as_rational(c)})
+
+    @classmethod
+    def symbol(cls, family: str, index: int) -> "MomentPoly":
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown moment family {family!r}")
+        if not -_INDEX_BOUND < index < _INDEX_BOUND:
+            raise ResourceBoundError(
+                f"moment index {index} is outside the symbolic range "
+                f"|index| < {_INDEX_BOUND}")
+        return cls({(_FAMILY_RANK[family] << _FAMILY_SHIFT
+                     | index + _INDEX_BOUND,): 1})
+
+    def _coerce(self, other) -> "MomentPoly | None":
+        if isinstance(other, MomentPoly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return MomentPoly.const(other)
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        get = out.get
+        for m, c in other.terms.items():
+            out[m] = get(m, 0) + c
+        return MomentPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return MomentPoly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        get = out.get
+        right = other.terms.items()
+        for ma, ca in self.terms.items():
+            for mb, cb in right:
+                m = tuple(sorted(ma + mb))
+                out[m] = get(m, 0) + ca * cb
+        return MomentPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        acc = self if n else MomentPoly.one()
+        for _ in range(n - 1):
+            acc = acc * self
+        return acc
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def items(self):
+        """(monomial as a sorted tuple of MomentSymbol, coefficient) per term."""
+        for mono, coef in self.terms.items():
+            yield tuple(map(_unpack, mono)), coef
+
+    def evaluate(self, assign):
+        """Substitute assign(symbol) for every symbol; plain Fraction result
+        when the assignment is numeric. Substitution is a ring homomorphism.
+        """
+        total = None
+        for mono, coef in self.items():
+            val = as_rational(coef)
+            for s in mono:
+                val = val * assign(s)
+            total = val if total is None else total + val
+        return Fraction(0) if total is None else total
+
+    def symbols(self) -> set[MomentSymbol]:
+        return {s for mono, _ in self.items() for s in mono}
+
+    def __str__(self) -> str:
+        terms = self.terms
+        if not terms:
+            return "0"
+        names = {code: str(_unpack(code))
+                 for code in set(chain.from_iterable(terms))}
+        parts = []
+        for mono in sorted(terms):
+            # a monomial is sorted, so each symbol is one run; the None
+            # after the last one closes its run
+            factors, run, power = [], None, 0
+            for code in (*mono, None):
+                if code == run:
+                    power += 1
+                    continue
+                if power:
+                    name = names[run]
+                    factors.append(name if power == 1 else f"{name}^{power}")
+                run, power = code, 1
+            coef = terms[mono]
+            neg = coef < 0
+            mag = -coef if neg else coef
+            if not factors:
+                term = str(mag)
+            elif mag == 1:
+                term = "*".join(factors)
+            else:
+                term = f"{mag} {'*'.join(factors)}"
+            if parts:
+                parts.append(" - " if neg else " + ")
+            elif neg:
+                parts.append("-")
+            parts.append(term)
+        return "".join(parts)
+
+    def __repr__(self) -> str:
+        return f"MomentPoly({self})"

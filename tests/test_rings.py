@@ -78,13 +78,14 @@ def test_moment_poly_evaluate_and_symbols():
 
 def test_moment_poly_coefficient_types(formal_c):
     # integral coefficients are ints; a Fraction only where one is needed
-    assert type(MomentPoly.one().terms[()]) is int
-    assert type(MomentPoly.const(Fraction(6, 3)).terms[()]) is int
-    assert MomentPoly.const("1/2").terms[()] == Fraction(1, 2)
+    assert [type(c) for _, c in MomentPoly.one().items()] == [int]
+    assert [type(c) for _, c in MomentPoly.const(Fraction(6, 3)).items()] \
+        == [int]
+    assert list(MomentPoly.const("1/2").items()) == [((), Fraction(1, 2))]
     half_c = MomentPoly.const(Fraction(1, 2)) * MomentPoly.symbol("c", 1)
-    assert [type(v) for v in (half_c + half_c).terms.values()] == [int]
+    assert [type(c) for _, c in (half_c + half_c).items()] == [int]
     tau = tau_det(5, -1, formal_c)
-    assert tau and all(type(v) is int for v in tau.terms.values())
+    assert tau and all(type(c) is int for _, c in tau.items())
     # evaluation stays a Fraction, also for int assignments
     assert type(tau.evaluate(lambda s: s.index + 3)) is Fraction
     assert type(MomentPoly.one().evaluate(lambda s: 1)) is Fraction
