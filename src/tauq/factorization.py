@@ -22,7 +22,12 @@ gives the bordered minors back:
     Sd- tau_{k,l}   = (-1)^k Q[B_{k-1,l-1}; D, alpha+l-1]   (l >= 1; tau_{k,0} at l = 0)
 
 A wave factor reads them from one ``bordered_table``: one elimination
-per (l, alpha, beta) column, then series contractions.
+per (l, alpha, beta) column, then series contractions. Wave factors and
+windows run on integer numerators: the bordered columns share one scale,
+each family's window is scaled to integers once, a contraction is an
+integer correlation, the window's twist is a shift per row and its
+unipotent factor a convolution, and each output coefficient is one
+Fraction over tau's numerator (times the family's window denominator).
 ``evaluate_shifted`` pushes a formal tau polynomial through the fields
 monomial by monomial (k! terms); it is the independent reference route the
 tests compare against.
@@ -30,6 +35,8 @@ tests compare against.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import DegenerateTauError, SupportError
 from .moments import MomentSequence
@@ -37,7 +44,8 @@ from .moments import MomentSequence
 # this module's name (and tests/test_bench_names.py checks that it exists)
 from .orthopoly import bordered_table, bordered_tau_poly  # noqa: F401
 from .report import VerificationReport
-from .rings import LaurentMatrix, LaurentPoly, MomentPoly, RingFraction
+from .rings import (LaurentMatrix, LaurentPoly, MomentPoly, RingFraction,
+                    _integer_rows)
 from .tau_gl2 import TauTable, qsystem_residual, tau_table
 
 
@@ -73,63 +81,135 @@ def evaluate_shifted(p: MomentPoly, seqs: dict[str, MomentSequence],
     return total
 
 
-def _contract(b: LaurentPoly, seq: MomentSequence, n: int) -> LaurentPoly:
-    """Q[B; F, n] = sum_r b_r sigma^F_{n+r}."""
-    total = LaurentPoly.zero()
-    for r, coef in b.coeffs.items():
-        total = total + _shifted_series(n + r, seq, -1).scale(coef)
-    return total
-
-
 def tail_series(seq: MomentSequence, offset: int) -> LaurentPoly:
     """sum_{i >= 0} m_{offset+i} z^{-i-1}, truncated by finite support."""
     return _shifted_series(offset, seq, -1).shift(-1)
 
 
 # -- lower wave factor and window, for one (GL2) or two (GL3) families ------
+# Until the last step an entry is a dict z-power -> int numerator over its
+# row's denominator; the bordered columns' common scale cancels against tau.
+
+def _scaled_window(seq: MomentSequence) -> tuple[int, list[int], int]:
+    """(lo, numerators of m_lo..m_hi, their one denominator) on the trimmed
+    support of a finite window; raises SupportError, as support() does,
+    for any other sequence."""
+    sup = seq.support()
+    if sup is None:
+        return 0, [], 1
+    lo, hi = sup
+    (nums,), (den,) = _integer_rows([[seq.get(i) for i in range(lo, hi + 1)]])
+    return lo, nums, den
+
+
+def _moments_from(win, n: int) -> list[int]:
+    """The window's numerators of m_n, m_{n+1}, ..., m_hi."""
+    lo, nums, _ = win
+    return [0] * (lo - n) + nums if n < lo else nums[n - lo:]
+
+
+def _sigma(col: list[int], win, n: int, shift: int) -> dict[int, int]:
+    """z^shift Q[B; F, n] on numerators, B's coefficients being col: the
+    z^{shift-t} coefficient of Q = sum_r b_r sigma^F_{n+r} is the
+    correlation sum_r b_r m_{n+r+t}."""
+    ms = _moments_from(win, n)
+    out = {}
+    for t in range(len(ms)):
+        q = sum(map(mul, col, ms[t:]))
+        if q:
+            out[shift - t] = q
+    return out
+
+
+def _wave_numerators(k: int, l: int, alpha: int, beta: int,
+                     seqs: tuple[MomentSequence, ...], wins: list,
+                     indices: dict) -> tuple[list[list[dict]], list[int]]:
+    """tau_{k,l} times the (n+1) x (n+1) lower wave factor, for the n
+    pull-back families seqs: (m,) with l = beta = 0 (so C = D = m), or
+    (C, D), with wins their scaled windows. Returns the rows of numerator
+    dicts and each row's denominator: tau's numerator for row 0, times
+    family i's window denominator for row i.
+
+    Column j comes from B_{k,l}, B_{k-1,l} and (-1)^k B_{k-1,l-1} of one
+    bordered_table; row 0 takes each over z^k, row i contracts each with
+    family i's sigma series over z. The diagonal entry of row i is one
+    index lower and has no 1/z, or is tau itself when the family has no
+    columns to pull back (c when k = l, d when l = 0). In the d row the
+    sign twist cancels the (-1)^k that Sd- carries."""
+    B = bordered_table(k, seqs[0], seqs[-1])
+    b = B(k, l, alpha, beta)
+    if not b.coeff(k):
+        raise DegenerateTauError("tau is zero", **indices)
+    n = len(seqs)
+    polys = [b, B(k - 1, l, alpha, beta), B(k - 1, l - 1, alpha, beta)][:n + 1]
+    dense = [[p.coeffs.get(r, 0) for r in range(k + 1)] for p in polys]
+    scale = lcm(*[c.denominator for col in dense for c in col])
+    cols = [[c.numerator * (scale // c.denominator) for c in col]
+            for col in dense]
+    if n == 2 and k % 2:
+        cols[2] = [-c for c in cols[2]]
+    tau = cols[0][k]
+    rows = [[{r - k: c for r, c in enumerate(col) if c} for col in cols]]
+    dens = [tau]
+    # (family window, sigma offset, has columns to pull back)
+    families = zip(wins, (alpha - beta + k - l, alpha + l), (k > l, l > 0))
+    for i, (win, off, live) in enumerate(families, 1):
+        den = win[2] * tau
+        row = []
+        for j, col in enumerate(cols):
+            if j != i:
+                row.append(_sigma(col, win, off, -1))
+            elif live:
+                row.append(_sigma(col, win, off - 1, 0))
+            else:
+                row.append({0: den})
+        rows.append(row)
+        dens.append(den)
+    return rows, dens
+
+
+def _matrix(rows: list[list[dict]], dens: list[int]) -> LaurentMatrix:
+    return LaurentMatrix([[LaurentPoly({e: Fraction(c, den)
+                                        for e, c in entry.items()})
+                           for entry in row] for row, den in zip(rows, dens)])
+
 
 def _g_minus(k: int, l: int, alpha: int, beta: int,
              seqs: tuple[MomentSequence, ...], indices: dict) -> LaurentMatrix:
-    """The (n+1) x (n+1) lower wave factor divided by tau_{k,l}, for the n
-    pull-back families seqs: (m,) with l = beta = 0 (so C = D = m), or
-    (C, D). Column j comes from B_{k,l}, B_{k-1,l} and (-1)^k B_{k-1,l-1}
-    of one bordered_table; row 0 takes each over z^k, row i contracts each
-    with family i's sigma series over z. The diagonal entry of row i is
-    one index lower and has no 1/z, or is tau itself when the family has
-    no columns to pull back (c when k = l, d when l = 0). In the d row the
-    sign twist cancels the (-1)^k that Sd- carries."""
+    """The lower wave factor divided by tau_{k,l} (see _wave_numerators)."""
     for seq in seqs:
         if not seq.is_finite:
             raise SupportError("the inverse shift field needs finite support")
-    B = bordered_table(k, seqs[0], seqs[-1])
-    b = B(k, l, alpha, beta)
-    tau = b.coeff(k)
-    if not tau:
-        raise DegenerateTauError("tau is zero", **indices)
-    n = len(seqs)
-    cols = [b, B(k - 1, l, alpha, beta),
-            B(k - 1, l - 1, alpha, beta).scale(Fraction((-1) ** k))][:n + 1]
-    # (family, sigma offset, has columns to pull back)
-    families = zip(seqs, (alpha - beta + k - l, alpha + l), (k > l, l > 0))
-    rows = [[col.shift(-k) for col in cols]]
-    for i, (seq, off, live) in enumerate(families, 1):
-        row = [_contract(col, seq, off).shift(-1) for col in cols]
-        row[i] = (_contract(cols[i], seq, off - 1) if live
-                  else LaurentPoly.const(tau))
-        rows.append(row)
-    return LaurentMatrix(rows).scale(Fraction(1) / tau)
+    wins = [_scaled_window(seq) for seq in seqs]
+    return _matrix(*_wave_numerators(k, l, alpha, beta, seqs, wins, indices))
 
 
 def _window(k: int, l: int, alpha: int, beta: int,
-            seqs: tuple[MomentSequence, ...], g_minus) -> LaurentMatrix:
+            seqs: tuple[MomentSequence, ...], indices: dict) -> LaurentMatrix:
     """Unipotent series factor (minus each family's tail series in column
-    0) times diag(z^k, z^{l-k}, z^{-l}) (cut to size) times g_minus(),
-    which is called after the tail series are built."""
-    uni = LaurentMatrix.identity(len(seqs) + 1)
-    for i, (seq, off) in enumerate(zip(seqs, (alpha - beta, alpha)), 1):
-        uni.entries[i][0] = -tail_series(seq, off)
-    twist = LaurentMatrix.diagonal_z((k, l - k, -l)[:len(seqs) + 1])
-    return uni @ (twist @ g_minus())
+    0) times diag(z^k, z^{l-k}, z^{-l}) (cut to size) times g_minus: row 0
+    is g_minus's row 0 times z^k, row i is z^{twist_i} times g_minus's row
+    i minus tail_i times row 0, an integer convolution. The tails' windows
+    are read first, so a family that is not a finite window raises their
+    SupportError before g_minus's checks."""
+    wins = [_scaled_window(seq) for seq in seqs]
+    rows, dens = _wave_numerators(k, l, alpha, beta, seqs, wins, indices)
+    top = [{e + k: c for e, c in entry.items()} for entry in rows[0]]
+    out = [top]
+    # tail_i = sum_{j >= 1} m_{off+j-1} z^{-j}, off = alpha - beta (c), alpha (d)
+    for i, (win, off, twist) in enumerate(
+            zip(wins, (alpha - beta, alpha), (l - k, -l)), 1):
+        tail = _moments_from(win, off)
+        row = []
+        for entry, above in zip(rows[i], top):
+            acc = {e + twist: c for e, c in entry.items()}
+            for j, m in enumerate(tail, 1):
+                if m:
+                    for e, c in above.items():
+                        acc[e - j] = acc.get(e - j, 0) - m * c
+            row.append({e: c for e, c in acc.items() if c})
+        out.append(row)
+    return _matrix(out, dens)
 
 
 # -- GL2 ------------------------------------------------------------------
@@ -147,7 +227,7 @@ def window_matrix_gl2(k: int, alpha: int, m: MomentSequence) -> LaurentMatrix:
     """Product of the unipotent factor [[1,0],[-tail,1]] with the twisted
     g_minus; polynomial in z (min degree >= 0) and equal to the ordered
     connection-matrix product U_0 U_1 ... U_{k-1}."""
-    return _window(k, 0, alpha, 0, (m,), lambda: g_minus_gl2(k, alpha, m))
+    return _window(k, 0, alpha, 0, (m,), {"k": k, "alpha": alpha})
 
 
 def _tau_ratio(num, den, formal: bool, what: str, **indices):
@@ -324,4 +404,4 @@ def window_matrix_gl3(k: int, l: int, alpha: int, beta: int,
         raise DegenerateTauError("tau vanishes identically for k < l",
                                  k=k, l=l, alpha=alpha, beta=beta)
     return _window(k, l, alpha, beta, (C, D),
-                   lambda: g_minus_gl3(k, l, alpha, beta, C, D))
+                   {"k": k, "l": l, "alpha": alpha, "beta": beta})

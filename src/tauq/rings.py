@@ -604,13 +604,6 @@ class LaurentMatrix:
         return cls([[LaurentPoly.const(Fraction(1)) if i == j else LaurentPoly.zero()
                      for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def diagonal_z(cls, powers: Iterable[int]) -> "LaurentMatrix":
-        powers = list(powers)
-        n = len(powers)
-        return cls([[LaurentPoly.z_pow(powers[i]) if i == j else LaurentPoly.zero()
-                     for j in range(n)] for i in range(n)])
-
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if not isinstance(other, LaurentMatrix):
             return NotImplemented

@@ -7,11 +7,13 @@ determinants; the tests require the two routes to agree. Also the numeric
 tau table one determinant per entry, which the condensation table must
 equal, two seeded windows (a random one and one with a chosen zero
 Hankel minor), and the bordered leading blocks from a Bareiss run over
-the whole [A | I], which the triangular run must equal. And the
-``MomentPoly`` renderer as it stood before it became one run-length pass,
-which the library's must match character for character, and the
-sorted-tuple ``MomentPoly`` ring itself, which the packed-exponent one
-must match operation for operation.
+the whole [A | I], which the triangular run must equal. The lower wave
+factor and window composed from Fraction Laurent series and matrix
+products, which the integer-numerator route must equal entry by entry.
+And the ``MomentPoly`` renderer as it stood before it became one
+run-length pass, which the library's must match character for character,
+and the sorted-tuple ``MomentPoly`` ring itself, which the packed-exponent
+one must match operation for operation.
 """
 from __future__ import annotations
 
@@ -19,9 +21,12 @@ from fractions import Fraction
 from itertools import chain
 from math import factorial, lcm
 
-from tauq import (DegenerateTauError, HankelForm, LaurentPoly,
+from tauq import (DegenerateTauError, HankelForm, LaurentMatrix, LaurentPoly,
                   MomentSequence, MomentSymbol, MonicPolynomial,
-                  ResourceBoundError, form_eval, tau_det)
+                  ResourceBoundError, SupportError, form_eval, tail_series,
+                  tau_det)
+from tauq.factorization import _shifted_series
+from tauq.orthopoly import bordered_table
 from tauq.rings import (_FAMILIES, _FAMILY_RANK, _FAMILY_SHIFT, _INDEX_BOUND,
                         _clean, _signed_term, _unpack, as_rational)
 
@@ -146,6 +151,95 @@ def bordered_blocks_full(rows) -> list:
             row[:] = [(x * pivot - a * y) // prev for x, y in zip(row, m[t])]
         prev = pivot
     return out
+
+
+# -- the Fraction composition of the lower wave factor and window ----------
+# As the library built them before they ran on integer numerators: every
+# sigma series a LaurentPoly of Fractions, the twist a diagonal
+# LaurentMatrix and the window two LaurentMatrix products.
+
+def _contract(b: LaurentPoly, seq: MomentSequence, n: int) -> LaurentPoly:
+    """Q[B; F, n] = sum_r b_r sigma^F_{n+r}."""
+    total = LaurentPoly.zero()
+    for r, coef in b.coeffs.items():
+        total = total + _shifted_series(n + r, seq, -1).scale(coef)
+    return total
+
+
+def diagonal_z(powers) -> LaurentMatrix:
+    """diag(z^p for p in powers)."""
+    powers = list(powers)
+    n = len(powers)
+    return LaurentMatrix([[LaurentPoly.z_pow(powers[i]) if i == j
+                           else LaurentPoly.zero() for j in range(n)]
+                          for i in range(n)])
+
+
+def _g_minus(k: int, l: int, alpha: int, beta: int,
+             seqs: tuple[MomentSequence, ...], indices: dict) -> LaurentMatrix:
+    """The (n+1) x (n+1) lower wave factor divided by tau_{k,l}, for the n
+    pull-back families seqs: (m,) with l = beta = 0 (so C = D = m), or
+    (C, D). Column j comes from B_{k,l}, B_{k-1,l} and (-1)^k B_{k-1,l-1}
+    of one bordered_table; row 0 takes each over z^k, row i contracts each
+    with family i's sigma series over z. The diagonal entry of row i is
+    one index lower and has no 1/z, or is tau itself when the family has
+    no columns to pull back (c when k = l, d when l = 0). In the d row the
+    sign twist cancels the (-1)^k that Sd- carries."""
+    for seq in seqs:
+        if not seq.is_finite:
+            raise SupportError("the inverse shift field needs finite support")
+    B = bordered_table(k, seqs[0], seqs[-1])
+    b = B(k, l, alpha, beta)
+    tau = b.coeff(k)
+    if not tau:
+        raise DegenerateTauError("tau is zero", **indices)
+    n = len(seqs)
+    cols = [b, B(k - 1, l, alpha, beta),
+            B(k - 1, l - 1, alpha, beta).scale(Fraction((-1) ** k))][:n + 1]
+    # (family, sigma offset, has columns to pull back)
+    families = zip(seqs, (alpha - beta + k - l, alpha + l), (k > l, l > 0))
+    rows = [[col.shift(-k) for col in cols]]
+    for i, (seq, off, live) in enumerate(families, 1):
+        row = [_contract(col, seq, off).shift(-1) for col in cols]
+        row[i] = (_contract(cols[i], seq, off - 1) if live
+                  else LaurentPoly.const(tau))
+        rows.append(row)
+    return LaurentMatrix(rows).scale(Fraction(1) / tau)
+
+
+def _window(k: int, l: int, alpha: int, beta: int,
+            seqs: tuple[MomentSequence, ...], g_minus) -> LaurentMatrix:
+    """Unipotent series factor (minus each family's tail series in column
+    0) times diag(z^k, z^{l-k}, z^{-l}) (cut to size) times g_minus(),
+    which is called after the tail series are built."""
+    uni = LaurentMatrix.identity(len(seqs) + 1)
+    for i, (seq, off) in enumerate(zip(seqs, (alpha - beta, alpha)), 1):
+        uni.entries[i][0] = -tail_series(seq, off)
+    twist = diagonal_z((k, l - k, -l)[:len(seqs) + 1])
+    return uni @ (twist @ g_minus())
+
+
+def g_minus_gl2(k: int, alpha: int, m: MomentSequence) -> LaurentMatrix:
+    return _g_minus(k, 0, alpha, 0, (m,), {"k": k, "alpha": alpha})
+
+
+def g_minus_gl3(k: int, l: int, alpha: int, beta: int,
+                C: MomentSequence, D: MomentSequence) -> LaurentMatrix:
+    return _g_minus(k, l, alpha, beta, (C, D),
+                    {"k": k, "l": l, "alpha": alpha, "beta": beta})
+
+
+def window_matrix_gl2(k: int, alpha: int, m: MomentSequence) -> LaurentMatrix:
+    return _window(k, 0, alpha, 0, (m,), lambda: g_minus_gl2(k, alpha, m))
+
+
+def window_matrix_gl3(k: int, l: int, alpha: int, beta: int,
+                      C: MomentSequence, D: MomentSequence) -> LaurentMatrix:
+    if k < l:
+        raise DegenerateTauError("tau vanishes identically for k < l",
+                                 k=k, l=l, alpha=alpha, beta=beta)
+    return _window(k, l, alpha, beta, (C, D),
+                   lambda: g_minus_gl3(k, l, alpha, beta, C, D))
 
 
 def moment_poly_str(self) -> str:

@@ -36,6 +36,7 @@ from tauq.tau_gl3 import block_hankel_rows
 
 from formal_shift import (ShiftEndomorphism, apply_shift, formal_g_minus_gl2,
                           formal_g_minus_gl3)
+import reference
 from reference import seeded_window
 
 SP = ShiftEndomorphism("c", 1)
@@ -405,3 +406,143 @@ def test_windows_take_no_bordered_determinant_of_their_own(monkeypatch, seed):
                            for ll in (max(l - 1, 0), l))
                 window_matrix_gl3(k, l, a, b, C, D)
     assert not calls
+
+
+# -- the integer-numerator route against the Fraction composition ----------
+
+def _draw_window(rng):
+    """Negative lo, 30-60% zeros, and a length of one value, a few values
+    (so sigma offsets run past the top) or up to 13; half the draws have
+    3-digit denominators, whose lcm over a window is large."""
+    lo = rng.randint(-5, 1)
+    length = rng.choice((1, rng.randint(2, 5), rng.randint(6, 13)))
+    big = rng.random() < 0.5
+    return seeded_window(rng, lo, lo + length - 1, num=999 if big else 9,
+                         den=999 if big else 9,
+                         zeros=rng.choice((0.3, 0.45, 0.6)))
+
+
+def _past_top(m, *offsets):
+    """Some sigma or tail offset lies above the window's last nonzero value."""
+    sup = m.support()
+    return sup is None or max(offsets) > sup[1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_factors_match_the_fraction_route(seed):
+    rng = random.Random(seed)
+    seen = {"value": 0, "error": 0, "past-top": 0, "k=0": 0, "l=0": 0,
+            "k=l": 0, "one-value": 0}
+
+    def check(lib, ref, *args, offsets=(), seqs=()):
+        got = _outcome(lib, *args)
+        assert got == _outcome(ref, *args), (lib.__name__, args)
+        if isinstance(got, tuple):
+            seen["error"] += 1
+            return
+        seen["value"] += 1
+        seen["past-top"] += any(_past_top(s, *offsets) for s in seqs)
+        seen["one-value"] += any(len(s.values) == 1 for s in seqs)
+
+    for _ in range(12):
+        m, C, D = (_draw_window(rng) for _ in range(3))
+        a, b = rng.randint(-2, 2), rng.randint(-1, 1)
+        for k in range(5):
+            check(g_minus_gl2, reference.g_minus_gl2, k, a, m,
+                  offsets=(a + k,), seqs=(m,))
+            check(window_matrix_gl2, reference.window_matrix_gl2, k, a, m,
+                  offsets=(a + k, a), seqs=(m,))
+            for l in range(k + 2):
+                before = seen["value"]
+                check(g_minus_gl3, reference.g_minus_gl3, k, l, a, b, C, D,
+                      offsets=(a - b + k - l, a + l), seqs=(C, D))
+                check(window_matrix_gl3, reference.window_matrix_gl3,
+                      k, l, a, b, C, D,
+                      offsets=(a - b + k - l, a + l, a - b, a), seqs=(C, D))
+                if seen["value"] > before:
+                    seen["k=0"] += k == 0
+                    seen["l=0"] += l == 0
+                    seen["k=l"] += k == l
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_g_minus_matches_the_formal_route(seed):
+    # the formal route expands every shifted tau (k! monomials): k <= 3
+    rng = random.Random(100 + seed)
+    evaluated = 0
+    for _ in range(4):
+        m, C, D = (_draw_window(rng) for _ in range(3))
+        a, b = rng.randint(-2, 2), rng.randint(-1, 1)
+        for k in range(4):
+            got = _outcome(g_minus_gl2, k, a, m)
+            assert got == _outcome(formal_g_minus_gl2, k, a, m), (k, a, m)
+            evaluated += not isinstance(got, tuple)
+            for l in range(k + 1):
+                args = (k, l, a, b, C, D)
+                got = _outcome(g_minus_gl3, *args)
+                assert got == _outcome(formal_g_minus_gl3, *args), args
+                evaluated += not isinstance(got, tuple)
+    assert evaluated > 0
+
+
+def test_one_value_window_factors():
+    # m = 3 at index 1: tau_1^(1) = 3, B_1 = 3z, and the c row's sigma
+    # offset, 2, lies past the top of the window, so its series is empty
+    m = MomentSequence.window(1, [Fraction(3)])
+    one, zero = LaurentPoly.const(Fraction(1)), LaurentPoly.zero()
+    third = LaurentPoly.z_pow(-1, Fraction(1, 3))
+    g = g_minus_gl2(1, 1, m)
+    assert g.entries == [[one, third], [zero, one]]
+    assert g == reference.g_minus_gl2(1, 1, m) == formal_g_minus_gl2(1, 1, m)
+    # z^1 row 0, z^-1 row 1 minus tail 3 z^-1 times row 0
+    w = window_matrix_gl2(1, 1, m)
+    assert w == reference.window_matrix_gl2(1, 1, m)
+    assert w.entries == [[LaurentPoly.z_pow(1), LaurentPoly.const(Fraction(1, 3))],
+                         [LaurentPoly.const(Fraction(-3)), zero]]
+
+
+def test_factor_error_precedence(catalan, formal_d):
+    rng = random.Random(7)
+    C, D = (seeded_window(rng, -2, 9, num=9, den=9) for _ in range(2))
+    zero_tau = MomentSequence.window(0, [Fraction(0), Fraction(1), Fraction(2)])
+    named = "support of a named sequence is not finite"
+    formal = "support of a formal sequence is not finite"
+    inverse = "the inverse shift field needs finite support"
+    cases = [
+        # the tails come first, then g_minus's finite-support check
+        (window_matrix_gl2, (1, 0, catalan), (SupportError, named, None)),
+        (g_minus_gl2, (1, 0, catalan), (SupportError, inverse, None)),
+        (window_matrix_gl3, (2, 1, 0, 0, C, catalan),
+         (SupportError, named, None)),
+        (window_matrix_gl3, (2, 1, 0, 0, formal_d, catalan),
+         (SupportError, formal, None)),
+        (g_minus_gl3, (2, 1, 0, 0, C, catalan), (SupportError, inverse, None)),
+        # a zero tau beside a named family: the support check wins
+        (window_matrix_gl3, (1, 0, 0, 0, zero_tau, catalan),
+         (SupportError, named, None)),
+        (g_minus_gl3, (1, 0, 0, 0, zero_tau, catalan),
+         (SupportError, inverse, None)),
+        # then a zero tau, with the entry point's indices
+        (window_matrix_gl2, (1, 0, zero_tau),
+         (DegenerateTauError, "tau is zero at {'k': 1, 'alpha': 0}",
+          {"k": 1, "alpha": 0})),
+        (g_minus_gl3, (1, 0, 0, 0, zero_tau, D),
+         (DegenerateTauError,
+          "tau is zero at {'k': 1, 'l': 0, 'alpha': 0, 'beta': 0}",
+          {"k": 1, "l": 0, "alpha": 0, "beta": 0})),
+        (window_matrix_gl3, (1, 0, 0, 0, zero_tau, D),
+         (DegenerateTauError,
+          "tau is zero at {'k': 1, 'l': 0, 'alpha': 0, 'beta': 0}",
+          {"k": 1, "l": 0, "alpha": 0, "beta": 0})),
+        # k < l is refused before any family is read
+        (window_matrix_gl3, (1, 2, 0, 0, catalan, catalan),
+         (DegenerateTauError,
+          "tau vanishes identically for k < l at "
+          "{'k': 1, 'l': 2, 'alpha': 0, 'beta': 0}",
+          {"k": 1, "l": 2, "alpha": 0, "beta": 0})),
+    ]
+    ref = {fn: getattr(reference, fn.__name__) for fn, *_ in cases}
+    for fn, args, want in cases:
+        assert _outcome(fn, *args) == _outcome(ref[fn], *args) == want, \
+            (fn.__name__, args)

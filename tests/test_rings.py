@@ -19,7 +19,7 @@ from tauq.rings import (as_rational, bordered_cofactors, det_cofactor,
                         leading_minors)
 from tauq.tau_gl3 import block_hankel_rows
 
-from reference import moment_poly_str
+from reference import diagonal_z, moment_poly_str
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 symbols = st.builds(MomentSymbol,
@@ -405,7 +405,7 @@ def test_moment_poly_str_edges():
 def test_matrix_identity_and_diagonal():
     one = LaurentPoly.const(Fraction(1))
     eye = LaurentMatrix.identity(2)
-    d = LaurentMatrix.diagonal_z([1, -1])
+    d = diagonal_z([1, -1])
     assert eye @ d == d
     assert d.entries[0][0] == LaurentPoly.z_pow(1)
     assert d.entries[1][1] == LaurentPoly.z_pow(-1)
