@@ -8,11 +8,11 @@ gives the monic polynomial orthogonal to all lower powers of one form.
 
 ``bordered_table`` memoizes B_{k,l} keyed (k, l, alpha, beta) and takes an
 (l, alpha, beta) column's degrees from one ``leading_blocks`` run: for
-numeric moments one no-swap elimination, O(K^3) where one per degree
-costs O(K^4), with the degrees past a zero leading minor built one at a
-time. ``monic_op`` and ``mop_type2`` read B_{k,l} from the table they are
-given, or from a fresh one; ``opgen``, ``recurrence``, ``mop`` and both
-verifiers pass one table for all their degrees.
+numeric moments one elimination that swaps rows past a zero pivot,
+O(K^3) where one per degree costs O(K^4). ``monic_op`` and ``mop_type2``
+read B_{k,l} from the table they are given, or from a fresh one;
+``opgen``, ``recurrence``, ``mop`` and both verifiers pass one table for
+all their degrees.
 
 The verifiers pair each polynomial f with the powers z^n in one integer
 pass (``form_pairings``: f and the moments it meets scaled to integers
@@ -35,8 +35,9 @@ from operator import mul
 from .errors import DegenerateTauError
 from .moments import MomentSequence
 from .report import VerificationReport
-from .rings import LaurentPoly, _integer_rows, _numeric, bordered_cofactors
-from .tau_gl3 import TauTable, block_hankel_rows, block_sign_odd, leading_blocks
+from .rings import (_ZERO, LaurentPoly, _integer_rows, _numeric,
+                    leading_minors)
+from .tau_gl3 import TauTable, block_hankel_rows, leading_blocks, signed_columns
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ class MonicPolynomial:
         return len(self.coeffs) - 1
 
     def coeff(self, n: int):
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else Fraction(0)
+        return self.coeffs[n] if 0 <= n < len(self.coeffs) else _ZERO
 
     def as_laurent(self) -> LaurentPoly:
         return LaurentPoly({e: c for e, c in enumerate(self.coeffs)})
@@ -232,24 +233,22 @@ def mop_bordered_poly(k: int, l: int, alpha: int, beta: int,
     """z^k Sc+ Sd+ tau_{k,l}: the (k+1) x (k+1) bordered block determinant
     (l d-columns, then k-l c-columns, last column 1, z, ..., z^k) with the
     E=0 sign. Its coefficients are the last-column cofactors of the
-    (k+1) x k block body, all from one elimination. Degree-k polynomial
-    with leading coefficient tau_{k,l}; 0 outside 0 <= l <= k, as tau is."""
+    (k+1) x k block body: the last block of one ``leading_minors`` run.
+    Degree-k polynomial with leading coefficient tau_{k,l}; 0 outside
+    0 <= l <= k, as tau is."""
     if l < 0 or k < l:
         return LaurentPoly.zero()
-    rows = block_hankel_rows(k + 1, k, l, alpha, beta, C, D)
-    cofactors = bordered_cofactors(rows)
-    if block_sign_odd(k, l):
-        cofactors = [-c for c in cofactors]
-    return LaurentPoly(dict(enumerate(cofactors)))
+    rows = signed_columns(block_hankel_rows(k + 1, k, l, alpha, beta, C, D),
+                          k, l)
+    return LaurentPoly(dict(enumerate(leading_minors(rows, bordered=True)[-1])))
 
 
 def bordered_table(k_max: int, C: MomentSequence,
                    D: MomentSequence) -> TauTable:
     """A memo of B_{k,l} (``mop_bordered_poly``) keyed (k, l, alpha, beta):
     each (l, alpha, beta) column's degrees -1..k_max come from
-    leading_blocks, and every degree it leaves out is one mop_bordered_poly
-    call when asked for, so a caller that stops at a zero tau reads and
-    raises as it would one degree at a time."""
+    leading_blocks, and a degree past k_max, or in a column whose moments
+    cannot be read, is one mop_bordered_poly call when asked for."""
     return TauTable(mop_bordered_poly, C, D, column=partial(
         leading_blocks, (-1, k_max), C=C, D=D, bordered=True))
 

@@ -14,15 +14,16 @@ Three coefficient domains are used throughout:
 coefficients only need +, *, unary -, ==, and truthiness (zero is falsy).
 All values are immutable after construction; every operation is pure.
 
-Determinants take one of two kernels. Numeric entries run Bareiss
-elimination on Python ints (``det_bareiss``, and without row swaps
-``leading_minors``, whose pivots are every leading minor at once).
-Entries that mix numbers and MomentPoly run the Laplace subset kernel
-(``_laplace``) on plain term dicts keyed on one basis for the whole
-matrix, building a MomentPoly only for the minors a caller reads; one
-run gives a matrix's determinant, every leading minor, or every bordered
-cofactor of each leading block. No other ring has a determinant kernel:
-``LaurentMatrix.det`` (order 2 or 3) is a cofactor expansion.
+Determinants take one of two kernels. Numeric entries run one Bareiss
+elimination on Python ints that swaps rows past a zero pivot
+(``_eliminate``): ``det_bareiss`` reads its last pivot, and
+``leading_minors`` every row, for every leading minor or every bordered
+cofactor of each leading block. Entries that mix numbers and MomentPoly
+run the Laplace subset kernel (``_laplace``) on plain term dicts keyed on
+one basis for the whole matrix, building a MomentPoly only for the minors
+a caller reads; one run gives the same three. No other ring has a
+determinant kernel: ``LaurentMatrix.det`` (order 2 or 3) is a cofactor
+expansion.
 """
 from __future__ import annotations
 
@@ -35,6 +36,9 @@ from operator import or_
 from typing import Iterable, NamedTuple
 
 from .errors import ResourceBoundError
+
+
+_ZERO = Fraction(0)
 
 
 def as_rational(x) -> Fraction:
@@ -549,7 +553,7 @@ class LaurentPoly:
         return max(self.coeffs) if self.coeffs else None
 
     def coeff(self, e: int):
-        return self.coeffs.get(e, Fraction(0))
+        return self.coeffs.get(e, _ZERO)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -668,66 +672,75 @@ def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:
     return out, scales
 
 
-def _eliminate(m: list[list[int]], steps: int, swaps: bool = True,
-               grow: bool = False) -> int:
-    """Run ``steps`` Bareiss steps in place on integer rows, dividing
-    exactly by the previous pivot. After t steps, entry (i, j) with
-    i, j >= t is the determinant of the leading t x t block bordered by
-    row i and column j (Sylvester's identity), so until a row swap the
-    pivot m[t][t] is the leading (t+1) x (t+1) minor.
+def _eliminate(m: list[list[int]], perm: list[int] | None = None):
+    """Bareiss elimination in place on integer rows, one step per row but
+    the last, dividing exactly by the previous pivot. Yields once per row
+    t, after t steps and before step t: the sign of row t.
 
-    With ``grow`` (and no swaps), each row below the pivot row also gains
-    one entry per step, -a for its pivot-column entry a: the rows then
-    carry the run's identity block in triangular form (see
-    ``leading_minors``).
+    After t steps entry (i, j) with i, j >= t is the determinant of the
+    leading t x t block bordered by row i and column j (Sylvester's
+    identity), so the sign times m[t][t] is the leading (t+1) x (t+1)
+    minor. A zero pivot at step t swaps in the first row r below it with
+    a nonzero entry in column t, flipping the sign. Rows t..r-1 have no
+    such entry, so the first t+1 columns of rows 0..r-1 have rank t, and
+    every leading minor or bordered block within those rows that holds
+    those columns is 0: rows t+1..r-1 yield sign 0 (``reach`` is the
+    farthest swap so far). With no such row the run ends, and every later
+    minor is 0 too.
 
-    Returns the sign of the row swaps, or 0 when the run stops early: at a
-    pivot column with no nonzero entry on or below the diagonal (then
-    every minor that the remaining steps would produce is 0), or, without
-    ``swaps``, at the first zero pivot.
+    With ``perm``, the original index of each row, swapped with the rows,
+    each row below the pivot row also gains one entry per step, -a for
+    its pivot-column entry a: the rows then carry the run's identity
+    block in triangular form (see ``leading_minors``).
     """
-    sign, prev = 1, 1
-    for t in range(steps):
+    sign, prev, reach = 1, 1, 0
+    for t in range(len(m)):
+        yield sign if reach <= t else 0
+        if t == len(m) - 1:
+            return
         if not m[t][t]:
-            if not swaps:
-                return 0
-            for r in range(t + 1, len(m)):
-                if m[r][t]:
-                    m[t], m[r] = m[r], m[t]
-                    sign = -sign
-                    break
-            else:
-                return 0
+            r = next((r for r in range(t + 1, len(m)) if m[r][t]), 0)
+            if not r:
+                return
+            m[t], m[r] = m[r], m[t]
+            if perm is not None:
+                perm[t], perm[r] = perm[r], perm[t]
+            sign, reach = -sign, max(reach, r)
         pivot = m[t][t]
         tail = m[t][t + 1:]
         for row in m[t + 1:]:
             a = row[t]
             row[t + 1:] = [(x * pivot - a * y) // prev
                            for x, y in zip(row[t + 1:], tail)]
-            if grow:
+            if perm is not None:
                 row.append(-a)
         prev = pivot
-    return sign
 
 
 def leading_minors(rows, bordered: bool = False) -> list:
-    """The leading minors of orders 0, 1, ... of a square matrix. With
-    ``bordered``, rows is an (n+1) x n body A and entry t is
-    bordered_cofactors of A's leading (t+1) x t block, up to t = n.
+    """The leading minors of orders 0, 1, ..., n of an n x n matrix. With
+    ``bordered``, rows is an (n+1) x n body A, and entry t, up to t = n,
+    lists the t+1 last-column cofactors (-1)^(r+t) det(A_t without row r)
+    of A's leading (t+1) x t block A_t: the coefficients of the
+    determinant of A_t bordered by one more column.
 
-    Numeric rows take one Bareiss run without row swaps, over [A | I]
-    when bordered: entry t is row t's identity block. Both stop at the
-    first zero pivot, which only the minors include. The identity block
-    is never stored whole: after t steps row r's block is zero outside
-    columns 0..t-1 and its own column r, which holds the last pivot. So
-    each row starts with no identity columns and gains column t at step t
-    (``_eliminate``'s ``grow``).
+    Numeric rows take one Bareiss run (``_eliminate``), over [A | I] when
+    bordered: minor t+1 is row t's pivot, and block t row t's identity
+    block, each times the row's sign and over the row scales of rows
+    0..t. The identity block is never stored whole: after t steps row
+    r's block is zero outside columns 0..t-1 and its own column r, which
+    holds the last pivot. So each row starts with no identity columns and
+    gains column t at step t, and compact column s belongs to original
+    row perm[s].
 
-    MomentPoly rows take one Laplace run and never stop early. Placing
-    the rows, the minor of order t is the mask (1 << t) - 1 after t rows;
-    placing the body's columns, block t's minors are the masks that miss
-    one of rows 0..t after t columns."""
-    n = len(rows[0]) if rows else 0
+    MomentPoly rows take one Laplace run. Placing the rows, the minor of
+    order t is the mask (1 << t) - 1 after t rows; placing the body's
+    columns, block t's minors are the masks that miss one of rows 0..t
+    after t columns."""
+    n = len(rows) - bordered
+    if n < 0 or any(len(row) != n for row in rows):
+        raise ValueError("leading_minors takes an n x n matrix or, "
+                         "bordered, an (n+1) x n body")
     if not _numeric(rows):
         minors = _laplace(list(zip(*rows)) if bordered else rows,
                           {t: _bordered_masks(t) if bordered
@@ -735,26 +748,32 @@ def leading_minors(rows, bordered: bool = False) -> list:
         return [_cofactor_signs(minors[t]) if bordered else minors[t][0]
                 for t in range(n + 1)]
     m, scales = _integer_rows(rows)
-    _eliminate(m, n, swaps=False, grow=bordered)
-    out, total, prev = [] if bordered else [Fraction(1)], 1, 1
-    for t, (row, scale) in enumerate(zip(m, scales)):
-        total *= scale
-        out.append([Fraction(v * s, total) for v, s in
-                    zip(row[n:] + [prev], scales)] if bordered
-                   else Fraction(row[t], total))
-        if t == n or not row[t]:
-            break
-        prev = row[t]
-    return out
+    perm = list(range(n + 1)) if bordered else None
+    out, total = [], 1
+    for t, sign in enumerate(_eliminate(m, perm)):
+        row = m[t]
+        total *= scales[t]
+        if bordered:
+            block = [_ZERO] * (t + 1)
+            if sign:
+                for q, v in zip(perm, row[n:] + [m[t - 1][t - 1] if t else 1]):
+                    block[q] = Fraction(sign * v * scales[q], total)
+            out.append(block)
+        else:
+            out.append(Fraction(sign * row[t], total))
+    # a run that ends early leaves every later minor and block 0
+    out += [[_ZERO] * (t + 1) if bordered else _ZERO
+            for t in range(len(out), len(m))]
+    return out if bordered else [Fraction(1), *out]
 
 
 def det_bareiss(rows: list[list[Fraction]]) -> Fraction:
     """Fraction-free (Bareiss) determinant for exact numeric entries.
 
-    Each row is scaled to integers by the lcm of its denominators and the
-    elimination runs on Python ints with exact division; one Fraction is
-    built at the end. Row swaps flip the sign; a zero pivot column means
-    a zero determinant.
+    Each row is scaled to integers by the lcm of its denominators and
+    ``_eliminate`` runs on Python ints with exact division: the
+    determinant is the last row's sign times its pivot, one Fraction over
+    the product of the row scales, and 0 when the run ends early.
     """
     n = len(rows)
     if n == 0:
@@ -762,10 +781,10 @@ def det_bareiss(rows: list[list[Fraction]]) -> Fraction:
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
     m, scales = _integer_rows(rows)
-    sign = _eliminate(m, n - 1)
-    if not sign:
+    signs = list(_eliminate(m))
+    if len(signs) < n:
         return Fraction(0)
-    return Fraction(sign * m[n - 1][n - 1], prod(scales))
+    return Fraction(signs[-1] * m[-1][-1], prod(scales))
 
 
 def _det_cofactor_generic(rows, zero):
@@ -887,35 +906,6 @@ def det(rows):
 
 def _numeric(rows) -> bool:
     return all(isinstance(x, (int, Fraction)) for row in rows for x in row)
-
-
-def bordered_cofactors(rows) -> list:
-    """The k+1 last-column cofactors (-1)^(r+k) det(A without row r) of a
-    (k+1) x k body A: the coefficients of the determinant of A bordered by
-    one more column.
-
-    Numeric bodies take one integer elimination of [A | I_{k+1}]: after k
-    Bareiss steps the last row's identity block holds every cofactor,
-    times the swap sign and the row scales of the other rows. A pivot
-    column with no nonzero entry means A has rank below k, so every
-    cofactor is 0. MomentPoly bodies run the Laplace kernel over the k
-    columns: its masks that miss one of the k+1 rows hold every minor at
-    once.
-    """
-    k = len(rows) - 1
-    if k < 0 or any(len(row) != k for row in rows):
-        raise ValueError("bordered body must be (k+1) x k")
-    if not _numeric(rows):
-        return _cofactor_signs(_laplace(list(zip(*rows)),
-                                        {k: _bordered_masks(k)})[k])
-    m, scales = _integer_rows(rows)
-    for r, row in enumerate(m):
-        row.extend(int(c == r) for c in range(k + 1))
-    sign = _eliminate(m, k)
-    if not sign:
-        return [Fraction(0)] * (k + 1)
-    total = prod(scales)
-    return [Fraction(sign * v * s, total) for v, s in zip(m[k][k:], scales)]
 
 
 def _bordered_masks(k: int) -> list[int]:

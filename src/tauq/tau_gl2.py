@@ -6,10 +6,9 @@ tau_k^(a) tau_{k-2}^(a+2) = tau_{k-1}^(a+2) tau_{k-1}^(a) - (tau_{k-1}^(a+1))^2.
 determinant. The relation's verifiers read tau from one memoized table per
 call (``tau_table``), never from the relation they check. A table
 takes an alpha's tau_1..tau_K from ``leading_blocks``, the leading minors
-of one run: for numeric moments a no-swap elimination, O(K^3) where one
-tau_det per entry costs O(K^4), and only the entries past a zero minor
-are one tau_det each; for formal ones a single Laplace run, the cost of
-tau_K alone.
+of one run: for numeric moments one elimination that swaps rows past a
+zero pivot, O(K^3) where one tau_det per entry costs O(K^4); for formal
+ones a single Laplace run, the cost of tau_K alone.
 
 ``condensation_table`` runs that relation as an algorithm (Dodgson's
 condensation, the Desnanot-Jacobi identity the Q-system is proved by) for
@@ -43,7 +42,8 @@ def tau_det(k: int, alpha: int, m: MomentSequence):
 def tau_table(m: MomentSequence, orders=None) -> TauTable:
     """A memo of tau_k^(alpha) over m. Given orders(alpha), the lowest and
     highest k its caller reads at alpha, each alpha is first filled by
-    leading_blocks; every entry it leaves out is one tau_det call."""
+    leading_blocks; every other entry (all of them without orders, or a
+    column whose moments cannot be read) is one tau_det call."""
     return TauTable(tau_det, m, column=None if orders is None else
                     lambda a: leading_blocks(orders(a), 0, a, 0, m, m))
 

@@ -24,12 +24,14 @@ tests; it is not proven here.
 M_ij depends only on (i, j), so whether E is zero or not the k >= l
 matrices of k = l..K at one (l, alpha, beta) are the leading blocks of
 the order-K one: ``leading_blocks`` reads every tau_{k,l} of that column,
-or with E = 0 every B_{k,l}, from one ``leading_minors`` run, a no-swap
-elimination for numeric moments and one Laplace run for formal ones.
-``tau3_table`` and ``orthopoly.bordered_table`` memoize both in a
-``TauTable``, leaving to tau3_det (or B's ``mop_bordered_poly``) one at a
-time the entries past a numeric zero minor and, with E != 0, the taus
-with 0 <= k < l.
+or with E = 0 every B_{k,l}, from one ``leading_minors`` run, an
+elimination that swaps rows past a zero pivot for numeric moments and
+one Laplace run for formal ones. The sign is applied once, to column 0
+of the rows (``signed_columns``). ``tau3_table`` and
+``orthopoly.bordered_table`` memoize both in a ``TauTable``, leaving to
+tau3_det (or B's ``mop_bordered_poly``) one at a time only the keys
+outside a column's k range, the columns whose moments cannot be read
+and, with E != 0, the taus with 0 <= k < l.
 
 The reference the closed form is tested against is the general residue
 formula (``tau3_residue``). It sums, over kernel splittings (n_c, n_d, n_e)
@@ -230,6 +232,17 @@ def block_sign_odd(k: int, l: int) -> bool:
     return flips % 2 == 1
 
 
+def signed_columns(rows: list[list], k: int, l: int) -> list[list]:
+    """rows, with column 0 negated in place when ``block_sign_odd(k, l)``.
+    Every leading minor and bordered block with a column then carries
+    tau's sign; the sign is odd only when l >= 1, so each one read at
+    k >= l has a column."""
+    if block_sign_odd(k, l):
+        for row in rows:
+            row[0] = -row[0]
+    return rows
+
+
 def block_hankel_rows(n_rows: int, k: int, l: int, alpha: int, beta: int,
                       C: MomentSequence, D: MomentSequence,
                       E: MomentSequence | None = None) -> list[list]:
@@ -296,11 +309,10 @@ def leading_blocks(k_range: tuple[int, int], l: int, alpha: int, beta: int,
     """The column at one (l, alpha, beta): k -> tau_{k,l}, or with
     ``bordered`` (E = 0 only) k -> B_{k,l}, for the k that take no
     determinant of their own: the boundary zeros of k_range (k < 0,
-    l < 0, and k < l when E = 0), then k = l, l+1, ... up to k_hi from
-    ``leading_minors`` of the order-k_hi matrix or body, which for numeric
-    moments stops at the first zero minor. Boundary entries only when a
-    moment cannot be read or, with E != 0, a family is not a finite
-    window."""
+    l < 0, and k < l when E = 0), then every k = l, l+1, ... up to k_hi
+    from ``leading_minors`` of the order-k_hi matrix or body. Boundary
+    entries only when a moment cannot be read or, with E != 0, a family
+    is not a finite window."""
     k_lo, k_hi = k_range
     zero = LaurentPoly.zero() if bordered else C.ring_zero()
     e_zero = e_is_zero(E)
@@ -312,12 +324,9 @@ def leading_blocks(k_range: tuple[int, int], l: int, alpha: int, beta: int,
         rows = block_hankel_rows(k_hi + bordered, k_hi, l, alpha, beta, C, D, E)
     except (ResourceBoundError, SupportError):
         return out
-    odd = block_sign_odd(k_hi, l)
+    rows = signed_columns(rows, k_hi, l)
     for k, x in enumerate(leading_minors(rows, bordered)[l:], l):
-        if bordered:
-            out[k] = LaurentPoly(dict(enumerate([-c for c in x] if odd else x)))
-        else:
-            out[k] = -x if odd else x
+        out[k] = LaurentPoly(dict(enumerate(x))) if bordered else x
     return out
 
 

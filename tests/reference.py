@@ -6,10 +6,11 @@ Gram-Schmidt under the Hankel form. The library takes both answers from
 determinants; the tests require the two routes to agree. Also the numeric
 tau table one determinant per entry, which the condensation table must
 equal, two seeded windows (a random one and one with a chosen zero
-Hankel minor), and the bordered leading blocks from a Bareiss run over
-the whole [A | I], which the triangular run must equal. The lower wave
-factor and window composed from Fraction Laurent series and matrix
-products, which the integer-numerator route must equal entry by entry.
+Hankel minor), and the bordered leading blocks from a no-swap Bareiss
+run over the whole [A | I], which the triangular run must equal as far
+as it reaches. The lower wave factor and window composed from Fraction
+Laurent series and matrix products, which the integer-numerator route
+must equal entry by entry.
 And the ``MomentPoly`` renderer as it stood before it became one
 run-length pass, which the library's must match character for character,
 and the sorted-tuple ``MomentPoly`` ring itself, which the packed-exponent
@@ -129,11 +130,11 @@ def forced_zero_window(rng, k, alpha):
 
 
 def bordered_blocks_full(rows) -> list:
-    """bordered_cofactors of the leading (t+1) x t blocks of an (n+1) x n
-    numeric body A, t = 0, 1, ..., from one no-swap Bareiss run over all
-    of [A | I_{n+1}]: after t steps row t's identity block holds block t's
-    cofactors times the row scales of the other rows. Stops after the
-    first t whose pivot is zero, or at t = n."""
+    """The last-column cofactors of the leading (t+1) x t blocks of an
+    (n+1) x n numeric body A, t = 0, 1, ..., from one no-swap Bareiss run
+    over all of [A | I_{n+1}]: after t steps row t's identity block holds
+    block t's cofactors times the row scales of the other rows. Stops
+    after the first t whose pivot is zero, or at t = n."""
     n = len(rows[0]) if rows else 0
     scales = [lcm(*[Fraction(x).denominator for x in row]) for row in rows]
     m = [[int(Fraction(x) * s) for x in row] + [int(c == r) for c in range(n + 1)]

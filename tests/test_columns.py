@@ -1,11 +1,11 @@
-"""One no-swap elimination per column against one determinant per entry.
+"""One swapping elimination per column against one determinant per entry.
 
 ``leading_blocks`` reads every tau_{k,l} or B_{k,l} at one (l, alpha,
 beta) from a single Bareiss run, and ``tau_table`` and ``bordered_table``
 memoize it; ``tau_det``, ``tau3_det`` and ``mop_bordered_poly`` take one
 elimination per entry, and ``monic_op`` and ``mop_type2`` read only a
 table. They must agree everywhere, including past a zero leading minor,
-where the column leaves the remaining entries to the per-entry routes.
+where the run swaps rows and the column still holds every entry.
 """
 import random
 from fractions import Fraction
@@ -19,7 +19,7 @@ from tauq import (DegenerateTauError, HankelForm, LaurentPoly, MomentPoly,
                   form_eval, monic_op, mop_bordered_poly, mop_type2,
                   tau3_det, tau_det)
 from tauq.orthopoly import bordered_table
-from tauq.rings import bordered_cofactors, det, leading_minors
+from tauq.rings import det, leading_minors
 from tauq.tau_gl2 import tau_table
 from tauq.tau_gl3 import block_hankel_rows, leading_blocks
 
@@ -47,9 +47,11 @@ SOURCES = _sources()
 SOURCE_IDS = [s[0] for s in SOURCES]
 
 
-def _first_zero(minor, K: int):
-    """The smallest order k in 1..K with minor(k) = 0, or None."""
-    return next((k for k in range(1, K + 1) if not minor(k)), None)
+def _block_by_det(rows, t: int) -> list:
+    """Block t of a body, one determinant per cofactor."""
+    block = [r[:t] for r in rows[:t + 1]]
+    return [(-1) ** (r + t) * det(block[:r] + block[r + 1:])
+            for r in range(t + 1)]
 
 
 def test_leading_minors_are_leading_determinants():
@@ -60,14 +62,10 @@ def test_leading_minors_are_leading_determinants():
                      else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                      for _ in range(n)] for _ in range(n + 1)]
             minors = [det([r[:k] for r in rows[:k]]) for k in range(n + 1)]
-            blocks = [bordered_cofactors([r[:t] for r in rows[:t + 1]])
-                      for t in range(n + 1)]
-            z = _first_zero(minors.__getitem__, n)
-            # the minors up to the first zero one; the bordered rows up to
-            # the last block whose own minor is nonzero
-            assert leading_minors(rows[:n]) == (minors if z is None
-                                                else minors[:z + 1])
-            assert leading_minors(rows, bordered=True) == blocks[:z]
+            blocks = [_block_by_det(rows, t) for t in range(n + 1)]
+            # every minor and block, past a zero minor too
+            assert leading_minors(rows[:n]) == minors
+            assert leading_minors(rows, bordered=True) == blocks
 
 
 def _bodies():
@@ -101,33 +99,43 @@ def _bodies():
 
 def test_triangular_bordered_run_matches_full_identity_run():
     # the run keeps only the identity columns that can be nonzero; the
-    # reference eliminates every column of [A | I]
+    # reference eliminates every column of [A | I] without swaps, up to
+    # its first zero pivot
     bodies = _bodies()
     assert len(bodies) > 40
     stopped = 0
     for rows in bodies:
         got = leading_minors(rows, bordered=True)
-        assert got == bordered_blocks_full(rows)
+        full = bordered_blocks_full(rows)
+        assert len(got) == len(rows)
+        assert got[:len(full)] == full
         assert all(type(c) is Fraction for block in got for c in block)
-        assert got[:10] == [bordered_cofactors([r[:t] for r in rows[:t + 1]])
+        assert got[:10] == [_block_by_det(rows, t)
                             for t in range(min(len(got), 10))]
-        stopped += len(got) < len(rows)
+        stopped += len(full) < len(rows)
     assert stopped > 10
 
 
 def test_leading_minors_edges():
     assert leading_minors([]) == [1]
     assert leading_minors([[]], bordered=True) == [[1]]
-    assert leading_minors([[0, 1], [1, 0]]) == [1, 0]
-    assert leading_minors([[0], [1]], bordered=True) == [[1]]
+    assert leading_minors([[0, 1], [1, 0]]) == [1, 0, -1]
+    # the swap takes in the body's last row
+    assert leading_minors([[0], [1]], bordered=True) == [[1], [-1, 0]]
+    # no nonzero entry below a zero pivot: every later minor is 0
+    assert leading_minors([[0, 1], [0, 2]]) == [1, 0, 0]
+    assert leading_minors([[0, 1], [0, 2], [0, 3]], bordered=True) == [
+        [1], [0, 0], [0, 0, 0]]
+    for rows in ([[1, 2]], [[1], [2]], [[1, 2], [3, 4], [5, 6], [7, 8]]):
+        with pytest.raises(ValueError):
+            leading_minors(rows)
 
 
 @pytest.mark.parametrize("name, m, alphas, K", SOURCES, ids=SOURCE_IDS)
 def test_tau_columns_match_tau_det(name, m, alphas, K):
     for a in alphas:
         col = leading_blocks((-2, K), 0, a, 0, m, m)
-        z = _first_zero(lambda k: tau_det(k, a, m), K)
-        assert sorted(col) == list(range(-2, (z or K) + 1))
+        assert sorted(col) == list(range(-2, K + 1))
         assert col == {k: tau_det(k, a, m) for k in col}
     table = tau_table(m, lambda a: (-2, K))
     assert all(table(k, a) == tau_det(k, a, m)
@@ -138,9 +146,8 @@ def test_tau_columns_match_tau_det(name, m, alphas, K):
 def test_polynomial_columns_match_per_degree(name, m, alphas, K):
     K = min(K, 14)
     for a in alphas:
-        z = _first_zero(lambda k: tau_det(k, a, m), K)
         blocks = leading_blocks((-1, K), 0, a, 0, m, m, bordered=True)
-        assert sorted(blocks) == list(range(-1, z or K + 1))
+        assert sorted(blocks) == list(range(-1, K + 1))
         bordered = bordered_table(K, m, m)
         for k in range(-1, K + 2):
             assert bordered(k, 0, a, 0) == mop_bordered_poly(k, 0, a, 0, m, m)
@@ -203,8 +210,8 @@ def _monic_of(read, b: LaurentPoly, degree: int, detail: str, **indices) -> bool
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_polynomials_past_a_zero_minor_match_per_entry(k):
-    # tau_k = 0 at alpha 1 stops the column there: the polynomials and
-    # zero-tau records past it equal the per-entry bordered determinant's
+    # tau_k = 0 at alpha 1: the column's polynomials and zero-tau records
+    # past it equal the per-entry bordered determinant's
     rng = random.Random(f"forced {k}")
     C, D = forced_zero_window(rng, k, 1), forced_zero_window(rng, k, 1)
     degenerate = 0
@@ -213,7 +220,8 @@ def test_polynomials_past_a_zero_minor_match_per_entry(k):
             degenerate += _monic_of(
                 lambda: monic_op(j, a, C), bordered_tau_poly(j, a, C), j,
                 "tau is zero; no monic orthogonal polynomial", k=j, alpha=a)
-    # l = 0 at beta = 0 is C's column and l = k D's; both stop at order k
+    # l = 0 at beta = 0 is C's column and l = k D's; both have a zero
+    # minor of order k
     for a, b in ((1, 0), (1, -1), (2, 1)):
         for j in range(k + 3):
             for l in range(min(j, k) + 2):
@@ -234,13 +242,11 @@ def test_gl3_columns_match_per_entry(l, beta, zeros):
     D = seeded_window(rng, -2, 13, num=6, den=4, zeros=zeros)
     K = 7
     for a in range(-2, 3):
-        rows = block_hankel_rows(K, K, l, a, beta, C, D)
-        z = _first_zero(lambda k: det([r[:k] for r in rows[:k]]), K)
         col = leading_blocks((-1, K), l, a, beta, C, D)
-        assert sorted(col) == [*range(-1, l), *range(l, (z or K) + 1)]
+        assert sorted(col) == list(range(-1, K + 1))
         assert col == {k: tau3_det(k, l, a, beta, C, D) for k in col}
         blocks = leading_blocks((-1, K), l, a, beta, C, D, bordered=True)
-        assert sorted(blocks) == [*range(-1, l), *range(l, z or K + 1)]
+        assert sorted(blocks) == list(range(-1, K + 1))
         assert blocks == {k: mop_bordered_poly(k, l, a, beta, C, D)
                           for k in blocks}
         bordered = bordered_table(K, C, D)

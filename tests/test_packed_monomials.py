@@ -134,16 +134,14 @@ def test_laplace_kernels_match_reference_cofactor(n, data):
     rows = [[x for x, _ in row] for row in pairs]
     refs = [[r for _, r in row] for row in pairs]
     assert as_ref(det(rows[:n])) == det_cofactor(refs[:n])
-    # numeric rows stop at the first zero pivot; MomentPoly rows never do
-    def symbolic(rows):
-        return any(isinstance(x, MomentPoly) for row in rows for x in row)
+    # numeric and MomentPoly rows alike give every minor and block
     minors = leading_minors(rows[:n])
     assert minors[0] == 1
-    assert len(minors) == n + 1 or not symbolic(rows[:n])
+    assert len(minors) == n + 1
     for t in range(1, len(minors)):
         assert as_ref(minors[t]) == det_cofactor([r[:t] for r in refs[:t]])
     bordered = leading_minors(rows, bordered=True)
-    assert len(bordered) == n + 1 or not symbolic(rows)
+    assert len(bordered) == n + 1
     for t, got in enumerate(bordered):
         body = [r[:t] for r in refs[:t + 1]]
         want = [(-1) ** (i + t) * (det_cofactor(body[:i] + body[i + 1:])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from tauq import (
     LaurentMatrix,
     LaurentPoly,
     MomentPoly,
+    MomentSequence,
     MomentSymbol,
     ResourceBoundError,
     RingFraction,
@@ -15,11 +17,10 @@ from tauq import (
     tau_det,
 )
 from tauq import rings
-from tauq.rings import (as_rational, bordered_cofactors, det_cofactor,
-                        leading_minors)
+from tauq.rings import _eliminate, as_rational, det_cofactor, leading_minors
 from tauq.tau_gl3 import block_hankel_rows
 
-from reference import diagonal_z, moment_poly_str
+from reference import diagonal_z, moment_poly_str, seeded_window
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 symbols = st.builds(MomentSymbol,
@@ -251,7 +252,7 @@ def test_symbolic_det_never_calls_cofactor(monkeypatch, formal_c, formal_d):
     monkeypatch.setattr(rings, "det_cofactor", counting)
     rows = block_hankel_rows(5, 4, 2, 0, 1, formal_c, formal_d)
     assert det(rows[:4]) and tau_det(5, 0, formal_c)
-    assert all(bordered_cofactors(rows))
+    assert all(last_block(rows))
     assert calls == []
 
 
@@ -293,12 +294,17 @@ def per_minor_cofactors(rows):
             for r in range(k + 1)]
 
 
+def last_block(rows):
+    """The k+1 last-column cofactors of a (k+1) x k body."""
+    return leading_minors(rows, bordered=True)[-1]
+
+
 @settings(deadline=None)
 @given(st.integers(0, 5), st.booleans(), st.data())
 def test_bordered_cofactors_match_minors(k, symbolic, data):
     pick = mixed_entries if symbolic else entries
     rows = [[data.draw(pick) for _ in range(k)] for _ in range(k + 1)]
-    assert bordered_cofactors(rows) == per_minor_cofactors(rows)
+    assert last_block(rows) == per_minor_cofactors(rows)
 
 
 @pytest.mark.parametrize("k_hi", range(7))
@@ -317,37 +323,100 @@ def test_formal_leading_minors_match_cofactor(k_hi, formal_c, formal_d,
                 for t in range(k_hi + 1)]
 
 
+def _run_shape(rows) -> tuple[list[int], list[int]]:
+    """The signs the swapping Bareiss run yields on rows, one per row it
+    reaches, and its final row permutation."""
+    m, _ = rings._integer_rows(rows)
+    perm = list(range(len(m)))
+    return list(_eliminate(m, perm)), perm
+
+
+def _swapping_bodies() -> list:
+    """(n+1) x n bodies whose leading minors vanish: Hankel windows with
+    negative lo and 30-85% zeros, hermite at odd alpha (a checkerboard of
+    zeros), and hand-made bodies for each way a zero pivot is met."""
+    rng = random.Random(43)
+    out = []
+    for i in range(160):
+        lo = rng.randint(-6, -1)
+        m = seeded_window(rng, lo, lo + 14, num=9, den=4,
+                          zeros=rng.choice((0.3, 0.5, 0.7, 0.85)))
+        n, a = rng.randint(1, 6), rng.randint(lo - 2, 1)
+        out.append([[m.get(a + i + j) for j in range(n)] for i in range(n + 1)])
+    hermite = MomentSequence.named("hermite")
+    out += [[[hermite.get(a + i + j) for j in range(n)] for i in range(n + 1)]
+            for a in (-1, 1, 3) for n in range(1, 7)]
+    f = Fraction
+    out += [
+        # zero pivots at steps 0 and 2; the second swaps in the last row
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0], [0, 0, 1]],
+        # the first nonzero entry of column 0 is two rows down
+        [[0, 1], [0, f(2, 3)], [3, 0]],
+        [[0, 2, 1], [0, 1, 1], [0, 1, 0], [f(1, 2), 1, 1]],
+        # column 1 is zero on and below the pivot after step 0
+        [[1, 2, 0], [2, 4, 1], [3, 6, 2], [4, 8, 5]],
+        [[0, 1], [0, 3], [0, f(1, 2)]],
+    ]
+    return out
+
+
+def test_swapping_run_matches_cofactor_expansion():
+    # every leading minor and bordered block, past every zero pivot, by
+    # one swapping run against one cofactor expansion per minor
+    seen = dict.fromkeys(("zero minor", "two zero minors", "reach",
+                          "ends early", "last row swapped in"), 0)
+    for rows in _swapping_bodies():
+        n = len(rows) - 1
+        square = rows[:n]
+        minors = [det_cofactor([r[:t] for r in square[:t]])
+                  for t in range(n + 1)]
+        assert leading_minors(square) == minors
+        assert leading_minors(rows, bordered=True) == [
+            per_minor_cofactors([r[:t] for r in rows[:t + 1]])
+            for t in range(n + 1)]
+        assert det_bareiss(square) == minors[n]
+        assert det_bareiss(rows[1:]) == det_cofactor(rows[1:])
+        zeros = minors[1:n].count(0)
+        seen["zero minor"] += zeros > 0
+        seen["two zero minors"] += zeros > 1
+        signs, perm = _run_shape(rows)
+        seen["reach"] += 0 in signs
+        seen["ends early"] += len(signs) < len(rows)
+        seen["last row swapped in"] += perm[n] != n
+    assert min(seen.values()) >= 3, seen
+
+
 def test_bordered_cofactors_edge_cases():
-    assert bordered_cofactors([[]]) == [1]
+    assert last_block([[]]) == [1]
     f = Fraction
     # rank 1 < k = 2: every 2 x 2 minor vanishes, even past the first pivot
-    assert bordered_cofactors([[f(1), f(2)], [f(2), f(4)], [f(-1), f(-2)]]) \
+    assert last_block([[f(1), f(2)], [f(2), f(4)], [f(-1), f(-2)]]) \
         == [0, 0, 0]
-    # a zero first column stops the elimination at once
-    assert bordered_cofactors([[0, 1], [0, 3], [0, f(1, 2)]]) == [0, 0, 0]
+    # a zero first column ends the elimination at once
+    assert last_block([[0, 1], [0, 3], [0, f(1, 2)]]) == [0, 0, 0]
     # zero pivots force a row swap in each of the first two steps
     swap = [[0, 0, 1], [2, 0, 1], [f(1, 2), f(1, 2), 0], [1, 2, 3]]
-    assert bordered_cofactors(swap) == per_minor_cofactors(swap)
-    assert bordered_cofactors(swap) == [f(-7, 2), f(1, 2), -4, 1]
+    assert last_block(swap) == per_minor_cofactors(swap)
+    assert last_block(swap) == [f(-7, 2), f(1, 2), -4, 1]
     with pytest.raises(ValueError):
-        bordered_cofactors([[1, 2], [3, 4]])
+        last_block([[1, 2], [3, 4]])
     with pytest.raises(ValueError):
-        bordered_cofactors([])
+        last_block([])
 
 
 def test_bordered_cofactors_moment_poly(formal_c, formal_d):
     c = [MomentPoly.symbol("c", i) for i in range(5)]
     rows = [[c[i], c[i + 1]] for i in range(3)]
-    assert bordered_cofactors(rows) == per_minor_cofactors(rows)
-    assert bordered_cofactors(rows)[2] == c[0] * c[2] - c[1] ** 2
+    assert last_block(rows) == per_minor_cofactors(rows)
+    assert last_block(rows)[2] == c[0] * c[2] - c[1] ** 2
     for k in range(1, 6):
         for l in (0, k // 2, k):
             rows = block_hankel_rows(k + 1, k, l, -1, 1, formal_c, formal_d)
-            assert bordered_cofactors(rows) == per_minor_cofactors(rows)
+            assert last_block(rows) == per_minor_cofactors(rows)
             # and with zero entries
             holes = [[MomentPoly.zero() if (i + j) % 3 == 0 else x
                       for j, x in enumerate(row)] for i, row in enumerate(rows)]
-            assert bordered_cofactors(holes) == per_minor_cofactors(holes)
+            assert last_block(holes) == per_minor_cofactors(holes)
 
 
 def test_det_edge_cases():

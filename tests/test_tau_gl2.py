@@ -223,8 +223,9 @@ VERIFIERS = pytest.mark.parametrize("verify", [
 
 def _past_zero_minor(monkeypatch, verify, m) -> set:
     """The (k, alpha) a verifier reads that lie past a zero tau_j^(alpha),
-    1 <= j < k, in their column. The reads come from a run whose table
-    takes every entry from tau3_det, which tau_det_calls does not count."""
+    1 <= j < k, in their column: the entries a run that stops at a zero
+    pivot would leave out. The reads come from a run whose table takes
+    every entry from tau3_det, which tau_det_calls does not count."""
     table = TauTable(lambda k, a, m: tau3_det(k, 0, a, 0, m, m), m)
     with monkeypatch.context() as patch:
         for module in (tauq.tau_gl2, tauq.factorization):
@@ -238,26 +239,28 @@ def _past_zero_minor(monkeypatch, verify, m) -> set:
 @pytest.mark.parametrize("source", ["catalan", "hermite"])
 def test_verifier_computes_each_tau_once(tau_det_calls, monkeypatch, request,
                                          source, verify):
+    # every tau it reads, past a zero minor too, comes from its alpha's
+    # column: none is a determinant of its own
     m = request.getfixturevalue(source)
-    expected = _past_zero_minor(monkeypatch, verify, m)
+    past = _past_zero_minor(monkeypatch, verify, m)
     report = verify(m)
-    assert report.total
-    assert sum(tau_det_calls.values()) == len(expected)
-    assert max(tau_det_calls.values(), default=1) == 1
+    assert report.total and past
+    assert not tau_det_calls
 
 
 @VERIFIERS
 @pytest.mark.parametrize("case", ["neg-lo", "zero-heavy", "forced-zero"])
 def test_verifier_determinants_only_past_zero_minor(tau_det_calls,
                                                     monkeypatch, case, verify):
-    # every other tau comes from one elimination per alpha
+    # those taus too come from the one elimination per alpha
     rng = random.Random(case)
     m = {"neg-lo": seeded_window(rng, -3, 12, num=9, den=5),
          "zero-heavy": seeded_window(rng, -2, 14, num=5, den=3, zeros=0.5),
          "forced-zero": forced_zero_window(rng, 3, 0)}[case]
-    expected = _past_zero_minor(monkeypatch, verify, m)
+    past = _past_zero_minor(monkeypatch, verify, m)
     assert verify(m).total
-    assert dict(tau_det_calls) == dict.fromkeys(expected, 1)
+    assert past or case == "neg-lo"
+    assert not tau_det_calls
 
 
 @pytest.mark.parametrize("source", ["catalan", "hermite"])

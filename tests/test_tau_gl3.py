@@ -339,7 +339,8 @@ def _past_zero_minor(key, k_hi, C, D, E=None) -> bool:
     """Whether tau_{k,l} at (alpha, beta) lies past a zero leading minor
     of order 1 <= j < k of the order-k_hi block matrix of its
     (l, alpha, beta) column (entries with l < 0 or k < l are not in a
-    column's minors)."""
+    column's minors): an entry a run that stops at a zero pivot would
+    leave out."""
     k, l, a, b = key
     if l < 0 or k < l:
         return False
@@ -349,7 +350,8 @@ def _past_zero_minor(key, k_hi, C, D, E=None) -> bool:
 
 @pytest.mark.parametrize("case", ["neg-lo", "zero-heavy", "forced-zero"])
 def test_gl3_verifier_determinants_only_past_zero_minor(tau3_det_calls, case):
-    # every other tau comes from one elimination per (l, alpha, beta)
+    # every tau, past a zero minor too, comes from one elimination per
+    # (l, alpha, beta): none is a determinant of its own
     rng = random.Random(case)
     C, D = (seeded_window(rng, -4, 9, num=9, den=5,
                           zeros=0.5 if case == "zero-heavy" else 0.0)
@@ -359,32 +361,31 @@ def test_gl3_verifier_determinants_only_past_zero_minor(tau3_det_calls, case):
     k_max, l_max, alphas, betas = 4, 3, (-1, 1), (-1, 0)
     report = verify_gl3_relations(C, D, None, k_max, l_max, alphas, betas)
     assert report.total and not report.failures
-    expected = {key for key in _relation_reads(k_max, l_max, alphas, betas)
-                if _past_zero_minor(key, k_max + 1, C, D)}
-    assert expected or case == "neg-lo"
-    assert dict(tau3_det_calls) == dict.fromkeys(expected, 1)
-    # the table `tau gl3` reads takes the same determinants, and only those
-    tau3_det_calls.clear()
+    past = {key for key in _relation_reads(k_max, l_max, alphas, betas)
+            if _past_zero_minor(key, k_max + 1, C, D)}
+    assert past
+    assert not tau3_det_calls
+    # the table `tau gl3` reads takes none either
     table = tau3_table(C, D, None, (-1, k_max + 1))
     assert all(table(*key) == tau3_det(*key, C, D) for key in
                sorted(_relation_reads(k_max, l_max, alphas, betas)))
-    assert dict(tau3_det_calls) == dict.fromkeys(expected, 1)
+    assert not tau3_det_calls
 
 
 def test_gl3_verifier_one_determinant_per_tau_with_e_or_formal(
         tau3_det_calls, formal_c, formal_d):
-    # with E != 0 the columns hold k >= l (and k < 0); a tau with
-    # 0 <= k < l, or past a zero minor, is one determinant of its own
+    # with E != 0 the columns hold k >= l (and k < 0); only a tau with
+    # 0 <= k < l is one determinant of its own
     rng = random.Random(5)
     C, D, E = (seeded_window(rng, -2, 6, num=5, den=3) for _ in range(3))
     report = verify_gl3_relations(C, D, E, 2, 1, (0, 1), (0, 0))
     assert report.total and not report.failures
     expected = {key for key in _relation_reads(2, 1, (0, 1), (0, 0))
-                if 0 <= key[0] < key[1] or _past_zero_minor(key, 3, C, D, E)}
-    assert any(0 <= key[0] < key[1] for key in expected)
+                if 0 <= key[0] < key[1]}
+    assert expected
     assert dict(tau3_det_calls) == dict.fromkeys(expected, 1)
-    # formal columns come from one Laplace run each and never stop at a
-    # zero minor, so over k = -1..k_max+1 they leave out no tau
+    # formal columns come from one Laplace run each, so over
+    # k = -1..k_max+1 they leave out no tau
     tau3_det_calls.clear()
     report = verify_gl3_relations(formal_c, formal_d, None, 1, 1, (0, 0), (0, 0))
     assert report.total and not report.failures
@@ -413,7 +414,8 @@ def _e_triple(case: str):
 @pytest.mark.parametrize("case", ["neg-lo", "zero-heavy", "forced-zero"])
 def test_e_table_matches_per_entry_det(tau3_det_calls, case):
     # one elimination per (l, alpha, beta) column gives every tau with
-    # k >= l up to its first zero minor; the rest are tau3_det's own
+    # k >= l, past a zero minor too; those with 0 <= k < l are
+    # tau3_det's own
     C, D, E = _e_triple(case)
     k_range = (-1, 5)
     keys = list(itertools.product(range(-1, 6), range(-1, 5), (-1, 0, 1),
@@ -421,15 +423,15 @@ def test_e_table_matches_per_entry_det(tau3_det_calls, case):
     table = tau3_table(C, D, E, k_range)
     assert [table(*key) for key in keys] == [tau3_det(*key, C, D, E)
                                              for key in keys]
-    expected = {key for key in keys
-                if 0 <= key[0] < key[1] or _past_zero_minor(key, 5, C, D, E)}
+    expected = {key for key in keys if 0 <= key[0] < key[1]}
     assert case != "forced-zero" or any(
-        _past_zero_minor(key, 5, C, D, E) for key in expected)
+        _past_zero_minor(key, 5, C, D, E) for key in keys)
     assert dict(tau3_det_calls) == dict.fromkeys(expected, 1)
 
 
 def test_all_zero_e_window_takes_the_e0_columns(tau3_det_calls):
-    # an all-zero e-window is E = 0: the same determinants as E = None
+    # an all-zero e-window is E = 0: no determinant of its own, as with
+    # E = None (E != 0 would take one per tau with 0 <= k < l)
     rng = random.Random(7)
     C, D = (seeded_window(rng, -3, 8, num=7, den=3, zeros=0.4)
             for _ in range(2))
@@ -440,5 +442,5 @@ def test_all_zero_e_window_takes_the_e0_columns(tau3_det_calls):
         report = verify_gl3_relations(C, D, E, *args)
         assert report.total and not report.failures
         reports.append((report.total, dict(tau3_det_calls)))
-    assert reports[0][1]
+    assert reports[0][1] == {}
     assert reports[1] == reports[2] == reports[0]
