@@ -229,8 +229,9 @@ def cmd_tau_gl2(args) -> int:
 
 def cmd_tau_gl3(args) -> int:
     C, D, E = _gl3_sources(args)
+    k_range, (_, l_hi) = _ranges(args, "k", "l")
     return _tau_table(args, ("k", "l", "alpha", "beta"),
-                      tau3_table(C, D, E, parse_range(args.k, "k")))
+                      tau3_table(C, D, E, k_range, l_hi))
 
 
 def cmd_verify_qsystem(args) -> int:

@@ -245,7 +245,7 @@ def connection_matrices_gl2(k: int, alpha: int, m: MomentSequence,
     formal = m.is_formal
     one = RingFraction(MomentPoly.one()) if formal else Fraction(1)
     if tau is None:
-        tau = tau_table(m)
+        tau = tau_table(m, lambda a: (k - 1, k + 2))
 
     tk_a, tk_a1 = tau(k, alpha), tau(k, alpha + 1)
     tk1_a, tk1_a1 = tau(k + 1, alpha), tau(k + 1, alpha + 1)
@@ -287,7 +287,7 @@ def scalar_compatibility(k: int, alpha: int, m: MomentSequence,
     - tau_{k+1}^(a-1) tau_{k+1}^(a+1)) against tau_{k+1}^2
     (tau_{k+1}^(a-1) tau_{k-1}^(a+1) - tau_k^(a-1) tau_k^(a+1))."""
     if tau is None:
-        tau = tau_table(m)
+        tau = tau_table(m, lambda a: (k - 1, k + 2))
     lhs = tau(k, alpha) ** 2 * (tau(k + 2, alpha - 1) * tau(k, alpha + 1)
                                 - tau(k + 1, alpha - 1) * tau(k + 1, alpha + 1))
     rhs = tau(k + 1, alpha) ** 2 * (tau(k + 1, alpha - 1) * tau(k - 1, alpha + 1)
@@ -305,7 +305,7 @@ def zero_curvature_check(k: int, alpha: int, m: MomentSequence,
     recorded as skipped rather than failed. Every tau is read from tau (a
     fresh table of m when omitted)."""
     if tau is None:
-        tau = tau_table(m)
+        tau = tau_table(m, lambda a: (k - 1, k + 2))
     report = VerificationReport("zero-curvature")
     lhs, rhs = scalar_compatibility(k, alpha, m, tau)
     report.add_check({"k": k, "alpha": alpha, "identity": "scalar"},

@@ -9,10 +9,11 @@ gives the monic polynomial orthogonal to all lower powers of one form.
 ``bordered_table`` memoizes B_{k,l} keyed (k, l, alpha, beta) and takes an
 (l, alpha, beta) column's degrees from one ``leading_blocks`` run: for
 numeric moments one elimination that swaps rows past a zero pivot,
-O(K^3) where one per degree costs O(K^4). ``monic_op`` and ``mop_type2``
-read B_{k,l} from the table they are given, or from a fresh one;
-``opgen``, ``recurrence``, ``mop`` and both verifiers pass one table for
-all their degrees.
+O(K^3) where one per degree costs O(K^4). ``mop_bordered_poly`` reads its
+column at exactly degree k. ``monic_op`` and ``mop_type2`` read B_{k,l}
+from the table they are given, or from a fresh one; ``opgen``,
+``recurrence``, ``mop`` and both verifiers pass one table for all their
+degrees.
 
 The verifiers pair each polynomial f with the powers z^n in one integer
 pass (``form_pairings``: f and the moments it meets scaled to integers
@@ -28,16 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import prod
 from operator import mul
 
 from .errors import DegenerateTauError
 from .moments import MomentSequence
 from .report import VerificationReport
-from .rings import (_ZERO, LaurentPoly, _integer_rows, _numeric,
-                    leading_minors)
-from .tau_gl3 import TauTable, block_hankel_rows, leading_blocks, signed_columns
+from .rings import _ZERO, LaurentPoly, _integer_rows, _numeric
+from .tau_gl3 import TauTable, read_line, tau3_line
 
 
 @dataclass(frozen=True)
@@ -232,25 +231,20 @@ def mop_bordered_poly(k: int, l: int, alpha: int, beta: int,
                       C: MomentSequence, D: MomentSequence) -> LaurentPoly:
     """z^k Sc+ Sd+ tau_{k,l}: the (k+1) x (k+1) bordered block determinant
     (l d-columns, then k-l c-columns, last column 1, z, ..., z^k) with the
-    E=0 sign. Its coefficients are the last-column cofactors of the
-    (k+1) x k block body: the last block of one ``leading_minors`` run.
+    E=0 sign, read from its (l, alpha, beta) column at exactly degree k.
     Degree-k polynomial with leading coefficient tau_{k,l}; 0 outside
     0 <= l <= k, as tau is."""
-    if l < 0 or k < l:
-        return LaurentPoly.zero()
-    rows = signed_columns(block_hankel_rows(k + 1, k, l, alpha, beta, C, D),
-                          k, l)
-    return LaurentPoly(dict(enumerate(leading_minors(rows, bordered=True)[-1])))
+    return tau3_line(k, l, alpha, beta, (k, k), (l, l), C, D,
+                     bordered=True)[k, l, alpha, beta]
 
 
 def bordered_table(k_max: int, C: MomentSequence,
                    D: MomentSequence) -> TauTable:
     """A memo of B_{k,l} (``mop_bordered_poly``) keyed (k, l, alpha, beta):
-    each (l, alpha, beta) column's degrees -1..k_max come from
-    leading_blocks, and a degree past k_max, or in a column whose moments
-    cannot be read, is one mop_bordered_poly call when asked for."""
-    return TauTable(mop_bordered_poly, C, D, column=partial(
-        leading_blocks, (-1, k_max), C=C, D=D, bordered=True))
+    each (l, alpha, beta) column's degrees -1..k_max come from one
+    leading_blocks run, by the fill rule of ``read_line``."""
+    return TauTable(lambda *key: read_line(key, (-1, k_max), 0, C, D,
+                                           bordered=True))
 
 
 def bordered_tau_poly(k: int, alpha: int, m: MomentSequence) -> LaurentPoly:

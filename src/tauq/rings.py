@@ -717,12 +717,13 @@ def _eliminate(m: list[list[int]], perm: list[int] | None = None):
         prev = pivot
 
 
-def leading_minors(rows, bordered: bool = False) -> list:
-    """The leading minors of orders 0, 1, ..., n of an n x n matrix. With
-    ``bordered``, rows is an (n+1) x n body A, and entry t, up to t = n,
-    lists the t+1 last-column cofactors (-1)^(r+t) det(A_t without row r)
-    of A's leading (t+1) x t block A_t: the coefficients of the
-    determinant of A_t bordered by one more column.
+def leading_minors(rows, bordered: bool = False, lo: int = 0) -> list:
+    """The leading minors of orders lo, lo+1, ..., n of an n x n matrix.
+    With ``bordered``, rows is an (n+1) x n body A, and entry t, for t =
+    lo..n, lists the t+1 last-column cofactors (-1)^(r+t) det(A_t without
+    row r) of A's leading (t+1) x t block A_t: the coefficients of the
+    determinant of A_t bordered by one more column. Only the entries of
+    orders lo..n are built.
 
     Numeric rows take one Bareiss run (``_eliminate``), over [A | I] when
     bordered: minor t+1 is row t's pivot, and block t row t's identity
@@ -744,15 +745,19 @@ def leading_minors(rows, bordered: bool = False) -> list:
     if not _numeric(rows):
         minors = _laplace(list(zip(*rows)) if bordered else rows,
                           {t: _bordered_masks(t) if bordered
-                           else [(1 << t) - 1] for t in range(n + 1)})
+                           else [(1 << t) - 1] for t in range(lo, n + 1)})
         return [_cofactor_signs(minors[t]) if bordered else minors[t][0]
-                for t in range(n + 1)]
+                for t in range(lo, n + 1)]
     m, scales = _integer_rows(rows)
     perm = list(range(n + 1)) if bordered else None
+    # step t gives the minor of order t + 1, or block t
+    first = lo - (not bordered)
     out, total = [], 1
     for t, sign in enumerate(_eliminate(m, perm)):
-        row = m[t]
         total *= scales[t]
+        if t < first:
+            continue
+        row = m[t]
         if bordered:
             block = [_ZERO] * (t + 1)
             if sign:
@@ -763,8 +768,8 @@ def leading_minors(rows, bordered: bool = False) -> list:
             out.append(Fraction(sign * row[t], total))
     # a run that ends early leaves every later minor and block 0
     out += [[_ZERO] * (t + 1) if bordered else _ZERO
-            for t in range(len(out), len(m))]
-    return out if bordered else [Fraction(1), *out]
+            for t in range(max(lo, 1 - bordered) + len(out), n + 1)]
+    return out if bordered or lo else [Fraction(1), *out]
 
 
 def det_bareiss(rows: list[list[Fraction]]) -> Fraction:

@@ -3,11 +3,12 @@ condensation, and the bilinear recurrence check
 tau_k^(a) tau_{k-2}^(a+2) = tau_{k-1}^(a+2) tau_{k-1}^(a) - (tau_{k-1}^(a+1))^2.
 
 ``qsystem_sides`` writes the relation once; ``tau_det`` is one Hankel
-determinant. The relation's verifiers read tau from one memoized table per
-call (``tau_table``), never from the relation they check. A table
-takes an alpha's tau_1..tau_K from ``leading_blocks``, the leading minors
-of one run: for numeric moments one elimination that swaps rows past a
-zero pivot, O(K^3) where one tau_det per entry costs O(K^4); for formal
+determinant, a read of its alpha's column at exactly order k. The
+relation's verifiers read tau from one memoized table per call
+(``tau_table``), never from the relation they check. A table takes an
+alpha's tau_1..tau_K from ``leading_blocks``, the leading minors of one
+run: for numeric moments one elimination that swaps rows past a zero
+pivot, O(K^3) where one determinant per entry costs O(K^4); for formal
 ones a single Laplace run, the cost of tau_K alone.
 
 ``condensation_table`` runs that relation as an algorithm (Dodgson's
@@ -17,8 +18,9 @@ O(K^3) elimination per entry. It works on integers. The alpha range is cut
 into tiles of about K alphas; each tile reads its moments once and scales
 them by the lcm L of their denominators, so row k of the triangle holds
 L^k tau_k and every division is exact. A zero divisor makes its entry
-unknown, and every entry above that depends on it is unknown too; only the
-requested unknown entries are computed by ``tau_det``.
+unknown, and every entry above that depends on it is unknown too; the
+requested unknown entries are read from one ``tau_table``, one column run
+per alpha that has any.
 
 Conventions: tau_k = 0 for k < 0 and tau_0 = 1, in the ring matching the
 moment source (Fraction numerically, MomentPoly for formal sequences).
@@ -30,7 +32,7 @@ from fractions import Fraction
 from .moments import MomentSequence
 from .report import VerificationReport
 from .rings import _integer_rows
-from .tau_gl3 import TauTable, leading_blocks, tau3_e0_det
+from .tau_gl3 import TauTable, read_line, tau3_e0_det
 
 
 def tau_det(k: int, alpha: int, m: MomentSequence):
@@ -39,13 +41,13 @@ def tau_det(k: int, alpha: int, m: MomentSequence):
     return tau3_e0_det(k, 0, alpha, 0, m, m)
 
 
-def tau_table(m: MomentSequence, orders=None) -> TauTable:
-    """A memo of tau_k^(alpha) over m. Given orders(alpha), the lowest and
-    highest k its caller reads at alpha, each alpha is first filled by
-    leading_blocks; every other entry (all of them without orders, or a
-    column whose moments cannot be read) is one tau_det call."""
-    return TauTable(tau_det, m, column=None if orders is None else
-                    lambda a: leading_blocks(orders(a), 0, a, 0, m, m))
+def tau_table(m: MomentSequence, orders) -> TauTable:
+    """A memo of tau_k^(alpha) over m, given orders(alpha), the lowest and
+    highest k its caller reads at alpha: each alpha's taus come from one
+    leading_blocks run, by the fill rule of ``read_line``."""
+    return TauTable(lambda k, a: {
+        (j, a): v for (j, *_), v in
+        read_line((k, 0, a, 0), orders(a), 0, m, m).items()})
 
 
 def qsystem_sides(k: int, alpha: int, tau):
@@ -59,8 +61,8 @@ def condensation_table(m: MomentSequence, k_range: tuple[int, int],
     """tau_k^(alpha) for every k and alpha of the two inclusive ranges, as
     a dict keyed (k, alpha), by integer condensation over tiles of about
     k_max alphas (see the module docstring). A zero divisor does not abort
-    it: a requested entry that depends on one is computed by ``tau_det``,
-    and no other determinant is taken."""
+    it: a requested entry that depends on one is read from its alpha's
+    column over k_range, and no other determinant is taken."""
     (k_lo, k_hi), (a_lo, a_hi) = k_range, alpha_range
     if k_hi < k_lo or a_hi < a_lo:
         raise ValueError("empty k or alpha range")
@@ -71,8 +73,9 @@ def condensation_table(m: MomentSequence, k_range: tuple[int, int],
     for t_lo in range(a_lo, a_hi + 1, width):
         _condense_tile(m, k_range, range(t_lo, min(t_lo + width, a_hi + 1)),
                        table)
+    tau = tau_table(m, lambda a: k_range)
     for key in [key for key, v in table.items() if v is None]:
-        table[key] = tau_det(*key, m)
+        table[key] = tau(*key)
     return table
 
 

@@ -1,9 +1,7 @@
 """Two-index tau-functions from a (C, D, E) moment triple.
 
-Every tau is one determinant, ``tau3_det``, which also holds the
-boundary conventions (0 for k < 0 or l < 0, 1 at k = l = 0, 0 for k < l
-when E = 0). ``block_hankel_rows`` builds its matrix in one layout around
-the Cauchy block
+Every tau is a minor of one block matrix. ``block_hankel_rows`` builds it
+in one layout around the Cauchy block
 
     M_ij = d_{alpha+i+j} - sum_{m>=0} c_{alpha-beta+i-m-1} e_{beta+j+m},
 
@@ -14,24 +12,27 @@ or a finite window with no nonzero value). For k >= l the tau is
 a k x k determinant; for k < l and E != 0 it is
 (-1)^{k(k+1)/2 + k(l-k)} times the l x l determinant of the k x l block
 M_ij over the l-k rows e_{beta+i+j-k} (j = k..l-1); ``block_sign_odd``
-holds both signs. The kernel factor Delta(x) Delta(z) / prod (x_i - z_j)
-is a Cauchy-Vandermonde determinant, as in the Cauchy two-matrix model
-(Bertola, Gekhtman and Szmigielski, *Cauchy biorthogonal polynomials*,
-2010), and Andreief's identity folds the sum into one determinant. The
-form is verified against the residue formula on seeded grids in the
-tests; it is not proven here.
+holds both signs. The boundary conventions are 0 for k < 0 or l < 0,
+1 at k = l = 0 and 0 for k < l when E = 0. The kernel factor
+Delta(x) Delta(z) / prod (x_i - z_j) is a Cauchy-Vandermonde
+determinant, as in the Cauchy two-matrix model (Bertola, Gekhtman and
+Szmigielski, *Cauchy biorthogonal polynomials*, 2010), and Andreief's
+identity folds the sum into one determinant. The form is verified
+against the residue formula on seeded grids in the tests; it is not
+proven here.
 
-M_ij depends only on (i, j), so whether E is zero or not the k >= l
-matrices of k = l..K at one (l, alpha, beta) are the leading blocks of
-the order-K one: ``leading_blocks`` reads every tau_{k,l} of that column,
-or with E = 0 every B_{k,l}, from one ``leading_minors`` run, an
-elimination that swaps rows past a zero pivot for numeric moments and
-one Laplace run for formal ones. The sign is applied once, to column 0
-of the rows (``signed_columns``). ``tau3_table`` and
-``orthopoly.bordered_table`` memoize both in a ``TauTable``, leaving to
-tau3_det (or B's ``mop_bordered_poly``) one at a time only the keys
-outside a column's k range, the columns whose moments cannot be read
-and, with E != 0, the taus with 0 <= k < l.
+M_ij depends only on (i, j), so along a line of indices the matrices are
+nested, and one ``leading_minors`` run gives the whole line: an
+elimination that swaps rows past a zero pivot for numeric moments, one
+Laplace run for formal ones. At one (l, alpha, beta) the k >= l
+matrices of k = l..K are the leading blocks of the order-K one
+(``leading_blocks``: every tau_{k,l} of that column, or with E = 0
+every B_{k,l}); with E != 0 at one (k, alpha, beta) the k < l matrices of
+l = k+1..L are the leading blocks of the order-L one (the row of
+``tau3_line``). ``tau3_line`` reads a key's line; ``tau3_table`` and
+``orthopoly.bordered_table`` memoize lines in a ``TauTable`` by one fill
+rule (``read_line``), and ``tau3_det`` (like ``mop_bordered_poly``) is a
+read of its key's line at exactly its order.
 
 The reference the closed form is tested against is the general residue
 formula (``tau3_residue``). It sums, over kernel splittings (n_c, n_d, n_e)
@@ -45,20 +46,19 @@ group, cross factors prod (x_i - y_j) prod (y_i - z_j), the sign
 pair: 1/(x_i - z_j) expanded as sum_{m>=0} z_j^m x_i^{-m-1}. Finite
 support makes every such expansion a finite sum. No runtime route calls
 it, and only it has a summand work bound (``max_work``); with E != 0
-``tau3_det`` checks only that all three families are finite windows.
+the line reads check only that all three families are finite windows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import factorial, lcm
 from operator import mul
 
 from .errors import ResourceBoundError, SupportError
 from .moments import MomentSequence
 from .report import VerificationReport
-from .rings import LaurentPoly, det, leading_minors
+from .rings import LaurentPoly, leading_minors
 
 SUMMAND_WORK_BOUND = 5
 
@@ -232,17 +232,6 @@ def block_sign_odd(k: int, l: int) -> bool:
     return flips % 2 == 1
 
 
-def signed_columns(rows: list[list], k: int, l: int) -> list[list]:
-    """rows, with column 0 negated in place when ``block_sign_odd(k, l)``.
-    Every leading minor and bordered block with a column then carries
-    tau's sign; the sign is odd only when l >= 1, so each one read at
-    k >= l has a column."""
-    if block_sign_odd(k, l):
-        for row in rows:
-            row[0] = -row[0]
-    return rows
-
-
 def block_hankel_rows(n_rows: int, k: int, l: int, alpha: int, beta: int,
                       C: MomentSequence, D: MomentSequence,
                       E: MomentSequence | None = None) -> list[list]:
@@ -277,20 +266,12 @@ def block_hankel_rows(n_rows: int, k: int, l: int, alpha: int, beta: int,
 def tau3_det(k: int, l: int, alpha: int, beta: int,
              C: MomentSequence, D: MomentSequence,
              E: MomentSequence | None = None):
-    """The two-index tau with its boundary conventions, as one determinant
-    (see the module docstring); E = None means E = 0. With E != 0 every
-    family must be a finite window (SupportError otherwise), as in the
-    residue reference."""
-    if k < 0 or l < 0:
-        return C.ring_zero()
-    if k == 0 and l == 0:
-        return C.ring_one()
-    if k < l and e_is_zero(E):
-        return C.ring_zero()
-    rows = block_hankel_rows(k, max(k, l), l, alpha, beta, C, D, E)
-    rows += [[E.get(beta + i + j - k) for i in range(l)] for j in range(k, l)]
-    val = det(rows)
-    return -val if block_sign_odd(k, l) else val
+    """The two-index tau with its boundary conventions (see the module
+    docstring); E = None means E = 0. One read of its line at exactly its
+    order. With E != 0 every family must be a finite window (SupportError
+    otherwise), as in the residue reference."""
+    line = tau3_line(k, l, alpha, beta, (k, k), (l, l), C, D, E)
+    return line[k, l, alpha, beta]
 
 
 def tau3_e0_det(k: int, l: int, alpha: int, beta: int,
@@ -307,69 +288,99 @@ def leading_blocks(k_range: tuple[int, int], l: int, alpha: int, beta: int,
                    bordered: bool = False,
                    E: MomentSequence | None = None) -> dict:
     """The column at one (l, alpha, beta): k -> tau_{k,l}, or with
-    ``bordered`` (E = 0 only) k -> B_{k,l}, for the k that take no
-    determinant of their own: the boundary zeros of k_range (k < 0,
-    l < 0, and k < l when E = 0), then every k = l, l+1, ... up to k_hi
-    from ``leading_minors`` of the order-k_hi matrix or body. Boundary
-    entries only when a moment cannot be read or, with E != 0, a family
-    is not a finite window."""
+    ``bordered`` (E = 0 only) k -> B_{k,l}, for the k of k_range but,
+    with E != 0, those with 0 <= k < l (a row's, see ``tau3_line``): the
+    boundary entries (0 for k < 0, l < 0, and k < l when E = 0; tau_{0,0}
+    = 1, an empty matrix that reads no moment), then every k from
+    max(l, k_lo) to k_hi from one ``leading_minors`` run of the order-k_hi
+    matrix or body. A moment that cannot be read raises its error."""
     k_lo, k_hi = k_range
     zero = LaurentPoly.zero() if bordered else C.ring_zero()
-    e_zero = e_is_zero(E)
     out = {k: zero for k in range(k_lo, k_hi + 1)
-           if l < 0 or k < 0 or (e_zero and k < l)}
-    if not 0 <= l <= k_hi:
+           if l < 0 or k < 0 or (k < l and e_is_zero(E))}
+    if l < 0 or k_hi < l:
         return out
-    try:
-        rows = block_hankel_rows(k_hi + bordered, k_hi, l, alpha, beta, C, D, E)
-    except (ResourceBoundError, SupportError):
+    if k_hi + bordered == 0:
+        out[0] = C.ring_one()
         return out
-    rows = signed_columns(rows, k_hi, l)
-    for k, x in enumerate(leading_minors(rows, bordered)[l:], l):
+    lo = max(l, k_lo)
+    rows = block_hankel_rows(k_hi + bordered, k_hi, l, alpha, beta, C, D, E)
+    # negating column 0 gives every minor and block with a column (each
+    # one read, as l >= 1 when the sign is odd) tau's sign
+    if block_sign_odd(k_hi, l):
+        for row in rows:
+            row[0] = -row[0]
+    for k, x in enumerate(leading_minors(rows, bordered, lo), lo):
         out[k] = LaurentPoly(dict(enumerate(x))) if bordered else x
     return out
 
 
+def tau3_line(k: int, l: int, alpha: int, beta: int,
+              k_range: tuple[int, int], l_range: tuple[int, int],
+              C: MomentSequence, D: MomentSequence,
+              E: MomentSequence | None = None, bordered: bool = False) -> dict:
+    """The line of tau_{k,l} (or with ``bordered`` B_{k,l}), keyed by the
+    full index (k, l, alpha, beta): its (l, alpha, beta) column over
+    k_range (``leading_blocks``) or, with E != 0 and 0 <= k < l, its (k,
+    alpha, beta) row over l_range. The l x l matrix of a row's tau_{k,l}
+    is k Cauchy rows M_ij (j < l), then the rows e_{beta+j+r} (r < l - k):
+    the leading block of the order-l_hi one. So one ``leading_minors`` run
+    gives the row, each minor with its sign ``block_sign_odd(k, l)``."""
+    if k < 0 or k >= l or e_is_zero(E):
+        col = leading_blocks(k_range, l, alpha, beta, C, D, bordered, E)
+        return {(j, l, alpha, beta): v for j, v in col.items()}
+    l_lo, l_hi = l_range
+    rows = block_hankel_rows(k, l_hi, l_hi, alpha, beta, C, D, E)
+    rows += [[E.get(beta + j + r) for j in range(l_hi)]
+             for r in range(l_hi - k)]
+    return {(k, j, alpha, beta): -x if block_sign_odd(k, j) else x
+            for j, x in enumerate(leading_minors(rows, lo=l_lo), l_lo)}
+
+
+def read_line(key: tuple, k_range: tuple[int, int], l_hi: int,
+              C: MomentSequence, D: MomentSequence,
+              E: MomentSequence | None = None, bordered: bool = False) -> dict:
+    """The one fill rule of the tau tables: key's line (``tau3_line``)
+    over the table's ranges, k_range and l up to l_hi, widened to include
+    the key. If a moment in that range cannot be read, or a family is not
+    a finite window beside a nonzero E, key's own order only: a key then
+    fails exactly when its own matrix cannot be read."""
+    k, l, _, _ = key
+    try:
+        return tau3_line(*key, (min(k_range[0], k), max(k_range[1], k)),
+                         (k + 1, max(l_hi, l)), C, D, E, bordered)
+    except (ResourceBoundError, SupportError):
+        return tau3_line(*key, (k, k), (l, l), C, D, E, bordered)
+
+
 class TauTable:
-    """Memo of taus or bordered polynomials keyed by index tuple (k, *col).
-    Each entry is computed once, as fn(*key, *args), and read back by
-    get(*key) or by calling the table, so a table goes wherever a tau
-    callable is expected. With ``column``, the first miss in a col first
-    stores column(*col), a dict k -> value; only the keys it leaves out go
-    to fn."""
+    """Memo of taus or bordered polynomials keyed by index tuple. On a
+    miss it stores fill(*key), a dict that holds the key and the rest of
+    the key's line; every entry is read back by get(*key) or by calling
+    the table, so a table goes wherever a tau callable is expected."""
 
-    __slots__ = ("fn", "args", "column", "filled", "values")
+    __slots__ = ("fill", "values")
 
-    def __init__(self, fn, *args, column=None):
-        self.fn, self.args, self.column = fn, args, column
-        self.filled: set[tuple] = set()
+    def __init__(self, fill):
+        self.fill = fill
         self.values: dict[tuple, object] = {}
 
     def get(self, *key):
         values = self.values
-        if key in values:
-            return values[key]
-        column = self.column
-        if column is not None:
-            col = key[1:]
-            if col not in self.filled:
-                self.filled.add(col)
-                for k, v in column(*col).items():
-                    values[(k, *col)] = v
-                if key in values:
-                    return values[key]
-        value = values[key] = self.fn(*key, *self.args)
-        return value
+        if key not in values:
+            values.update(self.fill(*key))
+        return values[key]
 
     __call__ = get
 
 
 def tau3_table(C: MomentSequence, D: MomentSequence,
-               E: MomentSequence | None, k_range: tuple[int, int]) -> TauTable:
-    """A TauTable of tau3_det over (C, D, E): each (l, alpha, beta) column
-    over k_range comes from one leading_blocks run."""
-    return TauTable(tau3_det, C, D, E, column=partial(
-        leading_blocks, k_range, C=C, D=D, E=E))
+               E: MomentSequence | None, k_range: tuple[int, int],
+               l_hi: int) -> TauTable:
+    """A TauTable of the taus over (C, D, E) for a caller that reads k
+    over k_range and l up to l_hi: each (l, alpha, beta) column, and with
+    E != 0 each (k, alpha, beta) row, comes from one run."""
+    return TauTable(lambda *key: read_line(key, k_range, l_hi, C, D, E))
 
 
 # The four difference relations, written exactly as stated: each entry is
@@ -412,7 +423,7 @@ def verify_gl3_relations(C: MomentSequence, D: MomentSequence,
     No instance is skipped: the relations have no denominators.
     """
     report = VerificationReport("gl3-relations")
-    tau = tau3_table(C, D, E, (-1, k_max + 1))
+    tau = tau3_table(C, D, E, (-1, k_max + 1), l_max + 1)
     for relation in (1, 2, 3, 4):
         for k in range(0, k_max + 1):
             for l in range(0, l_max + 1):

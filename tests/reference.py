@@ -3,9 +3,13 @@
 Test oracles only: the symmetrized residue formula for tau_k^(alpha)
 (every monomial of a squared Vandermonde, k! of them and more) and brute
 Gram-Schmidt under the Hankel form. The library takes both answers from
-determinants; the tests require the two routes to agree. Also the numeric
-tau table one determinant per entry, which the condensation table must
-equal, two seeded windows (a random one and one with a chosen zero
+determinants; the tests require the two routes to agree. Also each
+two-index tau as one determinant of its own layout and each bordered
+polynomial B_{k,l} from one bordered run of its own body, as the library
+took them before every tau and bordered polynomial became a read of one
+column or row: the tables and the per-entry routines must equal them.
+The numeric tau table one determinant per entry, which the condensation
+table must equal, two seeded windows (a random one and one with a chosen zero
 Hankel minor), and the bordered leading blocks from a no-swap Bareiss
 run over the whole [A | I], which the triangular run must equal as far
 as it reaches. The lower wave factor and window composed from Fraction
@@ -29,7 +33,9 @@ from tauq import (DegenerateTauError, HankelForm, LaurentMatrix, LaurentPoly,
 from tauq.factorization import _shifted_series
 from tauq.orthopoly import bordered_table
 from tauq.rings import (_FAMILIES, _FAMILY_RANK, _FAMILY_SHIFT, _INDEX_BOUND,
-                        _clean, _signed_term, _unpack, as_rational)
+                        _clean, _signed_term, _unpack, as_rational, det,
+                        leading_minors)
+from tauq.tau_gl3 import block_hankel_rows, block_sign_odd, e_is_zero
 
 RESIDUE_K_BOUND = 5
 
@@ -97,9 +103,8 @@ def gram_schmidt_monic(m: MomentSequence, alpha: int, K: int) -> list[MonicPolyn
 def tau_det_table(m: MomentSequence, k_range: tuple[int, int],
                   alpha_range: tuple[int, int]) -> dict:
     """tau_k^(alpha) over two inclusive ranges, keyed (k, alpha), one
-    determinant per entry (bound at import, so a test that counts the
-    library's determinant calls does not count these)."""
-    return {(k, a): tau_det(k, a, m)
+    determinant per entry (``tau3_by_det``)."""
+    return {(k, a): tau3_by_det(k, 0, a, 0, m, m)
             for k in range(k_range[0], k_range[1] + 1)
             for a in range(alpha_range[0], alpha_range[1] + 1)}
 
@@ -152,6 +157,39 @@ def bordered_blocks_full(rows) -> list:
             row[:] = [(x * pivot - a * y) // prev for x, y in zip(row, m[t])]
         prev = pivot
     return out
+
+
+def tau3_by_det(k: int, l: int, alpha: int, beta: int,
+                C: MomentSequence, D: MomentSequence,
+                E: MomentSequence | None = None):
+    """tau_{k,l}^(alpha, beta) as one determinant: for k >= l the k x k
+    block matrix of the column layout, for k < l with E != 0 its k x l
+    Cauchy rows over the l - k rows e_{beta+i+j-k}, with the sign
+    ``block_sign_odd``; 0 for k < 0, l < 0 and, with E = 0, k < l, and 1
+    at k = l = 0."""
+    if k < 0 or l < 0:
+        return C.ring_zero()
+    if k == 0 and l == 0:
+        return C.ring_one()
+    if k < l and e_is_zero(E):
+        return C.ring_zero()
+    rows = block_hankel_rows(k, max(k, l), l, alpha, beta, C, D, E)
+    rows += [[E.get(beta + i + j - k) for i in range(l)] for j in range(k, l)]
+    value = det(rows)
+    return -value if block_sign_odd(k, l) else value
+
+
+def bordered_by_run(k: int, l: int, alpha: int, beta: int,
+                    C: MomentSequence, D: MomentSequence) -> LaurentPoly:
+    """B_{k,l} = z^k Sc+ Sd+ tau_{k,l} (E = 0) from one bordered run of
+    its own (k+1) x k body: the last block of ``leading_minors``, with
+    tau's sign. 0 outside 0 <= l <= k."""
+    if l < 0 or k < l:
+        return LaurentPoly.zero()
+    rows = block_hankel_rows(k + 1, k, l, alpha, beta, C, D)
+    block = leading_minors(rows, bordered=True)[-1]
+    sign = -1 if block_sign_odd(k, l) else 1
+    return LaurentPoly({r: sign * c for r, c in enumerate(block)})
 
 
 # -- the Fraction composition of the lower wave factor and window ----------

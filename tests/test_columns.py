@@ -1,11 +1,15 @@
 """One swapping elimination per column against one determinant per entry.
 
 ``leading_blocks`` reads every tau_{k,l} or B_{k,l} at one (l, alpha,
-beta) from a single Bareiss run, and ``tau_table`` and ``bordered_table``
-memoize it; ``tau_det``, ``tau3_det`` and ``mop_bordered_poly`` take one
-elimination per entry, and ``monic_op`` and ``mop_type2`` read only a
-table. They must agree everywhere, including past a zero leading minor,
-where the run swaps rows and the column still holds every entry.
+beta) from a single Bareiss run, and ``tau_table``, ``tau3_table`` and
+``bordered_table`` memoize it; ``tau_det``, ``tau3_det`` and
+``mop_bordered_poly`` read their entry's column at exactly its order, and
+``monic_op`` and ``mop_type2`` read only a table. They must all equal the
+independent routes of ``reference.py``, one determinant or one bordered
+run per entry in its own layout, everywhere: past a zero leading minor,
+where the run swaps rows and the column still holds every entry, and
+where a named moment past its bound cannot be read, where a table key
+fails exactly when its own matrix does.
 """
 import random
 from fractions import Fraction
@@ -14,16 +18,18 @@ import pytest
 
 import tauq.moments
 import tauq.orthopoly
+import tauq.tau_gl3
 from tauq import (DegenerateTauError, HankelForm, LaurentPoly, MomentPoly,
-                  MomentSequence, MonicPolynomial, bordered_tau_poly,
-                  form_eval, monic_op, mop_bordered_poly, mop_type2,
-                  tau3_det, tau_det)
+                  MomentSequence, MonicPolynomial, TauqError,
+                  bordered_tau_poly, form_eval, monic_op, mop_bordered_poly,
+                  mop_type2, tau3_det, tau_det)
 from tauq.orthopoly import bordered_table
 from tauq.rings import det, leading_minors
 from tauq.tau_gl2 import tau_table
-from tauq.tau_gl3 import block_hankel_rows, leading_blocks
+from tauq.tau_gl3 import block_hankel_rows, leading_blocks, tau3_table
 
-from reference import bordered_blocks_full, forced_zero_window, seeded_window
+from reference import (bordered_blocks_full, bordered_by_run,
+                       forced_zero_window, seeded_window, tau3_by_det)
 
 
 def _sources():
@@ -63,7 +69,11 @@ def test_leading_minors_are_leading_determinants():
                      for _ in range(n)] for _ in range(n + 1)]
             minors = [det([r[:k] for r in rows[:k]]) for k in range(n + 1)]
             blocks = [_block_by_det(rows, t) for t in range(n + 1)]
-            # every minor and block, past a zero minor too
+            # every minor and block, past a zero minor too, from any
+            # lowest order on
+            for lo in range(n + 1):
+                assert leading_minors(rows[:n], lo=lo) == minors[lo:]
+                assert leading_minors(rows, True, lo) == blocks[lo:]
             assert leading_minors(rows[:n]) == minors
             assert leading_minors(rows, bordered=True) == blocks
 
@@ -133,12 +143,15 @@ def test_leading_minors_edges():
 
 @pytest.mark.parametrize("name, m, alphas, K", SOURCES, ids=SOURCE_IDS)
 def test_tau_columns_match_tau_det(name, m, alphas, K):
+    def ref(k, a):
+        return tau3_by_det(k, 0, a, 0, m, m)
+
     for a in alphas:
         col = leading_blocks((-2, K), 0, a, 0, m, m)
         assert sorted(col) == list(range(-2, K + 1))
-        assert col == {k: tau_det(k, a, m) for k in col}
+        assert col == {k: ref(k, a) for k in col}
     table = tau_table(m, lambda a: (-2, K))
-    assert all(table(k, a) == tau_det(k, a, m)
+    assert all(table(k, a) == tau_det(k, a, m) == ref(k, a)
                for a in alphas for k in range(-2, K + 2))
 
 
@@ -148,9 +161,12 @@ def test_polynomial_columns_match_per_degree(name, m, alphas, K):
     for a in alphas:
         blocks = leading_blocks((-1, K), 0, a, 0, m, m, bordered=True)
         assert sorted(blocks) == list(range(-1, K + 1))
+        assert blocks == {k: bordered_by_run(k, 0, a, 0, m, m)
+                          for k in blocks}
         bordered = bordered_table(K, m, m)
         for k in range(-1, K + 2):
-            assert bordered(k, 0, a, 0) == mop_bordered_poly(k, 0, a, 0, m, m)
+            assert (bordered(k, 0, a, 0) == mop_bordered_poly(k, 0, a, 0, m, m)
+                    == bordered_by_run(k, 0, a, 0, m, m))
         for k in range(K + 1):
             try:
                 want = monic_op(k, a, m)
@@ -217,17 +233,20 @@ def test_polynomials_past_a_zero_minor_match_per_entry(k):
     degenerate = 0
     for a in (0, 1, 2):
         for j in range(-1, k + 3):
+            b = bordered_by_run(j, 0, a, 0, C, C)
+            assert bordered_tau_poly(j, a, C) == b
             degenerate += _monic_of(
-                lambda: monic_op(j, a, C), bordered_tau_poly(j, a, C), j,
+                lambda: monic_op(j, a, C), b, j,
                 "tau is zero; no monic orthogonal polynomial", k=j, alpha=a)
     # l = 0 at beta = 0 is C's column and l = k D's; both have a zero
     # minor of order k
     for a, b in ((1, 0), (1, -1), (2, 1)):
         for j in range(k + 3):
             for l in range(min(j, k) + 2):
+                poly = bordered_by_run(j, l, a, b, C, D)
+                assert mop_bordered_poly(j, l, a, b, C, D) == poly
                 degenerate += _monic_of(
-                    lambda: mop_type2(j, l, a, b, C, D),
-                    mop_bordered_poly(j, l, a, b, C, D), j,
+                    lambda: mop_type2(j, l, a, b, C, D), poly, j,
                     "tau is zero; no monic polynomial",
                     k=j, l=l, alpha=a, beta=b)
     assert degenerate > 3
@@ -244,23 +263,41 @@ def test_gl3_columns_match_per_entry(l, beta, zeros):
     for a in range(-2, 3):
         col = leading_blocks((-1, K), l, a, beta, C, D)
         assert sorted(col) == list(range(-1, K + 1))
-        assert col == {k: tau3_det(k, l, a, beta, C, D) for k in col}
+        assert col == {k: tau3_by_det(k, l, a, beta, C, D) for k in col}
         blocks = leading_blocks((-1, K), l, a, beta, C, D, bordered=True)
         assert sorted(blocks) == list(range(-1, K + 1))
-        assert blocks == {k: mop_bordered_poly(k, l, a, beta, C, D)
+        assert blocks == {k: bordered_by_run(k, l, a, beta, C, D)
                           for k in blocks}
         bordered = bordered_table(K, C, D)
         for k in range(-1, K + 2):
             assert (bordered(k, l, a, beta)
-                    == mop_bordered_poly(k, l, a, beta, C, D))
+                    == mop_bordered_poly(k, l, a, beta, C, D)
+                    == bordered_by_run(k, l, a, beta, C, D))
+            assert (tau3_det(k, l, a, beta, C, D)
+                    == tau3_by_det(k, l, a, beta, C, D))
+
+
+def _outcome(read, *args):
+    """read(*args), or the type and text of the TauqError it raises."""
+    try:
+        return read(*args)
+    except TauqError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 @pytest.mark.parametrize("bordered", [False, True])
 def test_leading_blocks_edges(monkeypatch, formal_c, formal_d, bordered):
     rng = random.Random(29)
     C, D = (seeded_window(rng, -2, 9, num=5, den=3) for _ in range(2))
-    per_entry = mop_bordered_poly if bordered else tau3_det
+    reference = bordered_by_run if bordered else tau3_by_det
     zero = LaurentPoly.zero() if bordered else Fraction(0)
+    # the per-entry routine, counted through the binding a table would use
+    module, name = ((tauq.orthopoly, "mop_bordered_poly") if bordered
+                    else (tauq.tau_gl3, "tau3_det"))
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: calls.append(args[:4]) or real(*args))
 
     def column(k_range, l, m1=C, m2=D):
         return leading_blocks(k_range, l, 1, 0, m1, m2, bordered)
@@ -269,7 +306,7 @@ def test_leading_blocks_edges(monkeypatch, formal_c, formal_d, bordered):
     for l in (-1, 0, 1):
         col = column((-2, 0), l)
         assert sorted(col) == [-2, -1, 0]
-        assert col == {k: per_entry(k, l, 1, 0, C, D) for k in col}
+        assert col == {k: reference(k, l, 1, 0, C, D) for k in col}
     # l > k_hi and l < 0: every entry of the range is a boundary zero
     for l in (-3, -1, 4, 6):
         assert column((-1, 3), l) == dict.fromkeys(range(-1, 4), zero)
@@ -278,16 +315,82 @@ def test_leading_blocks_edges(monkeypatch, formal_c, formal_d, bordered):
                       (C, formal_d, 1), (formal_c, D, 2)):
         col = column((-1, 3), l, m1, m2)
         assert sorted(col) == [-1, 0, 1, 2, 3]
-        assert col == {k: per_entry(k, l, 1, 0, m1, m2) for k in col}
-    # a moment past the named-index bound: boundary entries only
-    monkeypatch.setattr(tauq.moments, "MAX_NAMED_INDEX", 6)
+        assert col == {k: reference(k, l, 1, 0, m1, m2) for k in col}
     catalan = MomentSequence.named("catalan")
+    if not bordered:
+        # tau_{0,0} is an empty matrix: it reads no moment, so a named C
+        # beside a nonzero E does not fail it
+        assert leading_blocks((-1, 0), 0, 1, 0, catalan, D, E=C) == {
+            -1: 0, 0: 1}
+    # a moment past the named-index bound raises the order-k_hi matrix's
+    # error; a column whose every read is below the bound is whole
+    monkeypatch.setattr(tauq.moments, "MAX_NAMED_INDEX", 6)
     for l in (0, 2):
-        assert column((-1, 5), l, catalan, catalan) == dict.fromkeys(
-            range(-1, l), zero)
-    col = column((-1, 3), 1, catalan, D)  # every read below the bound
+        want = _outcome(reference, 5, l, 1, 0, catalan, catalan)
+        assert want == "ResourceBoundError: catalan index 7 is above 6"
+        assert _outcome(column, (-1, 5), l, catalan, catalan) == want
+    col = column((-1, 3), 1, catalan, D)
     assert sorted(col) == [-1, 0, 1, 2, 3]
-    assert col == {k: per_entry(k, 1, 1, 0, catalan, D) for k in col}
+    assert col == {k: reference(k, 1, 1, 0, catalan, D) for k in col}
+    # a table over those columns reads every key without the per-entry
+    # routine, where a key's own matrix can be read and where it cannot
+    table = (bordered_table(5, catalan, catalan) if bordered
+             else tau3_table(catalan, catalan, None, (-1, 5), 2))
+    for l in (0, 2):
+        for k in range(-1, 7):
+            assert (_outcome(table, k, l, 1, 0)
+                    == _outcome(reference, k, l, 1, 0, catalan, catalan))
+    assert not calls
+
+
+def _crosses(reference, key, k_hi, *families) -> bool:
+    """Whether key's own matrix can be read but its column's order-k_hi
+    one (its range widened to the key) cannot."""
+    k, l, a, b = key
+    return (k >= l and not isinstance(_outcome(reference, *key, *families), str)
+            and isinstance(_outcome(reference, max(k, k_hi), l, a, b,
+                                    *families), str))
+
+
+@pytest.mark.parametrize("bound", range(6, 14))
+def test_tables_fail_exactly_where_the_own_matrix_fails(monkeypatch, bound):
+    # with the named-index bound lowered, a key whose line over the
+    # table's range reads past the bound but whose own matrix does not
+    # still gets its value, and a key whose own matrix reads past it
+    # raises that matrix's error, whatever order the keys are read in
+    monkeypatch.setattr(tauq.moments, "MAX_NAMED_INDEX", bound)
+    rng = random.Random(bound)
+    catalan = MomentSequence.named("catalan")
+    hermite = MomentSequence.named("hermite")
+    window = seeded_window(rng, -3, 9, num=7, den=3, zeros=0.3)
+    E = seeded_window(rng, -2, 6, num=7, den=3)
+    K, L = 6, 3
+    alphas, betas = range(-1, 3), (-1, 1)
+    cases = []  # (table, keys, reference as a function of a key)
+    for m in (catalan, hermite):
+        keys = [(k, a) for k in range(-2, K + 3) for a in alphas]
+        cases.append((tau_table(m, lambda a: (-2, K)), keys,
+                      lambda k, a, m=m: tau3_by_det(k, 0, a, 0, m, m)))
+    gl3 = [(k, l, a, b) for k in range(-1, K + 2) for l in range(-1, L + 2)
+           for a in alphas for b in betas]
+    for C, D, e in ((catalan, hermite, None), (catalan, window, None),
+                    (window, hermite, None), (catalan, window, E),
+                    (window, window, E)):
+        cases.append((tau3_table(C, D, e, (-1, K), L), gl3,
+                      lambda *key, f=(C, D, e): tau3_by_det(*key, *f)))
+    crossing = failing = 0
+    for C, D in ((catalan, hermite), (window, catalan)):
+        cases.append((bordered_table(K, C, D), gl3,
+                      lambda *key, f=(C, D): bordered_by_run(*key, *f)))
+        crossing += sum(_crosses(bordered_by_run, key, K, C, D)
+                        for key in gl3)
+    for table, keys, reference in cases:
+        keys = rng.sample(keys, len(keys))
+        got = [_outcome(table, *key) for key in keys]
+        want = [_outcome(reference, *key) for key in keys]
+        assert got == want
+        failing += sum(isinstance(w, str) for w in want)
+    assert crossing and failing
 
 
 def _fraction_form_eval(form, fa: dict, gb: dict):

@@ -18,15 +18,15 @@ from tauq import (
     condensation_table,
     induction_replay,
     qsystem_residual,
-    tau3_det,
     tau_det,
     verify_orthogonality,
     verify_qsystem,
     verify_zero_curvature,
 )
+from tauq.tau_gl2 import tau_table
 
-from reference import (forced_zero_window, seeded_window, tau_det_table,
-                       tau_residue)
+from reference import (forced_zero_window, seeded_window, tau3_by_det,
+                       tau_det_table, tau_residue)
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -78,14 +78,22 @@ def test_residue_bound(catalan):
         tau_residue(-1, 0, catalan)
 
 
-def test_grid_get_set(catalan):
-    grid = TauTable(tau_det, catalan)
+def test_grid_get_set(tau_det_calls, catalan):
+    # a miss stores its key's whole column over the table's range; a key
+    # past the range refills its column at the larger range; no key takes
+    # a determinant of its own
+    grid = tau_table(catalan, lambda a: (-1, 3))
+    assert isinstance(grid, TauTable)
     assert grid.get(-1, 0) == 0
     assert grid(0, 7) == 1
-    assert grid.get(3, 2) == tau_det(3, 2, catalan)
+    assert grid.get(3, 2) == tau3_by_det(3, 0, 2, 0, catalan, catalan)
     grid.values[2, 1] = Fraction(9)
     assert grid.get(2, 1) == 9
-    assert set(grid.values) == {(-1, 0), (0, 7), (3, 2), (2, 1)}
+    assert set(grid.values) == {(k, a) for k in range(-1, 4)
+                                for a in (0, 7, 2)} | {(2, 1)}
+    assert grid(5, 2) == tau3_by_det(5, 0, 2, 0, catalan, catalan)
+    assert {k for k, a in grid.values if a == 2} == set(range(-1, 6))
+    assert not tau_det_calls
 
 
 def test_fill_grid_matches_det(catalan):
@@ -201,8 +209,8 @@ def test_verify_qsystem_detects_violation():
 
 @pytest.fixture
 def tau_det_calls(monkeypatch):
-    """Counts tau_det calls per (k, alpha) made through tau_gl2's binding,
-    which every tau table reads."""
+    """Counts tau_det calls per (k, alpha) made through tau_gl2's binding:
+    the per-entry route, which no tau table takes."""
     calls = Counter()
     real = tauq.tau_gl2.tau_det
 
@@ -224,15 +232,21 @@ VERIFIERS = pytest.mark.parametrize("verify", [
 def _past_zero_minor(monkeypatch, verify, m) -> set:
     """The (k, alpha) a verifier reads that lie past a zero tau_j^(alpha),
     1 <= j < k, in their column: the entries a run that stops at a zero
-    pivot would leave out. The reads come from a run whose table takes
-    every entry from tau3_det, which tau_det_calls does not count."""
-    table = TauTable(lambda k, a, m: tau3_det(k, 0, a, 0, m, m), m)
+    pivot would leave out. The reads go to a memo of ``tau3_by_det`` put
+    in place of the verifier's table."""
+    reads = {}
+
+    def tau(k, a):
+        if (k, a) not in reads:
+            reads[k, a] = tau3_by_det(k, 0, a, 0, m, m)
+        return reads[k, a]
+
     with monkeypatch.context() as patch:
         for module in (tauq.tau_gl2, tauq.factorization):
-            patch.setattr(module, "tau_table", lambda m, orders=None: table)
+            patch.setattr(module, "tau_table", lambda m, orders: tau)
         verify(m)
-    return {(k, a) for k, a in table.values
-            if any(not table(j, a) for j in range(1, k))}
+    return {(k, a) for k, a in list(reads)
+            if any(not tau(j, a) for j in range(1, k))}
 
 
 @VERIFIERS
@@ -304,6 +318,7 @@ def _unknown(m, k_range, alpha_range) -> set:
 @pytest.mark.parametrize("case", ["hermite-odd", "zero-window", "forced-zero",
                                   "window-ends-in-cone"])
 def test_condensation_table_determinants_only_for_unknown(tau_det_calls,
+                                                          monkeypatch,
                                                           hermite, case):
     rng = random.Random(case)
     k_range, alpha_range = (0, 9), (-2, 6)
@@ -312,7 +327,17 @@ def test_condensation_table_determinants_only_for_unknown(tau_det_calls,
          "forced-zero": forced_zero_window(rng, 3, 1),
          "window-ends-in-cone": seeded_window(rng, -1, 14)}[case]
     expected = _unknown(m, k_range, alpha_range)
+    # the unknown entries come from one column run per alpha that has one
+    columns = Counter()
+    real = tauq.tau_gl3.leading_blocks
+
+    def counting(k_range, l, alpha, *args, **kwargs):
+        columns[alpha] += 1
+        return real(k_range, l, alpha, *args, **kwargs)
+
+    monkeypatch.setattr(tauq.tau_gl3, "leading_blocks", counting)
     table = condensation_table(m, k_range, alpha_range)
     assert expected
-    assert dict(tau_det_calls) == dict.fromkeys(expected, 1)
+    assert not tau_det_calls
+    assert dict(columns) == dict.fromkeys({a for _, a in expected}, 1)
     assert table == tau_det_table(m, k_range, alpha_range)

@@ -14,7 +14,6 @@ from tauq import (
     ResourceBoundError,
     SupportError,
     TauqError,
-    TauTable,
     kernel_specs,
     tau3_det,
     tau3_e0_det,
@@ -22,11 +21,10 @@ from tauq import (
     verify_gl3_relations,
 )
 from tauq.cli import main
-from tauq.rings import det
-from tauq.tau_gl3 import (block_hankel_rows, leading_blocks, relation_sides,
-                          tau3_table)
+from tauq.tau_gl3 import (block_hankel_rows, e_is_zero, leading_blocks,
+                          relation_sides, tau3_table)
 
-from reference import seeded_window
+from reference import seeded_window, tau3_by_det
 
 ZERO = MomentSequence.zero()
 
@@ -258,14 +256,18 @@ def test_e_nonzero_route_skips_residue(monkeypatch, rand_window, capsys):
     assert calls == []
 
 
-def test_grid_boundaries(catalan_window, linear_window):
-    grid = TauTable(tau3_det, catalan_window, linear_window, ZERO)
+def test_grid_boundaries(tau3_det_calls, catalan_window, linear_window):
+    # boundary keys and a column entry from the table's fill, with no
+    # determinant of their own
+    grid = tau3_table(catalan_window, linear_window, ZERO, (-1, 2), 1)
     assert grid.get(-1, 0, 0, 0) == 0
     assert grid.get(0, 0, 5, 5) == 1
     assert grid.get(2, 1, 0, 0) == \
-        tau3_e0_det(2, 1, 0, 0, catalan_window, linear_window)
+        tau3_by_det(2, 1, 0, 0, catalan_window, linear_window)
+    assert grid.get(1, 2, 0, 0) == 0
     grid.values[1, 0, 0, 0] = Fraction(7)
     assert grid.get(1, 0, 0, 0) == 7
+    assert not tau3_det_calls
 
 
 def test_relation_sides_balance(catalan, linear_window):
@@ -308,7 +310,7 @@ def test_verify_relations_detects_violation(catalan, linear_window):
 @pytest.fixture
 def tau3_det_calls(monkeypatch):
     """Counts tau3_det calls per (k, l, alpha, beta) made through
-    tau_gl3's binding, the one verify_gl3_relations' table falls back to."""
+    tau_gl3's binding: the per-entry route, which no tau table takes."""
     calls = Counter()
     real = tauq.tau_gl3.tau3_det
 
@@ -335,17 +337,17 @@ def _relation_reads(k_max, l_max, alphas, betas) -> set:
     return keys
 
 
-def _past_zero_minor(key, k_hi, C, D, E=None) -> bool:
+def _past_zero_minor(key, C, D, E=None) -> bool:
     """Whether tau_{k,l} at (alpha, beta) lies past a zero leading minor
-    of order 1 <= j < k of the order-k_hi block matrix of its
-    (l, alpha, beta) column (entries with l < 0 or k < l are not in a
-    column's minors): an entry a run that stops at a zero pivot would
-    leave out."""
+    of order 1 <= j < k of its (l, alpha, beta) column's matrix (entries
+    with l < 0 or k < l are not in a column's minors): an entry a run that
+    stops at a zero pivot would leave out. That minor is tau_{j,l} up to
+    sign for j >= l, and tau_{j,j} below."""
     k, l, a, b = key
     if l < 0 or k < l:
         return False
-    rows = block_hankel_rows(k_hi, k_hi, l, a, b, C, D, E)
-    return any(not det([r[:j] for r in rows[:j]]) for j in range(1, k))
+    return any(not tau3_by_det(j, min(j, l), a, b, C, D, E)
+               for j in range(1, k))
 
 
 @pytest.mark.parametrize("case", ["neg-lo", "zero-heavy", "forced-zero"])
@@ -362,38 +364,60 @@ def test_gl3_verifier_determinants_only_past_zero_minor(tau3_det_calls, case):
     report = verify_gl3_relations(C, D, None, k_max, l_max, alphas, betas)
     assert report.total and not report.failures
     past = {key for key in _relation_reads(k_max, l_max, alphas, betas)
-            if _past_zero_minor(key, k_max + 1, C, D)}
+            if _past_zero_minor(key, C, D)}
     assert past
     assert not tau3_det_calls
     # the table `tau gl3` reads takes none either
-    table = tau3_table(C, D, None, (-1, k_max + 1))
-    assert all(table(*key) == tau3_det(*key, C, D) for key in
+    table = tau3_table(C, D, None, (-1, k_max + 1), l_max + 1)
+    assert all(table(*key) == tau3_by_det(*key, C, D) for key in
                sorted(_relation_reads(k_max, l_max, alphas, betas)))
     assert not tau3_det_calls
 
 
+@pytest.fixture
+def line_runs(monkeypatch):
+    """Counts tau3_line calls per line through tau_gl3's binding, the one
+    every two-index table fills from: (k, alpha, beta) for a row (E != 0
+    and 0 <= k < l), (l, alpha, beta) with "col" for a column."""
+    runs = Counter()
+    real = tauq.tau_gl3.tau3_line
+
+    def counting(k, l, a, b, k_range, l_range, C, D, E=None, *rest):
+        row = 0 <= k < l and not e_is_zero(E)
+        runs[("row", k, a, b) if row else ("col", l, a, b)] += 1
+        return real(k, l, a, b, k_range, l_range, C, D, E, *rest)
+
+    monkeypatch.setattr(tauq.tau_gl3, "tau3_line", counting)
+    return runs
+
+
 def test_gl3_verifier_one_determinant_per_tau_with_e_or_formal(
-        tau3_det_calls, formal_c, formal_d):
-    # with E != 0 the columns hold k >= l (and k < 0); only a tau with
-    # 0 <= k < l is one determinant of its own
+        tau3_det_calls, line_runs, formal_c, formal_d):
+    # with E != 0 the columns hold k >= l (and k < 0), and each (k, alpha,
+    # beta) row the taus with 0 <= k < l: one run per line, and no tau is
+    # a determinant of its own
     rng = random.Random(5)
     C, D, E = (seeded_window(rng, -2, 6, num=5, den=3) for _ in range(3))
     report = verify_gl3_relations(C, D, E, 2, 1, (0, 1), (0, 0))
     assert report.total and not report.failures
-    expected = {key for key in _relation_reads(2, 1, (0, 1), (0, 0))
-                if 0 <= key[0] < key[1]}
-    assert expected
-    assert dict(tau3_det_calls) == dict.fromkeys(expected, 1)
+    reads = _relation_reads(2, 1, (0, 1), (0, 0))
+    rows = {("row", k, a, b) for k, l, a, b in reads if 0 <= k < l}
+    assert rows
+    assert not tau3_det_calls
+    assert {run: n for run, n in line_runs.items() if run[0] == "row"} == \
+        dict.fromkeys(rows, 1)
+    assert set(line_runs.values()) == {1}
     # formal columns come from one Laplace run each, so over
     # k = -1..k_max+1 they leave out no tau
-    tau3_det_calls.clear()
+    line_runs.clear()
     report = verify_gl3_relations(formal_c, formal_d, None, 1, 1, (0, 0), (0, 0))
     assert report.total and not report.failures
-    left_out = {key for key in _relation_reads(1, 1, (0, 0), (0, 0))
-                if key[0] not in leading_blocks((-1, 2), *key[1:],
-                                                formal_c, formal_d)}
-    assert not left_out
-    assert dict(tau3_det_calls) == dict.fromkeys(left_out, 1)
+    reads = _relation_reads(1, 1, (0, 0), (0, 0))
+    assert all(key[0] in leading_blocks((-1, 2), *key[1:], formal_c, formal_d)
+               for key in reads)
+    assert not tau3_det_calls
+    assert dict(line_runs) == dict.fromkeys(
+        {("col", l, a, b) for _, l, a, b in reads}, 1)
 
 
 def _e_triple(case: str):
@@ -414,24 +438,28 @@ def _e_triple(case: str):
 @pytest.mark.parametrize("case", ["neg-lo", "zero-heavy", "forced-zero"])
 def test_e_table_matches_per_entry_det(tau3_det_calls, case):
     # one elimination per (l, alpha, beta) column gives every tau with
-    # k >= l, past a zero minor too; those with 0 <= k < l are
-    # tau3_det's own
+    # k >= l, and one per (k, alpha, beta) row every tau with 0 <= k < l,
+    # past a zero minor too; each equals the tau as one determinant of its
+    # own layout, and none takes a determinant of its own
     C, D, E = _e_triple(case)
     k_range = (-1, 5)
     keys = list(itertools.product(range(-1, 6), range(-1, 5), (-1, 0, 1),
                                   (-1, 0)))
-    table = tau3_table(C, D, E, k_range)
-    assert [table(*key) for key in keys] == [tau3_det(*key, C, D, E)
+    table = tau3_table(C, D, E, k_range, 4)
+    assert [table(*key) for key in keys] == [tau3_by_det(*key, C, D, E)
                                              for key in keys]
-    expected = {key for key in keys if 0 <= key[0] < key[1]}
+    assert any(0 <= key[0] < key[1] for key in keys)
     assert case != "forced-zero" or any(
-        _past_zero_minor(key, 5, C, D, E) for key in keys)
-    assert dict(tau3_det_calls) == dict.fromkeys(expected, 1)
+        _past_zero_minor(key, C, D, E) for key in keys)
+    assert not tau3_det_calls
+    # the per-entry route reads the same line at its own order
+    assert [tau3_det(*key, C, D, E) for key in keys] == \
+        [table(*key) for key in keys]
 
 
 def test_all_zero_e_window_takes_the_e0_columns(tau3_det_calls):
     # an all-zero e-window is E = 0: no determinant of its own, as with
-    # E = None (E != 0 would take one per tau with 0 <= k < l)
+    # E = None
     rng = random.Random(7)
     C, D = (seeded_window(rng, -3, 8, num=7, den=3, zeros=0.4)
             for _ in range(2))
