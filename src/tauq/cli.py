@@ -25,7 +25,7 @@ from .errors import (DegenerateTauError, MomentParseError, OutputClosedError,
                      ResourceBoundError, TauqError, UsageError)
 from .factorization import verify_zero_curvature
 from .moments import MomentSequence, build_moments
-from .orthopoly import (bordered_table, monic_op, mop_type2,
+from .orthopoly import (bordered_table, cone, monic_op, mop_type2,
                         recurrence_coeffs, verify_mop, verify_orthogonality)
 from .report import VerificationReport
 from .tau_gl2 import condensation_table, tau_table, verify_qsystem
@@ -263,13 +263,8 @@ def cmd_verify_zero_curvature(args) -> int:
 
 def cmd_verify_orthogonality(args) -> int:
     m = load_moments(args.moments, "moments")
-    a_range = parse_range(args.alpha, "alpha")
-    report = VerificationReport("orthogonality")
-    for a in range(a_range[0], a_range[1] + 1):
-        try:
-            report.extend(verify_orthogonality(m, a, args.count))
-        except DegenerateTauError as exc:
-            report.add_skip({"alpha": a, **exc.indices}, str(exc))
+    report = verify_orthogonality(m, parse_range(args.alpha, "alpha"),
+                                  args.count)
     return finish_report(report, args.format)
 
 
@@ -278,19 +273,7 @@ def cmd_verify_mop(args) -> int:
     if E is not None:
         raise UsageError("mop verification applies to the two-family case; "
                          "drop --moments-e")
-    k_range, l_range, a_range, b_range = _ranges(
-        args, "k", "l", "alpha", "beta")
-    report = VerificationReport("mop-orthogonality")
-    table = bordered_table(k_range[1], C, D)
-    for k in range(max(0, k_range[0]), k_range[1] + 1):
-        for l in range(max(0, l_range[0]), min(k, l_range[1]) + 1):
-            for a in range(a_range[0], a_range[1] + 1):
-                for b in range(b_range[0], b_range[1] + 1):
-                    try:
-                        report.extend(verify_mop(k, l, a, b, C, D, table))
-                    except DegenerateTauError as exc:
-                        report.add_skip({"k": k, "l": l, "alpha": a, "beta": b},
-                                        str(exc))
+    report = verify_mop(C, D, *_ranges(args, "k", "l", "alpha", "beta"))
     return finish_report(report, args.format)
 
 
@@ -313,8 +296,7 @@ def cmd_mop(args) -> int:
     beta = single_value(args.beta, "beta")
     table = bordered_table(k_range[1], C, D)
     entries = [_poly_entry(mop_type2(k, l, alpha, beta, C, D, table), k=k, l=l)
-               for k in range(max(0, k_range[0]), k_range[1] + 1)
-               for l in range(max(0, l_range[0]), min(k, l_range[1]) + 1)]
+               for k, l in cone(k_range, l_range)]
     emit_polys(entries, args.format)
     return 0
 

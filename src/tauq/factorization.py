@@ -308,8 +308,7 @@ def zero_curvature_check(k: int, alpha: int, m: MomentSequence,
         tau = tau_table(m, lambda a: (k - 1, k + 2))
     report = VerificationReport("zero-curvature")
     lhs, rhs = scalar_compatibility(k, alpha, m, tau)
-    report.add_check({"k": k, "alpha": alpha, "identity": "scalar"},
-                     lhs == rhs, lhs, rhs)
+    report.add_check({"k": k, "alpha": alpha, "identity": "scalar"}, lhs, rhs)
 
     try:
         v_k, w_k, u_k = connection_matrices_gl2(k, alpha, m, tau)
@@ -319,13 +318,13 @@ def zero_curvature_check(k: int, alpha: int, m: MomentSequence,
         return report
     prod_l, prod_r = u_k @ w_k, v_k
     report.add_check({"k": k, "alpha": alpha, "identity": "UW=V"},
-                     prod_l == prod_r, prod_l, prod_r)
+                     prod_l, prod_r)
     try:
         w_prev = connection_matrices_gl2(k, alpha - 1, m, tau)[1]
         v_next = connection_matrices_gl2(k + 1, alpha - 1, m, tau)[0]
         lhs_m, rhs_m = w_prev @ v_k, v_next @ w_k
         report.add_check({"k": k, "alpha": alpha, "identity": "WV=VW"},
-                         lhs_m == rhs_m, lhs_m, rhs_m)
+                         lhs_m, rhs_m)
     except DegenerateTauError as exc:
         report.add_skip({"k": k, "alpha": alpha, "identity": "WV=VW"}, str(exc))
     return report
@@ -363,8 +362,7 @@ def induction_replay(m: MomentSequence, k_max: int,
     for a in range(alpha_range[0], alpha_range[1] + 1):
         for k in (0, 1):
             r = qsystem_residual(k, a, tau)
-            report.add_check({"k": k, "alpha": a, "step": "base"},
-                             r == 0, r, 0)
+            report.add_check({"k": k, "alpha": a, "step": "base"}, r, 0)
         for k in range(2, k_max + 1):
             factor_new = tau(k - 2, a + 1)
             factor_old = tau(k - 1, a + 1)
@@ -372,10 +370,10 @@ def induction_replay(m: MomentSequence, k_max: int,
             lhs = factor_new ** 2 * r
             rhs = factor_old ** 2 * qsystem_residual(k - 1, a, tau)
             report.add_check({"k": k, "alpha": a, "step": "transport"},
-                             lhs == rhs, lhs, rhs)
+                             lhs, rhs)
             if factor_new:
                 report.add_check({"k": k, "alpha": a, "step": "conclude"},
-                                 r == 0, r, 0)
+                                 r, 0)
             else:
                 report.add_skip({"k": k, "alpha": a, "step": "conclude"},
                                 "squared transport factor is zero")

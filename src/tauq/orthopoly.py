@@ -12,8 +12,11 @@ numeric moments one elimination that swaps rows past a zero pivot,
 O(K^3) where one per degree costs O(K^4). ``mop_bordered_poly`` reads its
 column at exactly degree k. ``monic_op`` and ``mop_type2`` read B_{k,l}
 from the table they are given, or from a fresh one; ``opgen``,
-``recurrence``, ``mop`` and both verifiers pass one table for all their
-degrees.
+``recurrence`` and ``mop`` pass one table for all their degrees, and
+both verifiers one table for their whole ranges. The verifiers take
+ranges, as every verifier does, and record each instance whose tau is
+zero as a skip: an alpha of ``verify_orthogonality``, a (k, l, alpha,
+beta) of ``verify_mop``, whose (k, l) run over the ``cone`` 0 <= l <= k.
 
 The verifiers pair each polynomial f with the powers z^n in one integer
 pass (``form_pairings``: f and the moments it meets scaled to integers
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import prod
 from operator import mul
 
@@ -170,28 +174,35 @@ def monic_op(k: int, alpha: int, m: MomentSequence,
     return _monic(b, k, k=k, alpha=alpha)
 
 
-def verify_orthogonality(m: MomentSequence, alpha: int, K: int) -> VerificationReport:
-    """<p_j, p_k> = 0 for j < k <= K, and <p_k, p_k> = tau_{k+1}/tau_k, with
-    p_0..p_K from ``monic_op`` on one bordered_table and each tau the
-    leading coefficient of that table's B_k (or B_{K+1}). Each <p_j, p_k>
-    is p_j's scaled coefficients dotted with p_k's ``form_pairings``."""
+def verify_orthogonality(m: MomentSequence, alpha_range: tuple[int, int],
+                         K: int) -> VerificationReport:
+    """<p_j, p_k> = 0 for j < k <= K, and <p_k, p_k> = tau_{k+1}/tau_k, at
+    every alpha in range, with p_0..p_K from ``monic_op`` on one
+    bordered_table and each tau the leading coefficient of that table's
+    B_k (or B_{K+1}). Each <p_j, p_k> is p_j's scaled coefficients dotted
+    with p_k's ``form_pairings``. An alpha whose polynomials need a zero
+    tau is recorded as one skip."""
     report = VerificationReport("orthogonality")
-    form = HankelForm(m, alpha)
     table = bordered_table(K + 1, m, m)
-    # a zero tau_k raises before B_{k+1} is read
-    polys = [monic_op(k, alpha, m, table) for k in range(K + 1)]
-    taus = [table(k, 0, alpha, 0).coeff(k) for k in range(K + 2)]
-    coeffs, scales = _integer_rows([p.coeffs for p in polys])
-    for k in range(K + 1):
-        pairings, den = form_pairings(form, polys[k], k + 1)
-        gram = [Fraction(sum(map(mul, c, pairings)), s * den)
-                for c, s in zip(coeffs[:k + 1], scales)]
-        for j, v in enumerate(gram[:k]):
-            report.add_check({"j": j, "k": k, "alpha": alpha,
-                              "identity": "orthogonal"}, v == 0, v, 0)
-        claim = taus[k + 1] / taus[k]
-        report.add_check({"k": k, "alpha": alpha, "identity": "norm"},
-                         gram[k] == claim, gram[k], claim)
+    for alpha in range(alpha_range[0], alpha_range[1] + 1):
+        try:
+            # a zero tau_k raises before B_{k+1} is read
+            polys = [monic_op(k, alpha, m, table) for k in range(K + 1)]
+        except DegenerateTauError as exc:
+            report.add_skip({"alpha": alpha, **exc.indices}, str(exc))
+            continue
+        form = HankelForm(m, alpha)
+        taus = [table(k, 0, alpha, 0).coeff(k) for k in range(K + 2)]
+        coeffs, scales = _integer_rows([p.coeffs for p in polys])
+        for k in range(K + 1):
+            pairings, den = form_pairings(form, polys[k], k + 1)
+            gram = [Fraction(sum(map(mul, c, pairings)), s * den)
+                    for c, s in zip(coeffs[:k + 1], scales)]
+            for j, v in enumerate(gram[:k]):
+                report.add_check({"j": j, "k": k, "alpha": alpha,
+                                  "identity": "orthogonal"}, v, 0)
+            report.add_check({"k": k, "alpha": alpha, "identity": "norm"},
+                             gram[k], taus[k + 1] / taus[k])
     return report
 
 
@@ -263,20 +274,39 @@ def mop_type2(k: int, l: int, alpha: int, beta: int,
                   k=k, l=l, alpha=alpha, beta=beta)
 
 
-def verify_mop(k: int, l: int, alpha: int, beta: int,
-               C: MomentSequence, D: MomentSequence,
-               bordered=None) -> VerificationReport:
-    """Shared orthogonality: <p, z^n>_C = 0 for n < k-l (offset alpha-beta)
-    and <p, z^n>_D = 0 for n < l (offset alpha), each family's values from
-    one ``form_pairings``, with B_{k,l} read from ``bordered`` (a
-    bordered_table) when given."""
+def cone(k_range: tuple[int, int],
+         l_range: tuple[int, int]) -> list[tuple[int, int]]:
+    """Every (k, l) of the ranges with 0 <= l <= k, k outer: the indices
+    of the type-II polynomials."""
+    return [(k, l) for k in range(max(0, k_range[0]), k_range[1] + 1)
+            for l in range(max(0, l_range[0]), min(k, l_range[1]) + 1)]
+
+
+def verify_mop(C: MomentSequence, D: MomentSequence,
+               k_range: tuple[int, int], l_range: tuple[int, int],
+               alpha_range: tuple[int, int],
+               beta_range: tuple[int, int]) -> VerificationReport:
+    """Shared orthogonality at every (k, l) of the ``cone`` and every
+    (alpha, beta) in range: <p, z^n>_C = 0 for n < k-l (offset
+    alpha-beta) and <p, z^n>_D = 0 for n < l (offset alpha), each
+    family's values from one ``form_pairings``, with every B_{k,l} read
+    from one bordered_table. An instance whose tau is zero is recorded as
+    one skip."""
     report = VerificationReport("mop-orthogonality")
-    p = mop_type2(k, l, alpha, beta, C, D, bordered)
-    for family, form, count in (("c", HankelForm(C, alpha - beta), k - l),
-                                ("d", HankelForm(D, alpha), l)):
-        pairings, den = form_pairings(form, p, count)
-        for n, num in enumerate(pairings):
-            v = Fraction(num, den)
-            report.add_check({"k": k, "l": l, "alpha": alpha, "beta": beta,
-                              "family": family, "n": n}, v == 0, v, 0)
+    table = bordered_table(k_range[1], C, D)
+    for (k, l), a, b in product(cone(k_range, l_range),
+                                range(alpha_range[0], alpha_range[1] + 1),
+                                range(beta_range[0], beta_range[1] + 1)):
+        instance = {"k": k, "l": l, "alpha": a, "beta": b}
+        try:
+            p = mop_type2(k, l, a, b, C, D, table)
+        except DegenerateTauError as exc:
+            report.add_skip(instance, str(exc))
+            continue
+        for family, form, count in (("c", HankelForm(C, a - b), k - l),
+                                    ("d", HankelForm(D, a), l)):
+            pairings, den = form_pairings(form, p, count)
+            for n, num in enumerate(pairings):
+                report.add_check({**instance, "family": family, "n": n},
+                                 Fraction(num, den), 0)
     return report

@@ -40,18 +40,18 @@ class VerificationReport:
     checks: list[Check] = field(default_factory=list)
     skipped: list[Skip] = field(default_factory=list)
 
-    def add_check(self, instance: dict, passed: bool, lhs=None, rhs=None) -> None:
-        """Record one check; passed must be lhs == rhs. Equal ints,
-        Fractions or MomentPolys print the same, so a passing check of
-        two such sides of one type prints lhs once for both. Other sides
-        (a RingFraction is unreduced) are printed one by one."""
-        lhs_text = None if lhs is None else str(lhs)
+    def add_check(self, instance: dict, lhs, rhs) -> None:
+        """Record one check of lhs == rhs. Equal ints, Fractions or
+        MomentPolys print the same, so a passing check of two such sides
+        of one type prints lhs once for both. Other sides (a RingFraction
+        is unreduced) are printed one by one."""
+        passed = bool(lhs == rhs)
+        lhs_text = str(lhs)
         if passed and type(lhs) is type(rhs) and type(lhs) in _CANONICAL:
             rhs_text = lhs_text
         else:
-            rhs_text = None if rhs is None else str(rhs)
-        self.checks.append(Check(dict(instance), bool(passed), lhs_text,
-                                 rhs_text))
+            rhs_text = str(rhs)
+        self.checks.append(Check(dict(instance), passed, lhs_text, rhs_text))
 
     def add_skip(self, instance: dict, reason: str) -> None:
         self.skipped.append(Skip(dict(instance), reason))

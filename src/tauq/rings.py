@@ -14,16 +14,16 @@ Three coefficient domains are used throughout:
 coefficients only need +, *, unary -, ==, and truthiness (zero is falsy).
 All values are immutable after construction; every operation is pure.
 
-Determinants take one of two kernels. Numeric entries run one Bareiss
-elimination on Python ints that swaps rows past a zero pivot
-(``_eliminate``): ``det_bareiss`` reads its last pivot, and
-``leading_minors`` every row, for every leading minor or every bordered
-cofactor of each leading block. Entries that mix numbers and MomentPoly
-run the Laplace subset kernel (``_laplace``) on plain term dicts keyed on
-one basis for the whole matrix, building a MomentPoly only for the minors
-a caller reads; one run gives the same three. No other ring has a
-determinant kernel: ``LaurentMatrix.det`` (order 2 or 3) is a cofactor
-expansion.
+Every determinant is a read of ``leading_minors``, which takes one of
+two kernels. Numeric entries run one Bareiss elimination on Python ints
+that swaps rows past a zero pivot (``_eliminate``), read row by row for
+every leading minor or every bordered cofactor of each leading block.
+Entries that mix numbers and MomentPoly run the Laplace subset kernel
+(``_laplace``) on plain term dicts keyed on one basis for the whole
+matrix, building a MomentPoly only for the minors a caller reads.
+``det`` and ``det_bareiss`` read its minor of order n. No other ring
+has a determinant kernel: ``LaurentMatrix.det`` (order 2 or 3) is a
+cofactor expansion.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress
-from math import lcm, prod
+from math import lcm
 from operator import or_
 from typing import Iterable, NamedTuple
 
@@ -773,23 +773,11 @@ def leading_minors(rows, bordered: bool = False, lo: int = 0) -> list:
 
 
 def det_bareiss(rows: list[list[Fraction]]) -> Fraction:
-    """Fraction-free (Bareiss) determinant for exact numeric entries.
-
-    Each row is scaled to integers by the lcm of its denominators and
-    ``_eliminate`` runs on Python ints with exact division: the
-    determinant is the last row's sign times its pivot, one Fraction over
-    the product of the row scales, and 0 when the run ends early.
-    """
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    m, scales = _integer_rows(rows)
-    signs = list(_eliminate(m))
-    if len(signs) < n:
-        return Fraction(0)
-    return Fraction(signs[-1] * m[-1][-1], prod(scales))
+    """Fraction-free (Bareiss) determinant: the leading minor of order n
+    (``leading_minors``), one run on integer rows for numeric entries
+    (MomentPoly ones take the Laplace kernel, as in ``det``)."""
+    # Kept beside det because bench/tracing.py wraps both names.
+    return leading_minors(rows, lo=len(rows))[0]
 
 
 def _det_cofactor_generic(rows, zero):
@@ -897,16 +885,10 @@ def _laplace(lines, reads: dict[int, list[int]]) -> dict[int, list[MomentPoly]]:
 
 
 def det(rows):
-    """Exact determinant: Bareiss for numeric entries, the Laplace subset
-    kernel for MomentPoly ones (TypeError for any other ring)."""
-    if not rows:
-        return Fraction(1)
-    if _numeric(rows):
-        return det_bareiss(rows)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    return _laplace(rows, {n: [(1 << n) - 1]})[n][0]
+    """Exact determinant: the leading minor of order n (``leading_minors``),
+    Bareiss for numeric entries, the Laplace subset kernel for MomentPoly
+    ones (TypeError for any other ring)."""
+    return leading_minors(rows, lo=len(rows))[0]
 
 
 def _numeric(rows) -> bool:

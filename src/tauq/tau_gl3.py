@@ -240,14 +240,16 @@ def block_hankel_rows(n_rows: int, k: int, l: int, alpha: int, beta: int,
     c_{alpha-beta+i+(j-l)}. n_rows = k gives the tau matrix, n_rows = k+1
     the body of the bordered one. With E = 0 (``e_is_zero``) M_ij is
     d_{alpha+i+j} and each distinct moment is read once, only from a
-    family with columns. With E != 0 every family must be a finite window
+    family with columns, and none for n_rows = 0. With E != 0 every family must be a finite window
     (SupportError, before any moment is read), as in the residue
     reference. Every row is a fresh list."""
     e_zero = e_is_zero(E)
     if not (e_zero or (C.is_finite and D.is_finite and E.is_finite)):
         raise SupportError("the c*e convolution in tau3_det needs finite-support sequences")
-    d = [D.get(alpha + s) for s in range(n_rows + l - 1)] if l > 0 else []
-    c = [C.get(alpha - beta + s) for s in range(n_rows + k - l - 1)] if k > l else []
+    d = [D.get(alpha + s) for s in range(n_rows + l - 1)] \
+        if n_rows and l > 0 else []
+    c = [C.get(alpha - beta + s) for s in range(n_rows + k - l - 1)] \
+        if n_rows and k > l else []
     rows = [d[i:i + l] + c[i:i + k - l] for i in range(n_rows)]
     if not e_zero:
         c_hi = C.lo + len(C.values) - 1
@@ -432,6 +434,5 @@ def verify_gl3_relations(C: MomentSequence, D: MomentSequence,
                         lhs, rhs = relation_sides(relation, k, l, a, b, tau)
                         report.add_check(
                             {"relation": relation, "k": k, "l": l,
-                             "alpha": a, "beta": b},
-                            lhs == rhs, lhs, rhs)
+                             "alpha": a, "beta": b}, lhs, rhs)
     return report

@@ -115,8 +115,8 @@ def test_c06_orthogonality_and_norms():
         # gate: the determinant route must agree with plain Gram-Schmidt
         assert gram_schmidt_monic(m, 0, 6) == \
             [monic_op(k, 0, m) for k in range(7)]
-        r = verify_orthogonality(m, 0, 6)
-        assert r.failures == 0 and r.total == 21 + 7
+        r = verify_orthogonality(m, (0, 0), 6)
+        assert r.failures == 0 and r.total == 21 + 7 and not r.skipped
 
 
 def test_c07_zero_curvature_and_induction_replay():
@@ -194,15 +194,9 @@ def test_c11_type2_multiple_orthogonality():
     for cw, dw, expected_skips in [
             (CATALAN, LINEAR_W, [(3, 3), (4, 1), (4, 3), (4, 4)]),
             (rand(7, -2, 14), rand(8, -2, 14), [])]:
-        skips = []
-        for k in range(5):
-            for l in range(k + 1):
-                try:
-                    r = verify_mop(k, l, 0, 0, cw, dw)
-                except DegenerateTauError:
-                    skips.append((k, l))
-                    continue
-                assert r.failures == 0
+        r = verify_mop(cw, dw, (0, 4), (0, 4), (0, 0), (0, 0))
+        assert r.failures == 0
+        skips = [(s.instance["k"], s.instance["l"]) for s in r.skipped]
         assert skips == expected_skips
 
 

@@ -136,8 +136,8 @@ def test_gram_schmidt_matches_determinant_route(catalan, hermite):
 
 
 def test_verify_orthogonality_counts_and_norms(catalan):
-    r = verify_orthogonality(catalan, 0, 5)
-    assert (r.total, r.failures) == (15 + 6, 0)
+    r = verify_orthogonality(catalan, (0, 0), 5)
+    assert (r.total, r.failures, r.skipped) == (15 + 6, 0, [])
     norm_checks = [c for c in r.checks if c.instance["identity"] == "norm"]
     assert len(norm_checks) == 6
     # catalan at offset 0 has every tau equal to 1, so every norm is 1
@@ -192,11 +192,12 @@ def test_mop_validation_and_degeneracy(catalan, linear_window):
 
 
 def test_verify_mop_counts(catalan, linear_window):
-    r = verify_mop(2, 1, 0, 0, catalan, linear_window)
+    r = verify_mop(catalan, linear_window, (2, 2), (1, 1), (0, 0), (0, 0))
     assert (r.total, r.failures) == (2, 0)
     fams = sorted(c.instance["family"] for c in r.checks)
     assert fams == ["c", "d"]
-    assert verify_mop(0, 0, 0, 0, catalan, linear_window).total == 0
+    r = verify_mop(catalan, linear_window, (0, 0), (0, 0), (0, 0), (0, 0))
+    assert (r.total, r.skipped) == (0, [])
 
 
 def test_mop_conditions_split(catalan, linear_window):

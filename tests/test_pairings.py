@@ -106,8 +106,8 @@ def test_verifiers_take_no_form_eval(monkeypatch, catalan, hermite):
     rng = random.Random(4)
     C, D = (seeded_window(rng, -3, 12, num=9, den=5) for _ in range(2))
     for m in (C, catalan, hermite):
-        assert verify_orthogonality(m, 0, 5).total == 15 + 6
-    assert verify_mop(5, 2, 0, -1, C, D).total == 5
+        assert verify_orthogonality(m, (0, 0), 5).total == 15 + 6
+    assert verify_mop(C, D, (5, 5), (2, 2), (0, 0), (-1, -1)).total == 5
     code, _ = _run(["verify", "mop", "--moments-c", _json(C),
                     "--moments-d", _json(D), "--k", "0..4", "--l", "0..2"])
     assert code == 0
@@ -161,24 +161,38 @@ def _gram_values(m, a, K) -> list[str]:
             for k in range(K + 1) for j in range(k + 1)]
 
 
+def _assert_concatenation(ranged, points) -> None:
+    """The ranged report holds exactly the one-point reports' checks and
+    skips, in their order."""
+    assert ranged.checks == [c for r in points for c in r.checks]
+    assert ranged.skipped == [s for r in points for s in r.skipped]
+
+
 @pytest.mark.parametrize("i", range(len(SOURCES)))
 def test_verifier_values_equal_form_eval_check_by_check(i):
     m, other = SOURCES[i], SOURCES[(i + 3) % len(SOURCES)]
+    points = []
     for a in (-2, -1, 0, 1):
+        r = verify_orthogonality(m, (a, a), 5)
+        points.append(r)
         try:
             want = _gram_values(m, a, 5)
         except DegenerateTauError:
-            with pytest.raises(DegenerateTauError):
-                verify_orthogonality(m, a, 5)
+            assert (r.checks, len(r.skipped)) == ([], 1)
             continue
-        assert [c.lhs for c in verify_orthogonality(m, a, 5).checks] == want
+        assert [c.lhs for c in r.checks] == want and not r.skipped
+    _assert_concatenation(verify_orthogonality(m, (-2, 1), 5), points)
+    points = []
     for k, l, a, b in itertools.product(range(6), range(3), (-1, 0, 1), (-1, 0)):
         if l > k:
             continue
+        r = verify_mop(m, other, (k, k), (l, l), (a, a), (b, b))
+        points.append(r)
         try:
             want = _mop_values(k, l, a, b, m, other)
         except DegenerateTauError:
-            with pytest.raises(DegenerateTauError):
-                verify_mop(k, l, a, b, m, other)
+            assert (r.checks, len(r.skipped)) == ([], 1)
             continue
-        assert [c.lhs for c in verify_mop(k, l, a, b, m, other).checks] == want
+        assert [c.lhs for c in r.checks] == want and not r.skipped
+    _assert_concatenation(
+        verify_mop(m, other, (0, 5), (0, 2), (-1, 1), (-1, 0)), points)

@@ -290,7 +290,7 @@ def test_orthogonality_takes_no_tau_determinant(tau_det_calls, monkeypatch,
         return real(*args)
 
     monkeypatch.setattr(tauq.tau_gl3, "tau3_det", counting)
-    report = verify_orthogonality(request.getfixturevalue(source), 0, 5)
+    report = verify_orthogonality(request.getfixturevalue(source), (0, 0), 5)
     assert (report.total, report.failures) == (15 + 6, 0)
     assert not tau_det_calls and not tau3_calls
 

@@ -22,7 +22,7 @@ from tauq import (
 )
 from tauq.cli import main
 from tauq.tau_gl3 import (block_hankel_rows, e_is_zero, leading_blocks,
-                          relation_sides, tau3_table)
+                          relation_sides, tau3_line, tau3_table)
 
 from reference import seeded_window, tau3_by_det
 
@@ -73,6 +73,27 @@ def test_block_hankel_rows_reads_each_moment_once(rand_window):
     m = RecordingSequence(MomentSequence.named("catalan"))
     assert len(block_hankel_rows(5, 4, 0, 0, 0, m, m)) == 5
     assert m.calls == list(range(8))
+
+
+def test_k0_row_reads_no_c_or_d_moment(rand_window):
+    # with E != 0 the k = 0 row's matrices are e-rows only: the empty
+    # Cauchy block reads no c- or d-moment, and the values stay those of
+    # each tau as one determinant
+    C0, D0, E0 = (rand_window(seed, -2, 6) for seed in (11, 12, 13))
+    assert not e_is_zero(E0)
+    for a, b in itertools.product((-1, 0, 2), (-1, 0, 1)):
+        C, D = RecordingSequence(C0), RecordingSequence(D0)
+        row = tau3_line(0, 1, a, b, (0, 0), (1, 4), C, D, E0)
+        assert (C.calls, D.calls) == ([], [])
+        assert row == {(0, l, a, b): tau3_by_det(0, l, a, b, C0, D0, E0)
+                       for l in range(1, 5)}
+    # the k = 0 row of the package job's e_0 = 0 diff
+    C, D = (RecordingSequence(MomentSequence.window(0, values))
+            for values in ([1, 2, 3, 5], [2, -1, 1, 3]))
+    E = MomentSequence.window(0, [0, 1, 2, -3])
+    assert tau3_line(0, 1, 0, 0, (0, 0), (1, 3), C, D, E) == \
+        {(0, 1, 0, 0): 0, (0, 2, 0, 0): -1, (0, 3, 0, 0): -20}
+    assert (C.calls, D.calls) == ([], [])
 
 
 def test_kernel_specs_enumeration():
