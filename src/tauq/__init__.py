@@ -7,7 +7,7 @@ from .factorization import (connection_matrices_gl2, evaluate_shifted,
                             g_minus_gl2, g_minus_gl3, induction_replay,
                             scalar_compatibility, tail_series,
                             verify_zero_curvature, window_matrix_gl2,
-                            window_matrix_gl3, zero_curvature_check)
+                            window_matrix_gl3)
 from .moments import MomentSequence, build_moments, serialize
 from .orthopoly import (HankelForm, MonicPolynomial, bordered_tau_poly,
                         form_eval, monic_op, mop_bordered_poly, mop_type2,
@@ -38,5 +38,5 @@ __all__ = [
     "tail_series", "tau3_det", "tau3_e0_det", "tau3_residue",
     "tau_det", "verify_gl3_relations", "verify_mop",
     "verify_orthogonality", "verify_qsystem", "verify_zero_curvature",
-    "window_matrix_gl2", "window_matrix_gl3", "zero_curvature_check",
+    "window_matrix_gl2", "window_matrix_gl3",
 ]

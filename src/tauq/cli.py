@@ -38,7 +38,9 @@ from .tau_gl3 import tau3_table, verify_gl3_relations
 # takes 2.9 s and 4.8 MB.
 SYMBOLIC_ORDER_BOUND = 9
 # Largest --k of symbolic zero-curvature: its cross-multiplied identities
-# multiply whole tau polynomials, and --k 0..3 takes 7-11 s there.
+# multiply whole, uncancelled tau polynomials. There `verify zero-curvature
+# --mode symbolic --k 0..3` takes 1.0-1.6 s, while k 0..4 at alpha 0 had
+# not finished after 300 s of CPU time when it was stopped.
 SYMBOLIC_ZERO_CURVATURE_K_BOUND = 3
 
 

@@ -280,14 +280,11 @@ def connection_matrices_gl2(k: int, alpha: int, m: MomentSequence,
     return v, w, u
 
 
-def scalar_compatibility(k: int, alpha: int, m: MomentSequence,
-                         tau: TauTable | None = None):
-    """Both sides of the scalar identity the overlapping connection
-    products force: tau_k^2 (tau_{k+2}^(a-1) tau_k^(a+1)
-    - tau_{k+1}^(a-1) tau_{k+1}^(a+1)) against tau_{k+1}^2
+def scalar_compatibility(k: int, alpha: int, tau):
+    """(lhs, rhs) of the scalar identity the overlapping connection
+    products force, over a tau callable: tau_k^2 (tau_{k+2}^(a-1)
+    tau_k^(a+1) - tau_{k+1}^(a-1) tau_{k+1}^(a+1)) against tau_{k+1}^2
     (tau_{k+1}^(a-1) tau_{k-1}^(a+1) - tau_k^(a-1) tau_k^(a+1))."""
-    if tau is None:
-        tau = tau_table(m, lambda a: (k - 1, k + 2))
     lhs = tau(k, alpha) ** 2 * (tau(k + 2, alpha - 1) * tau(k, alpha + 1)
                                 - tau(k + 1, alpha - 1) * tau(k + 1, alpha + 1))
     rhs = tau(k + 1, alpha) ** 2 * (tau(k + 1, alpha - 1) * tau(k - 1, alpha + 1)
@@ -295,53 +292,41 @@ def scalar_compatibility(k: int, alpha: int, m: MomentSequence,
     return lhs, rhs
 
 
-def zero_curvature_check(k: int, alpha: int, m: MomentSequence,
-                         tau: TauTable | None = None) -> VerificationReport:
-    """One (k, alpha) instance: U_k W_k = V_k, the cross-multiplied
-    overlap W_k^(a-1) V_k^(a) = V_{k+1}^(a-1) W_k^(a), and the scalar
-    identity they force. Cross-multiplied forms stay polynomial, so no
-    matrix is ever inverted. The scalar identity has no denominators and
-    is always checked; a matrix identity whose tau denominators vanish is
-    recorded as skipped rather than failed. Every tau is read from tau (a
-    fresh table of m when omitted)."""
-    if tau is None:
-        tau = tau_table(m, lambda a: (k - 1, k + 2))
-    report = VerificationReport("zero-curvature")
-    lhs, rhs = scalar_compatibility(k, alpha, m, tau)
-    report.add_check({"k": k, "alpha": alpha, "identity": "scalar"}, lhs, rhs)
-
-    try:
-        v_k, w_k, u_k = connection_matrices_gl2(k, alpha, m, tau)
-    except DegenerateTauError as exc:
-        for identity in ("UW=V", "WV=VW"):
-            report.add_skip({"k": k, "alpha": alpha, "identity": identity}, str(exc))
-        return report
-    prod_l, prod_r = u_k @ w_k, v_k
-    report.add_check({"k": k, "alpha": alpha, "identity": "UW=V"},
-                     prod_l, prod_r)
-    try:
-        w_prev = connection_matrices_gl2(k, alpha - 1, m, tau)[1]
-        v_next = connection_matrices_gl2(k + 1, alpha - 1, m, tau)[0]
-        lhs_m, rhs_m = w_prev @ v_k, v_next @ w_k
-        report.add_check({"k": k, "alpha": alpha, "identity": "WV=VW"},
-                         lhs_m, rhs_m)
-    except DegenerateTauError as exc:
-        report.add_skip({"k": k, "alpha": alpha, "identity": "WV=VW"}, str(exc))
-    return report
-
-
 def verify_zero_curvature(m: MomentSequence, k_range: tuple[int, int],
                           alpha_range: tuple[int, int]) -> VerificationReport:
-    """All instances in range; identities whose connection matrices have a
-    zero tau denominator are recorded as skipped, not failed. All
-    instances share one tau table."""
+    """At each (k, alpha) in range: the scalar identity, U_k W_k = V_k,
+    and the cross-multiplied overlap W_k^(a-1) V_k^(a) = V_{k+1}^(a-1)
+    W_k^(a) that forces it. Cross-multiplied forms stay polynomial, so no
+    matrix is ever inverted. The scalar identity has no denominators and
+    is always checked; a matrix identity whose tau denominators vanish is
+    recorded as skipped rather than failed. One tau table serves every
+    instance, and each (V, W, U) is built once, in a memo keyed
+    (k, alpha); matrices that raise are not stored, so every read of them
+    raises the same error."""
     report = VerificationReport("zero-curvature")
     # (k, a) reads up to tau_{k+2} at a - 1 and a, tau_{k+1} at a + 1
-    (k_lo, k_hi), a_hi = k_range, alpha_range[1]
+    (k_lo, k_hi), (a_lo, a_hi) = k_range, alpha_range
     tau = tau_table(m, lambda a: (k_lo - 1, k_hi + 2 - (a > a_hi)))
-    for k in range(k_range[0], k_range[1] + 1):
-        for a in range(alpha_range[0], alpha_range[1] + 1):
-            report.extend(zero_curvature_check(k, a, m, tau))
+    mats = TauTable(lambda *key: {key: connection_matrices_gl2(*key, m, tau)})
+    for k in range(k_lo, k_hi + 1):
+        for a in range(a_lo, a_hi + 1):
+            at = {"k": k, "alpha": a}
+            report.add_check({**at, "identity": "scalar"},
+                             *scalar_compatibility(k, a, tau))
+            try:
+                v_k, w_k, u_k = mats(k, a)
+            except DegenerateTauError as exc:
+                for identity in ("UW=V", "WV=VW"):
+                    report.add_skip({**at, "identity": identity}, str(exc))
+                continue
+            report.add_check({**at, "identity": "UW=V"}, u_k @ w_k, v_k)
+            try:
+                w_prev, v_next = mats(k, a - 1)[1], mats(k + 1, a - 1)[0]
+            except DegenerateTauError as exc:
+                report.add_skip({**at, "identity": "WV=VW"}, str(exc))
+                continue
+            report.add_check({**at, "identity": "WV=VW"},
+                             w_prev @ v_k, v_next @ w_k)
     return report
 
 
@@ -366,9 +351,10 @@ def induction_replay(m: MomentSequence, k_max: int,
         for k in range(2, k_max + 1):
             factor_new = tau(k - 2, a + 1)
             factor_old = tau(k - 1, a + 1)
-            r = qsystem_residual(k, a, tau)
+            # r_prev is R(k - 1, a), from the step before or the base row
+            r_prev, r = r, qsystem_residual(k, a, tau)
             lhs = factor_new ** 2 * r
-            rhs = factor_old ** 2 * qsystem_residual(k - 1, a, tau)
+            rhs = factor_old ** 2 * r_prev
             report.add_check({"k": k, "alpha": a, "step": "transport"},
                              lhs, rhs)
             if factor_new:

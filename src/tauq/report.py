@@ -56,10 +56,6 @@ class VerificationReport:
     def add_skip(self, instance: dict, reason: str) -> None:
         self.skipped.append(Skip(dict(instance), reason))
 
-    def extend(self, other: "VerificationReport") -> None:
-        self.checks.extend(other.checks)
-        self.skipped.extend(other.skipped)
-
     @property
     def total(self) -> int:
         return len(self.checks)

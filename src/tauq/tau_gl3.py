@@ -356,10 +356,12 @@ def read_line(key: tuple, k_range: tuple[int, int], l_hi: int,
 
 
 class TauTable:
-    """Memo of taus or bordered polynomials keyed by index tuple. On a
-    miss it stores fill(*key), a dict that holds the key and the rest of
-    the key's line; every entry is read back by get(*key) or by calling
-    the table, so a table goes wherever a tau callable is expected."""
+    """Memo of any value keyed by an index tuple: taus, bordered
+    polynomials, connection matrices. On a miss it stores fill(*key), a
+    dict that holds the key and whatever else the same work gave (for a
+    tau, the rest of the key's line); a fill that raises stores nothing.
+    Every entry is read back by get(*key) or by calling the table, so a
+    table goes wherever a tau callable is expected."""
 
     __slots__ = ("fill", "values")
 

@@ -35,7 +35,6 @@ from tauq import (
     verify_zero_curvature,
     window_matrix_gl2,
     window_matrix_gl3,
-    zero_curvature_check,
 )
 
 from reference import gram_schmidt_monic, tau_det_table, tau_residue
@@ -125,7 +124,7 @@ def test_c07_zero_curvature_and_induction_replay():
     r = verify_zero_curvature(HERMITE, (0, 4), (-1, 2))
     assert (r.passes, r.failures, len(r.skipped)) == (26, 0, 34)
     for k in range(3):
-        r = zero_curvature_check(k, 0, FORMAL_C)
+        r = verify_zero_curvature(FORMAL_C, (k, k), (0, 0))
         assert r.passes == 3 and not r.skipped
     r = induction_replay(CATALAN, 6, (-1, 2))
     assert (r.passes, r.failures, len(r.skipped)) == (48, 0, 0)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -28,10 +29,10 @@ from tauq import (
     verify_zero_curvature,
     window_matrix_gl2,
     window_matrix_gl3,
-    zero_curvature_check,
 )
 
 from tauq.rings import det
+from tauq.tau_gl2 import tau_table
 from tauq.tau_gl3 import block_hankel_rows
 
 from formal_shift import (ShiftEndomorphism, apply_shift, formal_g_minus_gl2,
@@ -240,13 +241,14 @@ def test_connection_matrices_symbolic(formal_c):
 def test_scalar_compatibility(catalan, hermite):
     for m in (catalan, hermite):
         for k in range(4):
+            tau = tau_table(m, lambda alpha: (k - 1, k + 2))
             for a in (-1, 0, 1):
-                lhs, rhs = scalar_compatibility(k, a, m)
+                lhs, rhs = scalar_compatibility(k, a, tau)
                 assert lhs == rhs
 
 
 def test_zero_curvature_identities_per_instance(catalan):
-    r = zero_curvature_check(1, 0, catalan)
+    r = verify_zero_curvature(catalan, (1, 1), (0, 0))
     assert r.passes == 2 and r.failures == 0 and len(r.skipped) == 1
     assert r.skipped[0].instance == {"k": 1, "alpha": 0, "identity": "WV=VW"}
 
@@ -254,7 +256,7 @@ def test_zero_curvature_identities_per_instance(catalan):
 def test_zero_curvature_skip_granularity(hermite):
     # one instance, three identities: only the one with a vanishing tau
     # denominator is skipped, the others are still checked
-    r = zero_curvature_check(2, 0, hermite)
+    r = verify_zero_curvature(hermite, (2, 2), (0, 0))
     done = {c.instance["identity"] for c in r.checks}
     skipped = {s.instance["identity"] for s in r.skipped}
     assert done == {"scalar", "UW=V"} and skipped == {"WV=VW"}
@@ -271,7 +273,7 @@ def test_verify_zero_curvature_counts(catalan):
 
 def test_zero_curvature_symbolic(formal_c):
     for k in range(3):
-        r = zero_curvature_check(k, 0, formal_c)
+        r = verify_zero_curvature(formal_c, (k, k), (0, 0))
         assert r.passes == 3 and not r.skipped
 
 
@@ -279,7 +281,7 @@ def test_passing_ring_fraction_checks_print_both_sides(formal_c):
     # RingFraction entries are unreduced, so equal matrices print apart:
     # a passing WV=VW check keeps each side's own text
     k, a = 1, 0
-    check, = [c for c in zero_curvature_check(k, a, formal_c).checks
+    check, = [c for c in verify_zero_curvature(formal_c, (k, k), (a, a)).checks
               if c.instance["identity"] == "WV=VW"]
     v_k, w_k, _ = connection_matrices_gl2(k, a, formal_c)
     w_prev = connection_matrices_gl2(k, a - 1, formal_c)[1]
@@ -287,6 +289,52 @@ def test_passing_ring_fraction_checks_print_both_sides(formal_c):
     assert check.passed
     assert (check.lhs, check.rhs) == (str(w_prev @ v_k), str(v_next @ w_k))
     assert check.lhs != check.rhs
+
+
+@pytest.mark.parametrize("case", ["catalan", "hermite", "neg-lo-30",
+                                  "neg-lo-60", "formal"])
+def test_zero_curvature_ranged_matches_one_point_calls(request, case):
+    # the ranged call's shared tau table and matrix memo change no check,
+    # no skip and no order: it is its one-point calls, k outer, alpha inner
+    if case in ("catalan", "hermite"):
+        m, k_range, a_range = request.getfixturevalue(case), (0, 3), (-1, 2)
+    elif case == "formal":
+        m, k_range, a_range = request.getfixturevalue("formal_c"), (0, 1), (-1, 0)
+    else:
+        zeros = int(case[-2:]) / 100
+        m = seeded_window(random.Random(case), -3, 12, num=5, den=3,
+                          zeros=zeros)
+        k_range, a_range = (0, 3), (-2, 2)
+    ranged = verify_zero_curvature(m, k_range, a_range)
+    singles = [verify_zero_curvature(m, (k, k), (a, a))
+               for k in range(k_range[0], k_range[1] + 1)
+               for a in range(a_range[0], a_range[1] + 1)]
+    assert ranged.checks == [c for r in singles for c in r.checks]
+    assert ranged.skipped == [s for r in singles for s in r.skipped]
+    assert ranged.total and ranged.failures == 0
+    if case.startswith("neg-lo"):
+        assert ranged.skipped
+
+
+def test_zero_curvature_builds_each_connection_matrix_once(monkeypatch):
+    # on a window with no zero tau every identity is checked, and each
+    # (V, W, U) an instance or a neighbour needs is built exactly once
+    m = seeded_window(random.Random(7), -3, 14, num=9, den=5)
+    assert all(tau_det(k, a, m) for k in range(6) for a in range(-2, 4))
+    calls = Counter()
+    real = tauq.factorization.connection_matrices_gl2
+
+    def counting(k, alpha, *args):
+        calls[k, alpha] += 1
+        return real(k, alpha, *args)
+
+    monkeypatch.setattr(tauq.factorization, "connection_matrices_gl2",
+                        counting)
+    r = verify_zero_curvature(m, (0, 3), (-1, 2))
+    assert (r.passes, r.failures, len(r.skipped)) == (48, 0, 0)
+    assert set(calls) == ({(k, a) for k in range(4) for a in range(-2, 3)}
+                          | {(4, a) for a in range(-2, 2)})
+    assert set(calls.values()) == {1}
 
 
 def test_induction_replay_structure(catalan):
